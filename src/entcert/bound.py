@@ -401,6 +401,7 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
         info={
             "iterations": sol.iterations,
             "duality_gap": sol.duality_gap,
+            "weak_duality_violation": sol.info["weak_duality_violation"],
             "psd_shift": lmin,
             "raw_objective": sol.objective_value,
         },
@@ -415,13 +416,18 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
 # original operator basis then loses the objective to cancellation noise.
 # Raising the cut prunes those directions and restores conditioning at a
 # small cost in expressiveness, so the laddered solve keeps whichever rung
-# certifies the largest objective.  A rung ends the ladder only when its
-# solve is optimal and its certificate keeps the objective; a stalled solve
-# (residual parked above tolerance) or one that hit the iteration cap
-# moves on to the next cut, its polished witness still in the running.
+# certifies the largest objective.  A rung ends the ladder when its
+# certificate keeps the solver's objective: within _CERT_LOSS_TOL for an
+# optimal solve, and within the solve's own gap_tol for a stalled one (gap
+# converged, residual parked above tolerance).  A stricter cut can only
+# lower the program's optimum, so it has nothing to recover from a rung
+# whose certificate loses nothing; a stalled rung that loses more than
+# gap_tol to polishing may still be beaten by the next cut.  A rung that
+# hit the iteration cap or failed moves on to the next cut, its polished
+# witness still in the running.
 _CUT_LADDER = (GRAM_NULL_CUT, 1e-8, 1e-6)
 
-# relative slack allowed between the solver's claimed objective and the
+# relative slack allowed between an optimal solve's objective and the
 # value the polished certificate actually sustains before a stricter cut
 # is tried
 _CERT_LOSS_TOL = 1e-4
@@ -436,10 +442,10 @@ def _solve_witness(measurements, epsilon, gap_tol, max_iter) -> BoundResult:
         res.info["null_cut"] = cut
         if best is None or res.linear_objective > best.linear_objective:
             best = res
-        certified_enough = res.linear_objective >= sol.objective_value - _CERT_LOSS_TOL * (
+        loss_tol = {sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: gap_tol}.get(sol.status)
+        if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
             1.0 + abs(sol.objective_value)
-        )
-        if sol.status == sdp.STATUS_OPTIMAL and certified_enough:
+        ):
             break
     return best
 

@@ -19,8 +19,7 @@ Fock-basis displacement kernel (associated Laguerre polynomials).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -154,21 +153,27 @@ def loss_matrix(n_in: int, efficiency: float) -> np.ndarray:
 
 def convolution_matrix(config: TmdConfig, n_max_photons: int) -> np.ndarray:
     """C[k][n] = P(n photons, thrown independently over the bins, occupy
-    exactly k distinct bins); inclusion-exclusion over bin subsets."""
-    q = config.probabilities
-    bins = config.bins
-    n = np.arange(n_max_photons + 1)
-    c = np.zeros((bins + 1, n_max_photons + 1))
+    exactly k distinct bins).
+
+    C[k][n] is the coefficient of t^k x^n/n! in the generating function
+    prod_b (1 + t (exp(q_b x) - 1)).  Multiplying in one bin at a time adds
+    sum_{m>=1} binom(n, m) q_b^m C[k-1][n-m] to C[k][n], so the cost is
+    O(bins^2 n^2) and every term is nonnegative.
+    """
+    n_dim = n_max_photons + 1
+    # Pascal's rule, exact in floating point while the entries stay below 2^53
+    binom = np.zeros((n_dim, n_dim))
+    binom[:, 0] = 1.0
+    for n in range(1, n_dim):
+        binom[n, 1:] = binom[n - 1, 1:] + binom[n - 1, :-1]
+    taken = np.subtract.outer(np.arange(n_dim), np.arange(n_dim))
+    c = np.zeros((config.bins + 1, n_dim))
     c[0, 0] = 1.0
-    for k in range(1, bins + 1):
-        acc = np.zeros(n_max_photons + 1)
-        for subset in itertools.combinations(range(bins), k):
-            for r in range(k + 1):
-                sign = (-1.0) ** (k - r)
-                for sub2 in itertools.combinations(subset, r):
-                    acc += sign * float(np.sum(q[list(sub2)])) ** n
-        c[k] = acc
-    return np.clip(c, 0.0, None)
+    for q in config.probabilities:
+        # add[n][j] = binom(n, j) q^(n - j): the new bin takes n - j >= 1 photons
+        add = np.where(taken > 0, binom * q ** np.maximum(taken, 0), 0.0)
+        c[1:] += c[:-1] @ add.T
+    return c
 
 
 def click_matrix(config: TmdConfig, cutoff: int) -> np.ndarray:
@@ -233,11 +238,11 @@ def homodyne_povm(
     if lo_cutoff is None:
         lo_cutoff = adaptive_lo_cutoff(amax)
 
-    tmd_d = det.tmd_d if not det.unbalanced else replace(det.tmd_d, efficiency=0.0)
     pad = lo_cutoff + signal_cutoff
     d_pad, d_sig = pad + 1, signal_cutoff + 1
     d_live = click_matrix(det.tmd_c, pad)
-    d_dead = click_matrix(tmd_d, pad)
+    # the unbalanced outcomes never read the LO arm, so its matrix is not built
+    d_lo = None if det.unbalanced else click_matrix(det.tmd_d, pad)
 
     u_cols = _bs_columns(float(det.reflectivity), int(lo_cutoff), int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
@@ -245,7 +250,9 @@ def homodyne_povm(
     if det.unbalanced:
         outcomes = list(range(det.tmd_c.bins + 1))
     else:
-        outcomes = [(bc, bd) for bc in range(det.tmd_c.bins + 1) for bd in range(tmd_d.bins + 1)]
+        outcomes = [
+            (bc, bd) for bc in range(det.tmd_c.bins + 1) for bd in range(det.tmd_d.bins + 1)
+        ]
     ops = [np.zeros((d_sig, d_sig), dtype=complex) for _ in outcomes]
 
     for w, alpha in lo_components:
@@ -261,7 +268,7 @@ def homodyne_povm(
             else:
                 bc, bd = outc
                 op = np.einsum(
-                    "abi,a,b,abj->ij", wv.conj(), d_dead[bd], d_live[bc], wv, optimize=True
+                    "abi,a,b,abj->ij", wv.conj(), d_lo[bd], d_live[bc], wv, optimize=True
                 )
             ops[i] += w * op
 

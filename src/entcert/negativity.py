@@ -30,19 +30,27 @@ class NegativityResult:
     symmetrized: bool = True
 
 
-def _components(adjacent: np.ndarray):
-    """Index arrays of the connected components of a symmetric boolean
-    adjacency matrix, grown breadth-first."""
-    unseen = np.ones(adjacent.shape[0], dtype=bool)
-    while unseen.any():
-        comp = np.zeros_like(unseen)
-        comp[np.argmax(unseen)] = True
-        frontier = comp
-        while frontier.any():
-            frontier = adjacent[frontier].any(axis=0) & ~comp
-            comp |= frontier
-        unseen &= ~comp
-        yield np.flatnonzero(comp)
+def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Smallest vertex index of each vertex's connected component, for the
+    undirected graph on n vertices with the given edge list.
+
+    Every round lowers each edge's endpoints to the smaller of their labels
+    and then follows labels to their own labels until they settle.
+    """
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        new = labels.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        while True:
+            hop = new[new]
+            if np.array_equal(hop, new):
+                break
+            new = hop
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResult:
@@ -63,9 +71,17 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
         raise ValueError(f"input not Hermitian: deviation {herm:.3e}")
     sym = TruncatedState._trusted(state.space, 0.5 * (mat + mat.conj().T))
     pt = partial_transpose(sym, subsystem=cut).matrix
-    w = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(pt[np.ix_(b, b)]) for b in _components(pt != 0.0)]
-    ))
+    rows, cols = np.nonzero(pt)
+    labels = _component_labels(rows, cols, pt.shape[0])
+    # members of each component in ascending order, components by smallest member
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    parts = []
+    for size in np.unique(sizes):
+        # one stacked eigvalsh per block size
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        parts.append(np.linalg.eigvalsh(pt[idx[:, :, None], idx[:, None, :]]).ravel())
+    w = np.sort(np.concatenate(parts))
     trace_norm = float(np.sum(np.abs(w)))
     log_neg = max(0.0, float(np.log2(trace_norm)))
     negs = tuple(float(x) for x in w[w < 0.0])

@@ -200,7 +200,9 @@ def solve(
     below gap_tol but the worst of gap and residuals has not improved by
     0.1% for 5 iterations, typically a residual parked just above feas_tol
     by roundoff; ``max_iterations`` or ``numerical_failure`` otherwise.
-    Every status but ``infeasible`` carries the best iterate seen.
+    Every status but ``infeasible`` carries the best iterate seen.  ``info``
+    holds the iteration history, the returned iterate's dual objective and
+    its ``weak_duality_violation``, max(0, primal - dual).
     """
     m = program.objective.size
     gamma = float(fraction_to_boundary)
@@ -512,9 +514,10 @@ def solve(
         result = _pack(y, xs, xlp, np.inf, np.nan)
 
     y_out = dvec * result["y"]
+    pobj = float(program.objective @ y_out)
     return SdpSolution(
         y_star=y_out,
-        objective_value=float(program.objective @ y_out),
+        objective_value=pobj,
         dual_certificate=result["cert"],
         duality_gap=float(result["gap"]),
         status=status,
@@ -522,6 +525,11 @@ def solve(
         info={
             "history": history,
             "dual_objective": result["dual_objective"],
+            # weak duality holds for exact iterates; roundoff in a residual
+            # parked above feas_tol can push the primal above the dual
+            "weak_duality_violation": float(
+                np.maximum(0.0, pobj - result["dual_objective"])
+            ),
             "detail": detail,
         },
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entcert import bound, detector, fock, sdp
+from entcert import bound, cli, detector, fock, sdp
 from entcert.bound import (
     BoundResult,
     MeasurementSet,
@@ -301,18 +301,44 @@ def _table_point_measurements():
     return st, ops, MeasurementSet(ops, simulate_expectations(st, ops))
 
 
-def test_robust_table_solves_stop_stalled():
+def test_robust_table_solves_stop_stalled(monkeypatch):
     # the first null-cut rung parks the moment residual just above feas_tol
     # once the gap has converged; the solve must say so instead of running
-    # to its iteration cap
+    # to its iteration cap, and since its polished certificate keeps the
+    # objective, the ladder ends there
     _, _, ms = _table_point_measurements()
+    solutions = []
+    original = sdp.solve
+
+    def recording(*args, **kwargs):
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
     for eps in (1e-3, 1e-2):
-        program, *_ = bound._witness_program(ms, eps)
-        sol = sdp.solve(program)
+        res = bound.lower_bound_negativity_robust(ms, eps)
+        sol = solutions.pop()
+        assert not solutions
         assert sol.status == sdp.STATUS_STALLED
         assert sol.iterations <= 40
         assert sol.info["history"][-1]["rel_gap"] < 1e-7
         assert sol.info["detail"]
+        assert res.info["null_cut"] == bound.GRAM_NULL_CUT
+        violation = max(0.0, sol.objective_value - sol.info["dual_objective"])
+        assert res.info["weak_duality_violation"] == sol.info["weak_duality_violation"] == violation
+
+
+def test_weak_duality_violation_reported_at_cli_table_point():
+    # at the CLI's default point the eps=1e-3 row parks a moment residual of
+    # ~2e-8 that lets the primal objective exceed the dual by ~1.3e-4
+    cfg = cli.ExperimentConfig()
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = MeasurementSet(ops, simulate_expectations(state, ops))
+    res = bound.lower_bound_negativity_robust(ms, 1e-3)
+    assert res.solver_status == sdp.STATUS_STALLED
+    assert 5e-5 < res.info["weak_duality_violation"] < 5e-4
 
 
 def test_error_box_states_rebuild_and_check():

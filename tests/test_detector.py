@@ -13,6 +13,11 @@ def _tc(eta, bins=8, probs=None):
     return TmdConfig(bins=bins, efficiency=eta, bin_probabilities=probs)
 
 
+def _random_probs(rng, bins):
+    q = rng.dirichlet(np.ones(bins))
+    return tuple(q / q.sum())
+
+
 def _det(amp=1.0, phase=0.0, r=0.5, eta=0.1, unbalanced=True, bins=8):
     t = _tc(eta, bins)
     return DetectorConfig(amp, phase, r, t, t, unbalanced=unbalanced)
@@ -68,17 +73,43 @@ def test_convolution_two_photons_uniform():
 
 
 def test_convolution_vs_bruteforce_nonuniform():
-    probs = (0.4, 0.3, 0.2, 0.1)
-    cfg = _tc(1.0, bins=4, probs=probs)
-    c = detector.convolution_matrix(cfg, 4)
-    for n in range(5):
-        ref = oracles.click_distribution_bruteforce(n, probs)
-        assert np.max(np.abs(c[:, n] - ref)) < 1e-12
+    rng = np.random.default_rng(7)
+    for probs in ((0.4, 0.3, 0.2, 0.1), _random_probs(rng, 3), _random_probs(rng, 5)):
+        c = detector.convolution_matrix(_tc(1.0, bins=len(probs), probs=probs), 6)
+        for n in range(7):
+            ref = oracles.click_distribution_bruteforce(n, probs)
+            assert np.max(np.abs(c[:, n] - ref)) < 1e-12
 
 
 def test_convolution_column_stochastic():
     c = detector.convolution_matrix(_tc(1.0), 12)
     assert np.max(np.abs(c.sum(axis=0) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 5, 8, 10])
+def test_convolution_dp_matches_inclusion_exclusion(bins):
+    rng = np.random.default_rng(bins)
+    for probs in (None, _random_probs(rng, bins)):
+        cfg = _tc(1.0, bins=bins, probs=probs)
+        c = detector.convolution_matrix(cfg, 20)
+        ref = oracles.convolution_matrix_inclusion_exclusion(cfg.probabilities, 20)
+        assert np.max(np.abs(c - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("bins", [32, 64])
+def test_convolution_many_bins(bins):
+    n_max = 40
+    uniform = detector.convolution_matrix(_tc(1.0, bins=bins), n_max)
+    skewed = detector.convolution_matrix(
+        _tc(1.0, bins=bins, probs=_random_probs(np.random.default_rng(bins), bins)), n_max
+    )
+    for c in (uniform, skewed):
+        assert c.shape == (bins + 1, n_max + 1)
+        assert np.min(c) >= 0.0
+        assert np.max(np.abs(c.sum(axis=0) - 1.0)) < 1e-12
+    for n in range(n_max + 1):
+        ref = oracles.click_distribution_stirling(n, bins)
+        assert np.max(np.abs(uniform[:, n] - ref)) < 1e-12
 
 
 def test_tmd_povm_zero_efficiency():
@@ -136,6 +167,20 @@ def test_homodyne_both_dead_detectors_trivial():
             assert np.max(np.abs(e.operator.matrix - np.eye(4))) < 1e-12
         else:
             assert np.max(np.abs(e.operator.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("unbalanced, calls", [(True, 1), (False, 2)])
+def test_homodyne_builds_lo_arm_click_matrix_only_when_read(monkeypatch, unbalanced, calls):
+    seen = []
+    original = detector.click_matrix
+
+    def counting(config, cutoff):
+        seen.append(config)
+        return original(config, cutoff)
+
+    monkeypatch.setattr(detector, "click_matrix", counting)
+    detector.homodyne_povm(_det(unbalanced=unbalanced), 2)
+    assert len(seen) == calls
 
 
 def test_homodyne_unbalanced_equals_balanced_marginal():

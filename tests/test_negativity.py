@@ -39,6 +39,55 @@ def test_squeezed_large_cutoff_closed_form():
         assert abs(res.log_negativity - closed_form_squeezed_ln(lam)) < 1e-6
 
 
+def _permuted_block_state(rng, cutoffs):
+    """Unit-trace Hermitian matrix whose partial transpose is a permuted
+    direct sum of random Hermitian blocks of sizes 1, 2 and 3.  It is not
+    PSD; exact_log_negativity needs only Hermiticity."""
+    space = HilbertSpec(cutoffs)
+    d = space.dim
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(int(min(rng.integers(1, 4), d - sum(sizes))))
+    perm = rng.permutation(d)
+    y = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        idx = perm[start : start + size]
+        y[np.ix_(idx, idx)] = g + g.conj().T
+        start += size
+    y += 2.0 * np.eye(d)  # keeps the trace away from zero
+    z = fock.partial_transpose(fock.FockOperator(space, y)).matrix
+    return TruncatedState._trusted(space, z / np.trace(z).real), sorted(set(sizes))
+
+
+def _dense_random_state(rng, cutoffs):
+    """Rank-2 state with no zero entries: its partial transpose is one block."""
+    space = HilbertSpec(cutoffs)
+    g = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return TruncatedState(space, rho / np.trace(rho).real)
+
+
+def test_block_wise_matches_full_spectrum():
+    rng = np.random.default_rng(5)
+    states = []
+    for cutoffs in ((3, 4), (5, 2), (6, 6)):
+        state, sizes = _permuted_block_state(rng, cutoffs)
+        assert sizes == [1, 2, 3]
+        states.append(state)
+    states += [_dense_random_state(rng, c) for c in ((1, 1), (2, 3), (4, 4))]
+    states += [fock.two_mode_squeezed(SqueezedParams(lam, 30)) for lam in (0.2, 0.5)]
+    for state in states:
+        d1, d2 = state.space.dims
+        w = oracles.partial_transpose_spectrum(state.matrix, d1, d2)
+        res = exact_log_negativity(state)
+        assert abs(res.trace_norm - np.sum(np.abs(w))) < 1e-12
+        assert abs(res.log_negativity - max(0.0, np.log2(np.sum(np.abs(w))))) < 1e-12
+        assert len(res.negative_eigenvalues) == int(np.sum(w < 0.0)) > 0
+
+
 def test_monotone_in_lambda():
     vals = [
         exact_log_negativity(fock.two_mode_squeezed(SqueezedParams(lam, 3))).log_negativity
