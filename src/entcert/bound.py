@@ -225,23 +225,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _partial_transpose_batch(arr: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    m = arr.shape[0]
-    t = arr.reshape(m, d1, d2, d1, d2).transpose(0, 3, 2, 1, 4)
-    return t.reshape(m, d1 * d2, d1 * d2)
-
-
-def _embed_batch(arr: np.ndarray) -> np.ndarray:
-    """Batched Hermitian-to-real embedding of a stack (m, n, n)."""
-    if np.max(np.abs(arr - np.conj(np.transpose(arr, (0, 2, 1))))) > 1e-9:
-        raise ValueError("batch contains non-Hermitian matrices")
-    re, im = arr.real, arr.imag
-    top = np.concatenate([re, -im], axis=2)
-    bot = np.concatenate([im, re], axis=2)
-    out = np.concatenate([top, bot], axis=1)
-    return 0.5 * (out + np.transpose(out, (0, 2, 1)))
-
-
 def _gram_rotation(mats: np.ndarray):
     """Eigenbasis of the operator Gram matrix with reliable direction norms.
 
@@ -265,11 +248,11 @@ def _witness_program(
 ):
     """Assemble the block SDP over y = (H parameters, z, [t aux]).
 
-    Blocks: H^{T1} - sum nu_i M_i >= 0, I - H >= 0, I + H >= 0, all complex
-    Hermitian and embedded as real symmetric; for epsilon > 0, scalar blocks
-    t~_i -+ n_i nu_i >= 0 implement t~_i >= n_i |nu_i| for every nonzero
-    data entry, and the objective charges -epsilon per unit t~_i, which
-    totals the worst-case loss epsilon sum_i n_i |nu_i| over the error box.
+    Blocks: H^{T1} - sum nu_i M_i >= 0, I - H >= 0, I + H >= 0, all n x n
+    complex Hermitian; for epsilon > 0, scalar blocks t~_i -+ n_i nu_i >= 0
+    implement t~_i >= n_i |nu_i| for every nonzero data entry, and the
+    objective charges -epsilon per unit t~_i, which totals the worst-case
+    loss epsilon sum_i n_i |nu_i| over the error box.
 
     The multipliers are optimized in rotated coordinates nu = R z, where R
     spans the non-null eigenvectors of the Gram matrix tr(M_i M_j).  Click
@@ -291,7 +274,7 @@ def _witness_program(
     mvec = measurements.expectations
 
     basis = _hermitian_basis(n)
-    basis_pt = _partial_transpose_batch(basis, d1, d2)
+    basis_pt = fock.partial_transpose_array(basis, d1, d2)
 
     vecs, sig = _gram_rotation(mats)
     rot = vecs[:, sig > null_cut * sig.max()]
@@ -312,17 +295,16 @@ def _witness_program(
     c[nh + nk : nvar] = -epsilon
 
     # block A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0
-    fs_a = np.zeros((nvar, 2 * n, 2 * n))
-    fs_a[:nh] = _embed_batch(-basis_pt)
-    fs_a[nh : nh + nk] = _embed_batch(np.einsum("ik,iab->kab", rot, mats))
-    blocks = [(np.zeros((2 * n, 2 * n)), fs_a)]
+    fs_a = np.zeros((nvar, n, n), dtype=complex)
+    fs_a[:nh] = -basis_pt
+    fs_a[nh : nh + nk] = np.einsum("ik,iab->kab", rot, mats)
+    blocks = [(np.zeros((n, n)), fs_a)]
 
     # blocks B, C: I -+ H >= 0
-    emb_basis = _embed_batch(basis)
     for sign in (1.0, -1.0):
-        fs = np.zeros((nvar, 2 * n, 2 * n))
-        fs[:nh] = sign * emb_basis
-        blocks.append((np.eye(2 * n), fs))
+        fs = np.zeros((nvar, n, n), dtype=complex)
+        fs[:nh] = sign * basis
+        blocks.append((np.eye(n), fs))
 
     # scalar boxes t~_i >= +-n_i nu_i with nu_i = rot[i, :] @ z
     for pos, i in enumerate(t_for):
@@ -353,7 +335,7 @@ def _polish_witness(h, nu, mats, identity_index, d1, d2):
     s = max(1.0, norm)
     h = h / s
     nu = (nu / s).copy()
-    hpt = h.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
+    hpt = fock.partial_transpose_array(h, d1, d2)
     fro = np.sqrt(
         np.einsum("iab,iab->i", mats.real, mats.real)
         + np.einsum("iab,iab->i", mats.imag, mats.imag)
@@ -489,7 +471,7 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult, psd_tol: flo
     h = result.witness_H
     nu = result.multipliers
     mats = np.array([op.matrix for op in measurements.operators])
-    hpt = h.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(space.dim, space.dim)
+    hpt = fock.partial_transpose_array(h, d1, d2)
     g = hpt - np.tensordot(nu, mats, axes=(0, 0))
     eye = np.eye(space.dim)
     g_min = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
@@ -559,9 +541,9 @@ def reconcile_expectations(
 
     c = np.zeros(nh + 1)
     c[nh] = -1.0
-    fs_psd = np.zeros((nh + 1, 2 * n, 2 * n))
-    fs_psd[:nh] = -_embed_batch(basis)
-    blocks = [(np.zeros((2 * n, 2 * n)), fs_psd)]
+    fs_psd = np.zeros((nh + 1, n, n), dtype=complex)
+    fs_psd[:nh] = -basis
+    blocks = [(np.zeros((n, n)), fs_psd)]
     for k in np.nonzero(keep)[0]:
         g = vecs[:, k]
         row = g @ amat

@@ -373,19 +373,27 @@ def tensor(a, b):
     return FockOperator(space, mat)
 
 
+def partial_transpose_array(
+    mats: np.ndarray, d1: int, d2: int, subsystem: int = 0
+) -> np.ndarray:
+    """Transpose the indices of one subsystem of (d1*d2) x (d1*d2) matrices.
+
+    mats may carry any leading batch axes; the last two index the bipartite
+    space with the first subsystem's index running slowest.
+    """
+    if subsystem not in (0, 1):
+        raise ValueError("subsystem must be 0 or 1")
+    lead = mats.shape[:-2]
+    t = mats.reshape(*lead, d1, d2, d1, d2)
+    t = np.swapaxes(t, -4, -2) if subsystem == 0 else np.swapaxes(t, -3, -1)
+    return t.reshape(*lead, d1 * d2, d1 * d2)
+
+
 def partial_transpose(op, subsystem: int = 0) -> FockOperator:
     """Transpose the indices of one subsystem of a bipartite operator."""
     if op.space.n_modes != 2:
         raise ValueError("partial transpose needs a bipartite space")
-    if subsystem not in (0, 1):
-        raise ValueError("subsystem must be 0 or 1")
-    d1, d2 = op.space.dims
-    t = op.matrix.reshape(d1, d2, d1, d2)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return FockOperator(op.space, t.reshape(d1 * d2, d1 * d2))
+    return FockOperator(op.space, partial_transpose_array(op.matrix, *op.space.dims, subsystem))
 
 
 def partial_trace(state: TruncatedState, keep) -> TruncatedState:

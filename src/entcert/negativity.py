@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TOL_HERM, TruncatedState, partial_transpose
+from .fock import TOL_HERM, TruncatedState, partial_transpose_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +69,7 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     herm = np.max(np.abs(mat - mat.conj().T))
     if herm > TOL_HERM:
         raise ValueError(f"input not Hermitian: deviation {herm:.3e}")
-    sym = TruncatedState._trusted(state.space, 0.5 * (mat + mat.conj().T))
-    pt = partial_transpose(sym, subsystem=cut).matrix
+    pt = partial_transpose_array(0.5 * (mat + mat.conj().T), *state.space.dims, cut)
     rows, cols = np.nonzero(pt)
     labels = _component_labels(rows, cols, pt.shape[0])
     # members of each component in ascending order, components by smallest member

@@ -291,16 +291,17 @@ def check_in_box_state(rho, mats, true_rho, eps, d1, d2) -> dict:
 def in_box_state_candidate(mats, true_rho, eps, d1, d2):
     """Least-entangled state inside the error box shrunk by 0.1%.
 
-    The candidate comes from the package solver (entcert.sdp, with the
-    Hermitian basis and real embedding of entcert.bound): over rho >= 0 with
-    unit trace and P >= 0, P >= rho^T1, minimize 2 tr P - 1, which is
-    ||rho^T1||_1 at the optimum, subject to |tr(rho M_i)/n_i - 1| <= 0.999 eps
-    for every operator after the leading identity.  The rows are divided by
-    n_i, so the box is met to the solver's residual in relative terms even
-    for data near 1e-10.  The solution is projected onto the PSD cone and
-    mixed with 1e-12 of the maximally mixed state so its smallest
-    eigenvalue is strictly positive; the shrunk box leaves room for both
-    moves.  Nothing here is trusted: check_in_box_state decides.
+    The candidate comes from the package solver (entcert.sdp on n x n
+    complex Hermitian blocks, in the Hermitian basis of entcert.bound): over
+    rho >= 0 with unit trace and P >= 0, P >= rho^T1, minimize 2 tr P - 1,
+    which is ||rho^T1||_1 at the optimum, subject to
+    |tr(rho M_i)/n_i - 1| <= 0.999 eps for every operator after the leading
+    identity.  The rows are divided by n_i, so the box is met to the
+    solver's residual in relative terms even for data near 1e-10.  The
+    solution is projected onto the PSD cone and mixed with 1e-12 of the
+    maximally mixed state so its smallest eigenvalue is strictly positive;
+    the shrunk box leaves room for both moves.  Nothing here is trusted:
+    check_in_box_state decides.
     """
     from entcert import bound, sdp
 
@@ -309,17 +310,16 @@ def in_box_state_candidate(mats, true_rho, eps, d1, d2):
     nh = n * n
     basis = bound._hermitian_basis(n)
     traces = np.real(np.einsum("kaa->k", basis))
-    emb = bound._embed_batch(basis)
-    emb_pt = bound._embed_batch(_partial_transpose_first(basis, d1, d2))
-    zero = np.zeros_like(emb)
+    basis_pt = _partial_transpose_first(basis, d1, d2)
+    zero = np.zeros_like(basis)
     # variables y = (rho coordinates, P coordinates) in the Hermitian basis;
     # blocks rho >= 0, P >= 0, P - rho^T1 >= 0
     c = np.concatenate([np.zeros(nh), -2.0 * traces])
-    square = np.zeros((2 * n, 2 * n))
+    square = np.zeros((n, n))
     blocks = [
-        (square, np.concatenate([-emb, zero])),
-        (square, np.concatenate([zero, -emb])),
-        (square, np.concatenate([emb_pt, -emb])),
+        (square, np.concatenate([-basis, zero])),
+        (square, np.concatenate([zero, -basis])),
+        (square, np.concatenate([basis_pt, -basis])),
     ]
     data = np.real(np.einsum("iab,ba->i", mats[1:], true_rho))
     rows = np.real(np.einsum("iab,kba->ik", mats[1:], basis)) / data[:, None]

@@ -328,17 +328,83 @@ def test_robust_table_solves_stop_stalled(monkeypatch):
         assert res.info["weak_duality_violation"] == sol.info["weak_duality_violation"] == violation
 
 
-def test_weak_duality_violation_reported_at_cli_table_point():
+def _replayed_stop(history, gap_tol=1e-7, feas_tol=1e-8):
+    """Iteration and status at which the stop rule of sdp.solve ends a solve
+    without equality constraints, replayed from its history: before the gap
+    converges, progress is a 0.1% drop of the worst of gap and residuals
+    below its best; after that, of the worst residual below its best since
+    convergence."""
+    best_score = best_res = math.inf
+    progress = 0
+    for it, rec in enumerate(history, start=1):
+        res = max(rec["res_moment"], rec["res_slack"])
+        score = max(rec["rel_gap"], res)
+        converged = rec["rel_gap"] < gap_tol
+        if converged:
+            if res < (1.0 - sdp._STALL_GAIN) * best_res:
+                progress = it
+            best_res = min(best_res, res)
+        elif score < (1.0 - sdp._STALL_GAIN) * best_score:
+            progress = it
+        best_score = min(best_score, score)
+        if converged and res < feas_tol:
+            return it, sdp.STATUS_OPTIMAL
+        if converged and it - progress >= sdp._STALL_WINDOW:
+            return it, sdp.STATUS_STALLED
+    return len(history), None
+
+
+def test_stall_rule_replays_from_history(monkeypatch):
+    # after the gap converges, the gap keeps shrinking ~10% per iteration
+    # while the moment residual stays parked; the solve stops on the
+    # residuals alone, where a gauge that counted the gap would run on
+    _, _, ms = _table_point_measurements()
+    solutions = []
+    original = sdp.solve
+
+    def recording(*args, **kwargs):
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    for eps in (1e-3, 1e-2):
+        bound.lower_bound_negativity_robust(ms, eps)
+    assert any(sol.status == sdp.STATUS_STALLED for sol in solutions)
+    for sol in solutions:
+        history = sol.info["history"]
+        assert len(history) == sol.iterations
+        assert _replayed_stop(history) == (sol.iterations, sol.status)
+        if sol.status == sdp.STATUS_STALLED:
+            window = [rec["rel_gap"] for rec in history[-sdp._STALL_WINDOW - 1 :]]
+            assert window[-1] < (1.0 - sdp._STALL_GAIN) * min(window[:-1])
+
+
+def test_weak_duality_violation_reported_at_cli_table_point(monkeypatch):
     # at the CLI's default point the eps=1e-3 row parks a moment residual of
-    # ~2e-8 that lets the primal objective exceed the dual by ~1.3e-4
+    # ~2e-8 that lets the primal objective exceed the dual; the reported
+    # violation is max(0, primal - dual) of the returned iterate, with the
+    # dual objective recomputed from the returned certificate
     cfg = cli.ExperimentConfig()
     _, state, _ = cli.make_states(cfg)
     det = cli.make_detector(cfg)
     ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
     ms = MeasurementSet(ops, simulate_expectations(state, ops))
+    solves = []
+    original = sdp.solve
+
+    def recording(program, *args, **kwargs):
+        solves.append((program, original(program, *args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
     res = bound.lower_bound_negativity_robust(ms, 1e-3)
     assert res.solver_status == sdp.STATUS_STALLED
-    assert 5e-5 < res.info["weak_duality_violation"] < 5e-4
+    violation = res.info["weak_duality_violation"]
+    assert 0.0 < violation < 5e-4
+    program, sol = solves[bound._CUT_LADDER.index(res.info["null_cut"])]
+    report = sdp.verify_solution(program, sol)
+    expected = max(0.0, report["primal_objective"] - report["dual_objective"])
+    assert violation == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_error_box_states_rebuild_and_check():
@@ -359,6 +425,29 @@ def test_error_box_states_rebuild_and_check():
 
 # ---------------------------------------------------------------------------
 # reconciliation of noisy data
+
+
+def test_programs_hold_native_hermitian_blocks(monkeypatch):
+    # at n_max=3 the witness and reconcile programs pass 16 x 16 complex
+    # Hermitian blocks to the solver, not 32 x 32 real embeddings
+    _, _, ms = _table_point_measurements()
+    programs = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(program, **kwargs):
+        programs.append(program)
+        raise Captured
+
+    monkeypatch.setattr(sdp, "solve", capture)
+    with pytest.raises(Captured):
+        lower_bound_negativity_robust(ms, 1e-3)
+    with pytest.raises(Captured):
+        reconcile_expectations(ms)
+    for program in programs:
+        assert max(program.block_sizes) == 16
+        assert all(f0.dtype == complex for f0, _ in program.blocks if f0.shape[0] > 1)
 
 
 def test_reconcile_exact_data_is_near_fixed_point():

@@ -224,6 +224,21 @@ def test_partial_transpose_needs_bipartite():
         fock.partial_transpose(_random_state(rng, (2, 2, 2)), 0)
 
 
+def test_partial_transpose_array_over_batch_axes():
+    rng = np.random.default_rng(11)
+    d1, d2 = 2, 3
+    stack = rng.normal(size=(4, 2, 6, 6)) + 1j * rng.normal(size=(4, 2, 6, 6))
+    first = fock.partial_transpose_array(stack, d1, d2)
+    assert np.array_equal(first, oracles._partial_transpose_first(stack, d1, d2))
+    second = fock.partial_transpose_array(stack, d1, d2, subsystem=1)
+    space = HilbertSpec((d1 - 1, d2 - 1))
+    for idx in np.ndindex(stack.shape[:2]):
+        op = FockOperator(space, stack[idx])
+        assert np.array_equal(second[idx], fock.partial_transpose(op, 1).matrix)
+    with pytest.raises(ValueError):
+        fock.partial_transpose_array(stack, d1, d2, subsystem=2)
+
+
 def test_partial_trace_product():
     rng = np.random.default_rng(10)
     a = _random_state(rng, (3,))

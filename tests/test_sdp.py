@@ -13,12 +13,29 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _random_program(rng, m=5, nblocks=2, n=4, box=10.0):
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
+
+
+def _random_hermitian(rng, n):
+    return _herm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def _embed(h):
+    """Real symmetric embedding [[Re H, -Im H], [Im H, Re H]]: it has the
+    eigenvalues of H, each twice, so it is PSD exactly when H is."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def _random_program(rng, m=5, nblocks=2, n=4, box=10.0, hermitian=False):
     c = rng.normal(size=m)
     y0 = rng.normal(size=m) * 0.3
     blocks = []
     for _ in range(nblocks):
-        fs = np.array([_sym(rng.normal(size=(n, n))) for _ in range(m)])
+        if hermitian:
+            fs = np.array([_random_hermitian(rng, n) for _ in range(m)])
+        else:
+            fs = np.array([_sym(rng.normal(size=(n, n))) for _ in range(m)])
         f0 = np.tensordot(y0, fs, axes=(0, 0)) + np.eye(n) * (0.5 + rng.uniform())
         blocks.append((f0, fs))
     matrix_blocks = list(blocks)
@@ -28,39 +45,6 @@ def _random_program(rng, m=5, nblocks=2, n=4, box=10.0):
         blocks.append((np.array([[box]]), e))
         blocks.append((np.array([[box]]), -e))
     return c, blocks, matrix_blocks, y0
-
-
-# ---------------------------------------------------------------------------
-# embedding
-
-
-def test_embed_real_symmetric_is_block_diagonal():
-    h = np.array([[2.0, 1.0], [1.0, 3.0]])
-    e = sdp.hermitian_embed(h)
-    assert np.allclose(e, np.block([[h, np.zeros((2, 2))], [np.zeros((2, 2)), h]]))
-
-
-def test_embed_pauli_y_eigenvalues():
-    h = np.array([[0.0, 1j], [-1j, 0.0]])
-    w = np.linalg.eigvalsh(sdp.hermitian_embed(h))
-    assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0])
-
-
-def test_embed_preserves_psd_and_spectrum():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = g @ g.conj().T
-    w_h = np.linalg.eigvalsh(h)
-    w_e = np.linalg.eigvalsh(sdp.hermitian_embed(h))
-    assert np.allclose(np.sort(np.repeat(w_h, 2)), np.sort(w_e))
-    assert w_e[0] > -1e-12
-
-
-def test_embed_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        sdp.hermitian_embed(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        sdp.hermitian_embed(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def test_max_iterations_status():
 
 
 # ---------------------------------------------------------------------------
-# validation and serialization
+# validation
 
 
 def test_program_validation():
@@ -246,30 +230,44 @@ def test_program_validation():
         sdp.ConicProgram([], [])
 
 
-def test_program_json_round_trip():
-    rng = np.random.default_rng(41)
-    c, blocks, _, _ = _random_program(rng, m=3, n=3)
-    prog = sdp.ConicProgram(
-        c, blocks, equalities=(np.zeros((1, 3)) + [[1.0, 1.0, 1.0]], [0.3])
-    )
-    back = sdp.program_from_json(sdp.program_to_json(prog))
-    assert np.allclose(back.objective, prog.objective)
-    assert len(back.blocks) == len(prog.blocks)
-    for (a0, afs), (b0, bfs) in zip(prog.blocks, back.blocks):
-        assert np.allclose(a0, b0) and np.allclose(afs, bfs)
-    assert np.allclose(back.eq_a, prog.eq_a) and np.allclose(back.eq_b, prog.eq_b)
-    s1 = sdp.solve(prog)
-    s2 = sdp.solve(back)
-    assert abs(s1.objective_value - s2.objective_value) < 1e-8
+def test_program_rejects_non_hermitian_complex():
+    # complex symmetric is not Hermitian
+    f = np.array([[[0.0, 1j], [1j, 0.0]]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        sdp.ConicProgram([1.0], [(np.eye(2), f)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        sdp.ConicProgram([1.0], [(np.array([[1.0, 1j], [1j, 1.0]]), np.zeros((1, 2, 2)))])
 
 
-def test_solution_json_round_trip():
-    prog = sdp.ConicProgram(
-        [1.0], [(np.eye(2), np.array([[[1.0, 0.0], [0.0, -1.0]]]))]
-    )
-    sol = sdp.solve(prog)
-    back = sdp.solution_from_json(sdp.solution_to_json(sol))
-    assert back.status == sol.status
-    assert abs(back.objective_value - sol.objective_value) < 1e-15
-    assert np.allclose(back.y_star, sol.y_star)
-    assert np.allclose(back.dual_certificate[0], sol.dual_certificate[0])
+# ---------------------------------------------------------------------------
+# complex Hermitian blocks
+
+
+def test_hermitian_shift_reaches_min_eigenvalue():
+    # max y s.t. A - y I >= 0 is the smallest eigenvalue of A
+    rng = np.random.default_rng(43)
+    for n in (2, 5):
+        a = _random_hermitian(rng, n)
+        prog = sdp.ConicProgram([1.0], [(a, np.eye(n)[None])])
+        assert prog.blocks[0][0].dtype == complex
+        sol = sdp.solve(prog, gap_tol=1e-9)
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - np.linalg.eigvalsh(a)[0]) < 1e-7
+        assert sol.dual_certificate[0].dtype == complex
+        report = sdp.verify_solution(prog, sol)
+        assert report["psd_ok"] and report["weak_duality_ok"]
+
+
+def test_complex_program_matches_its_real_embedding():
+    rng = np.random.default_rng(47)
+    c, blocks, _, _ = _random_program(rng, hermitian=True)
+    embedded = [(_embed(f0), np.array([_embed(f) for f in fs])) for f0, fs in blocks]
+    prog = sdp.ConicProgram(c, blocks)
+    native = sdp.solve(prog)
+    real = sdp.solve(sdp.ConicProgram(c, embedded))
+    assert native.status == real.status == "optimal"
+    assert max(prog.block_sizes) == 4
+    assert abs(native.objective_value - real.objective_value) < 1e-6
+    report = sdp.verify_solution(prog, native)
+    assert report["psd_ok"] and report["weak_duality_ok"]
+    assert report["moment_residual"] < 1e-6
