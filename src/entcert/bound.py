@@ -225,6 +225,20 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _unit_trace_basis(n: int):
+    """Affine coordinates of the unit-trace n x n Hermitian matrices.
+
+    Returns (rho0, basis) with rho0 = I/n and basis the n^2 - 1 traceless
+    directions B_k = E_k - tr(E_k) I/n for the elements E_k, k >= 1, of
+    _hermitian_basis(n); rho0 + sum_k y_k B_k has unit trace for every real
+    y and reaches every unit-trace Hermitian matrix.
+    """
+    herm = _hermitian_basis(n)[1:]
+    rho0 = np.eye(n) / n
+    traces = np.real(np.einsum("kaa->k", herm))
+    return rho0, herm - traces[:, None, None] * rho0
+
+
 def _gram_rotation(mats: np.ndarray):
     """Eigenbasis of the operator Gram matrix with reliable direction norms.
 
@@ -517,6 +531,11 @@ def reconcile_expectations(
     Returns the corrected MeasurementSet and a dict with the fit residual
     and the largest datum shift.
 
+    The state is written rho = I/n + sum_k y_k B_k over the traceless
+    directions of _unit_trace_basis, so it has unit trace for every y and
+    the program needs no equality row: the PSD block is rho itself, and
+    each target is measured from the moments tr(M_i I/n) of the origin.
+
     Intended for data that is nearly consistent already (detector noise or
     miscalibration); the returned moments are always exactly physical, but
     for grossly inconsistent input the weighted fit may not converge and
@@ -525,11 +544,12 @@ def reconcile_expectations(
     """
     space = measurements.space
     n = space.dim
-    nh = n * n
     mats = np.array([op.matrix for op in measurements.operators])
     mvec = measurements.expectations
-    basis = _hermitian_basis(n)
+    rho0, basis = _unit_trace_basis(n)
+    nb = len(basis)
     amat = np.real(np.einsum("iab,kba->ik", mats, basis))
+    offset = np.real(np.einsum("iab,ba->i", mats, rho0))
     vecs, sig = _gram_rotation(mats)
     keep = sig > GRAM_NULL_CUT * sig.max()
     # windows narrower than ~1e-9 of the leading direction claim more
@@ -539,26 +559,24 @@ def reconcile_expectations(
     # leaving realistic (noise-level) fits untouched
     sig_eff = np.maximum(sig, 1e-9 * sig.max())
 
-    c = np.zeros(nh + 1)
-    c[nh] = -1.0
-    fs_psd = np.zeros((nh + 1, n, n), dtype=complex)
-    fs_psd[:nh] = -basis
-    blocks = [(np.zeros((n, n)), fs_psd)]
+    c = np.zeros(nb + 1)
+    c[nb] = -1.0
+    fs_psd = np.zeros((nb + 1, n, n), dtype=complex)
+    fs_psd[:nb] = -basis
+    blocks = [(rho0, fs_psd)]
     for k in np.nonzero(keep)[0]:
         g = vecs[:, k]
         row = g @ amat
-        target = float(g @ mvec)
+        target = float(g @ (mvec - offset))
         for sign in (1.0, -1.0):
-            frow = np.zeros((nh + 1, 1, 1))
-            frow[:nh, 0, 0] = sign * row
-            frow[nh, 0, 0] = -sig_eff[k]
+            frow = np.zeros((nb + 1, 1, 1))
+            frow[:nb, 0, 0] = sign * row
+            frow[nb, 0, 0] = -sig_eff[k]
             blocks.append((sign * target * np.ones((1, 1)), frow))
-    trace_row = np.zeros((1, nh + 1))
-    trace_row[0, :nh] = np.array([np.trace(b).real for b in basis])
-    program = sdp.ConicProgram(c, blocks, equalities=(trace_row, np.array([1.0])))
+    program = sdp.ConicProgram(c, blocks)
     sol = sdp.solve(program, gap_tol=gap_tol, max_iter=max_iter)
 
-    rho = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+    rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)

@@ -120,29 +120,28 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 
 def _config_from_document(doc: dict) -> ExperimentConfig:
-    state = doc.get("state", {})
-    det = doc.get("detector", {})
-    noise = doc.get("noise", {})
-    sweep = doc.get("sweep", {})
-    values = sweep.get("values")
+    """Typed config from a complete document (every key present, as
+    resolve_config guarantees by starting from ExperimentConfig().document())."""
+    state, det, noise, sweep = doc["state"], doc["detector"], doc["noise"], doc["sweep"]
+    values = sweep["values"]
     return ExperimentConfig(
-        lam=float(state.get("lam", 0.2)),
-        n_max=int(state.get("n_max", 3)),
-        transmission=float(state.get("transmission", 0.95)),
-        apd_efficiency=float(state.get("apd_efficiency", 0.20)),
-        lo_amplitude=float(det.get("lo_amplitude", 1.0)),
-        phases=tuple(float(p) for p in det.get("phases", (0.0, math.pi / 2.0))),
-        reflectivity=float(det.get("reflectivity", 0.5)),
-        efficiency=float(det.get("efficiency", 0.1)),
-        bins=int(det.get("bins", 8)),
-        noise_kind=noise.get("kind"),
-        noise_epsilon=float(noise.get("epsilon", 0.0)),
-        noise_width=float(noise.get("width", 0.0)),
-        noise_samples=int(noise.get("samples", 100)),
-        width_is_std=bool(noise.get("width_is_std", False)),
-        trials=int(noise.get("trials", 20)),
-        seed=None if noise.get("seed") is None else int(noise.get("seed")),
-        sweep_axis=sweep.get("axis"),
+        lam=float(state["lam"]),
+        n_max=int(state["n_max"]),
+        transmission=float(state["transmission"]),
+        apd_efficiency=float(state["apd_efficiency"]),
+        lo_amplitude=float(det["lo_amplitude"]),
+        phases=tuple(float(p) for p in det["phases"]),
+        reflectivity=float(det["reflectivity"]),
+        efficiency=float(det["efficiency"]),
+        bins=int(det["bins"]),
+        noise_kind=noise["kind"],
+        noise_epsilon=float(noise["epsilon"]),
+        noise_width=float(noise["width"]),
+        noise_samples=int(noise["samples"]),
+        width_is_std=bool(noise["width_is_std"]),
+        trials=int(noise["trials"]),
+        seed=None if noise["seed"] is None else int(noise["seed"]),
+        sweep_axis=sweep["axis"],
         sweep_values=None if values is None else tuple(float(v) for v in values),
     )
 
@@ -370,18 +369,20 @@ SWEEP_HEADER = (
 )
 
 
+# ExperimentConfig field each sweep axis sets
+_AXIS_FIELDS = {
+    "lam": "lam",
+    "transmission": "transmission",
+    "reflectivity": "reflectivity",
+    "epsilon": "noise_epsilon",
+    "width": "noise_width",
+}
+
+
 def _sweep_point_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "lam":
-        return replace(cfg, lam=value)
-    if axis == "transmission":
-        return replace(cfg, transmission=value)
-    if axis == "reflectivity":
-        return replace(cfg, reflectivity=value)
-    if axis == "epsilon":
-        return replace(cfg, noise_epsilon=value)
-    if axis == "width":
-        return replace(cfg, noise_width=value)
-    raise SystemExit(f"unknown sweep axis {axis!r}")
+    if axis not in _AXIS_FIELDS:
+        raise SystemExit(f"unknown sweep axis {axis!r}")
+    return replace(cfg, **{_AXIS_FIELDS[axis]: value})
 
 
 def run_sweep(cfg: ExperimentConfig):

@@ -122,8 +122,7 @@ class PovmSet:
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) == 0:
             raise ValueError("empty POVM")
-        total = sum(e.operator.matrix for e in self.elements)
-        deficit = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+        deficit = self.completeness_deficit()
         if deficit > TOL_COMPLETE:
             raise ValueError(f"POVM completeness deficit {deficit:.3e} exceeds {TOL_COMPLETE:.1e}")
 
@@ -218,25 +217,22 @@ def _bs_columns(reflectivity: float, lo_cutoff: int, signal_cutoff: int) -> np.n
 def homodyne_povm(
     det: DetectorConfig,
     signal_cutoff: int,
-    lo_cutoff: int | None = None,
     lo_components=None,
 ) -> PovmSet:
     """Signal-mode POVM of one weak-homodyne setting.
 
     lo_components optionally replaces the pure LO by a mixture of coherent
     states, given as (weight, complex amplitude) pairs with weights summing
-    to 1 (used for phase-averaged LO models).  The LO cutoff defaults to the
-    adaptive rule (tail mass below TAIL_TOL, at least 12).  Raises when the
-    POVM misses completeness by more than TOL_COMPLETE.
+    to 1 (used for phase-averaged LO models).  The LO cutoff follows the
+    adaptive rule (tail mass below TAIL_TOL, at least 12).  PovmSet raises
+    when the POVM misses completeness by more than TOL_COMPLETE.
     """
     if lo_components is None:
         lo_components = [(1.0, det.lo_alpha)]
     weights = np.array([w for w, _ in lo_components], dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
         raise ValueError("LO component weights must be nonnegative and sum to 1")
-    amax = max(abs(a) for _, a in lo_components)
-    if lo_cutoff is None:
-        lo_cutoff = adaptive_lo_cutoff(amax)
+    lo_cutoff = adaptive_lo_cutoff(max(abs(a) for _, a in lo_components))
 
     pad = lo_cutoff + signal_cutoff
     d_pad, d_sig = pad + 1, signal_cutoff + 1
@@ -244,7 +240,7 @@ def homodyne_povm(
     # the unbalanced outcomes never read the LO arm, so its matrix is not built
     d_lo = None if det.unbalanced else click_matrix(det.tmd_d, pad)
 
-    u_cols = _bs_columns(float(det.reflectivity), int(lo_cutoff), int(signal_cutoff))
+    u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
 
     if det.unbalanced:
@@ -258,7 +254,7 @@ def homodyne_povm(
     for w, alpha in lo_components:
         vec, tail = coherent_amplitudes(alpha, lo_cutoff)
         if tail > TAIL_TOL:
-            raise ValueError(f"LO tail mass {tail:.3e} exceeds {TAIL_TOL:.1e}; raise lo_cutoff")
+            raise ValueError(f"LO tail mass {tail:.3e} exceeds {TAIL_TOL:.1e}")
         wv = np.einsum("rab,a->rb", u_r, vec).reshape(d_pad, d_pad, d_sig)
         # wv[na, nb, b]: na photons on the LO-aligned arm, nb on the signal-aligned arm
         for i, outc in enumerate(outcomes):
@@ -276,10 +272,6 @@ def homodyne_povm(
     for outc, op in zip(outcomes, ops):
         op = 0.5 * (op + op.conj().T)
         elements.append(PovmElement(outc, det, FockOperator(HilbertSpec((signal_cutoff,)), op)))
-    total = sum(op.operator.matrix for op in elements)
-    deficit = float(np.max(np.abs(total - np.eye(d_sig))))
-    if deficit > TOL_COMPLETE:
-        raise ValueError(f"homodyne POVM completeness deficit {deficit:.3e}: cutoffs too small")
     return PovmSet(tuple(elements))
 
 

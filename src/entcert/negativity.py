@@ -20,14 +20,11 @@ class NegativityResult:
 
     log_negativity is clamped at 0 (the trace norm of a valid state's
     partial transpose never falls below 1 beyond numerical noise).
-    symmetrized records that the input was replaced by (rho + rho†)/2
-    before the eigendecomposition.
     """
 
     log_negativity: float
     trace_norm: float
     negative_eigenvalues: tuple
-    symmetrized: bool = True
 
 
 def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -84,7 +81,7 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     trace_norm = float(np.sum(np.abs(w)))
     log_neg = max(0.0, float(np.log2(trace_norm)))
     negs = tuple(float(x) for x in w[w < 0.0])
-    return NegativityResult(log_neg, trace_norm, negs, True)
+    return NegativityResult(log_neg, trace_norm, negs)
 
 
 def closed_form_squeezed_ln(lam: float) -> float:

@@ -4,9 +4,9 @@ Programs are stated in the bounded maximization form
 
     maximize    c . y
     subject to  S_b(y) = F0_b - sum_j y_j Fj_b  PSD   for every block b,
-                A y = b_eq                             (optional),
 
-over real y, with each block's F matrices real symmetric or complex
+over real y (the dual form of SDPA: Fujisawa, Kojima & Nakata, Math.
+Program. 79, 1997), with each block's F matrices real symmetric or complex
 Hermitian.  A block's iterates take the dtype of its data, so a complex
 block is solved on its own n x n Hermitian cone, with no real embedding;
 every inner product is Re tr(AB), taken over real views of the arrays.
@@ -16,7 +16,7 @@ Nesterov-Todd scaling and Mehrotra predictor-corrector steps.  1x1 blocks
 are grouped into a single diagonal (linear-programming) cone so scalar
 constraints cost vector arithmetic only.  The dual certificate X returned
 with the solution verifies the objective bound independently: weak duality
-gives  c . y  <=  sum_b tr(F0_b X_b) + b_eq . lam  for any dual-feasible X.
+gives  c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +48,9 @@ _CERT_TOL = 1e-7
 _STALL_WINDOW = 5
 _STALL_GAIN = 1e-3
 
+# fraction of the step to the cone boundary taken each iteration
+_FRACTION_TO_BOUNDARY = 0.98
+
 
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix or of a stack of matrices."""
@@ -69,11 +72,10 @@ class ConicProgram:
     """Block-diagonal SDP data in the maximization form documented above.
 
     blocks is a sequence of (F0, Fs) pairs with F0 shaped (n, n) and Fs
-    shaped (m, n, n), real symmetric or complex Hermitian; equalities, when
-    present, is a pair (A, b) with A shaped (p, m).
+    shaped (m, n, n), real symmetric or complex Hermitian.
     """
 
-    def __init__(self, objective, blocks, equalities=None):
+    def __init__(self, objective, blocks):
         self.objective = np.asarray(objective, dtype=float).reshape(-1)
         m = self.objective.size
         if m == 0:
@@ -95,15 +97,6 @@ class ConicProgram:
             self.blocks.append((_herm(f0), _herm(fs)))
         if not self.blocks:
             raise ValueError("program needs at least one block")
-        if equalities is None:
-            self.eq_a = None
-            self.eq_b = None
-        else:
-            a, b = equalities
-            self.eq_a = np.asarray(a, dtype=float).reshape(-1, m)
-            self.eq_b = np.asarray(b, dtype=float).reshape(-1)
-            if self.eq_a.shape[0] != self.eq_b.size:
-                raise ValueError("equality dimensions inconsistent")
 
     @property
     def n_vars(self) -> int:
@@ -190,7 +183,6 @@ def solve(
     gap_tol: float = 1e-7,
     max_iter: int = 200,
     feas_tol: float = 1e-8,
-    fraction_to_boundary: float = 0.98,
 ) -> SdpSolution:
     """Run the interior-point iteration on `program`.
 
@@ -206,7 +198,6 @@ def solve(
     ``weak_duality_violation``, max(0, primal - dual).
     """
     m = program.objective.size
-    gamma = float(fraction_to_boundary)
 
     # split 1x1 blocks into a grouped diagonal cone; keep the rest as
     # matrix cones, entries (orig_index, f0, fs)
@@ -216,12 +207,6 @@ def solve(
     lp_f = np.array([program.blocks[k][1][:, 0, 0].real for k in lp_index]).reshape(-1, m)
     nlp = len(lp_index)
     ntot = sum(f0.shape[0] for _, f0, _ in cones) + nlp
-
-    if program.eq_a is None:
-        eq_a, eq_b = np.zeros((0, m)), np.zeros(0)
-    else:
-        eq_a, eq_b = program.eq_a, program.eq_b
-    neq = eq_b.size
 
     # Jacobi column scaling equilibrates the Schur complement; variables
     # coupling only to low-norm constraint matrices otherwise force huge
@@ -240,14 +225,12 @@ def solve(
         fs = fs * dvec[:, None, None]
         sdp.append((k, f0, fs, _rv(fs).reshape(m, -1)))
     lp_f = lp_f * dvec[None, :]
-    eq_a = eq_a * dvec[None, :]
 
     xs = [np.eye(f0.shape[0], dtype=f0.dtype) for _, f0, _, _ in sdp]
     ss = [np.eye(f0.shape[0], dtype=f0.dtype) for _, f0, _, _ in sdp]
     xlp = np.ones(nlp)
     slp = np.ones(nlp)
     y = np.zeros(m)
-    lam_eq = np.zeros(neq)
 
     scale_c = 1.0 + np.max(np.abs(c))
     scale_f = 1.0 + max(
@@ -285,18 +268,17 @@ def solve(
                 for (_, f0, fs, _), sb in zip(sdp, ss)
             ]
             rd_lp = slp + lp_f @ y - lp_f0
-            moments = lp_f.T @ xlp + eq_a.T @ lam_eq
+            moments = lp_f.T @ xlp
             for (_, _, _, fs_flat), xb in zip(sdp, xs):
                 moments += fs_flat @ _rv(xb).reshape(-1)
             r_p = c - moments
-            r_eq = eq_b - eq_a @ y
 
             gap_abs = sum(_inner(xb, sb) for xb, sb in zip(xs, ss)) + float(xlp @ slp)
             # roundoff can push the gap below zero once it is spent
             mu = max(gap_abs, 0.0) / ntot
             pobj = float(c @ y)
             dobj = sum(_inner(f0, xb) for (_, f0, _, _), xb in zip(sdp, xs))
-            dobj += float(lp_f0 @ xlp) + float(eq_b @ lam_eq)
+            dobj += float(lp_f0 @ xlp)
 
             rel_gap = gap_abs / (1.0 + abs(pobj) + abs(dobj))
             res_x = float(np.max(np.abs(r_p))) / scale_c
@@ -304,9 +286,6 @@ def solve(
                 [float(np.max(np.abs(r))) for r in rd]
                 + [float(np.max(np.abs(rd_lp), initial=0.0))]
             ) / scale_f
-            res_eq = float(np.max(np.abs(r_eq), initial=0.0)) / (
-                1.0 + np.max(np.abs(eq_b), initial=0.0)
-            )
 
             history.append(
                 {
@@ -320,7 +299,7 @@ def solve(
                 }
             )
 
-            res = max(res_x, res_y, res_eq)
+            res = max(res_x, res_y)
             score = max(rel_gap, res)
             # progress is gauged on the full score until the gap has
             # converged, and after that on the residuals against their best
@@ -341,11 +320,7 @@ def solve(
 
             # Farkas-style infeasibility: dual trace diverges while the scaled
             # moments vanish and the scaled dual objective stays negative
-            tau = (
-                sum(float(np.trace(xb).real) for xb in xs)
-                + float(np.sum(xlp))
-                + float(np.sum(np.abs(lam_eq)))
-            )
+            tau = sum(float(np.trace(xb).real) for xb in xs) + float(np.sum(xlp))
             if tau > _DIV_TRACE:
                 if np.max(np.abs(moments)) / tau < _CERT_TOL and dobj / tau < -_CERT_TOL:
                     status = STATUS_INFEASIBLE
@@ -378,39 +353,19 @@ def solve(
                 schur += scipy.linalg.blas.dsyrk(1.0, g)
             schur = np.triu(schur) + np.triu(schur, 1).T
 
-            if neq:
-                kkt = np.zeros((m + neq, m + neq))
-                kkt[:m, :m] = schur
-                kkt[:m, m:] = eq_a.T
-                kkt[m:, :m] = eq_a
-                lu = scipy.linalg.lu_factor(kkt)
-
-                def _solve_kkt(rhs_y, rhs_eq):
-                    stacked = np.concatenate([rhs_y, rhs_eq])
-                    sol = scipy.linalg.lu_solve(lu, stacked)
-                    # one refinement pass against roundoff in the factorization
-                    sol += scipy.linalg.lu_solve(lu, stacked - kkt @ sol)
-                    return sol[:m], sol[m:]
-
-            else:
-                # regularize only when the factorization actually fails;
-                # a preemptive ridge scaled to the diagonal grows like the
-                # inverse squared gap and poisons the late iterations
-                cho = None
-                ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
-                for attempt in range(4):
-                    try:
-                        cho = scipy.linalg.cho_factor(schur)
-                        break
-                    except scipy.linalg.LinAlgError:
-                        schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
-                if cho is None:
-                    raise _NumericalProblem("Schur complement not positive definite")
-
-                def _solve_kkt(rhs_y, rhs_eq):
-                    sol = scipy.linalg.cho_solve(cho, rhs_y)
-                    sol += scipy.linalg.cho_solve(cho, rhs_y - schur @ sol)
-                    return sol, np.zeros(0)
+            # regularize only when the factorization actually fails; a
+            # preemptive ridge scaled to the diagonal grows like the inverse
+            # squared gap and poisons the late iterations
+            cho = None
+            ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
+            for attempt in range(4):
+                try:
+                    cho = scipy.linalg.cho_factor(schur)
+                    break
+                except scipy.linalg.LinAlgError:
+                    schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
+            if cho is None:
+                raise _NumericalProblem("Schur complement not positive definite")
 
             def _direction(es, elp):
                 # assemble rhs, solve for dy, back out dS and dX blockwise
@@ -418,7 +373,9 @@ def solve(
                 for (_, _, _, fs_flat), sc, rb, eb in zip(sdp, scals, rd, es):
                     h = sc["t"] @ eb @ sc["t"] + sc["w"] @ rb @ sc["w"]
                     rhs -= fs_flat @ _rv(h).reshape(-1)
-                dy, dlam = _solve_kkt(rhs, r_eq)
+                dy = scipy.linalg.cho_solve(cho, rhs)
+                # one refinement pass against roundoff in the factorization
+                dy += scipy.linalg.cho_solve(cho, rhs - schur @ dy)
                 dss, dxs = [], []
                 for (_, _, fs, _), sc, rb, eb in zip(sdp, scals, rd, es):
                     dsb = _herm(-rb - np.tensordot(dy, fs, axes=(0, 0)))
@@ -427,7 +384,7 @@ def solve(
                     dxs.append(dxb)
                 dslp = -rd_lp - lp_f @ dy
                 dxlp = wlp * elp - wlp**2 * dslp
-                return dy, dlam, dxs, dss, dxlp, dslp
+                return dy, dxs, dss, dxlp, dslp
 
             def _steps(dxs, dss, dxlp, dslp):
                 ap = _max_step_pos(xlp, dxlp)
@@ -440,39 +397,39 @@ def solve(
             # predictor: aim straight at the boundary (sigma = 0, E = -V)
             es_aff = [-_herm((sc["p"] * sc["lam"]) @ sc["p"].conj().T) for sc in scals]
             d_aff = _direction(es_aff, -vlp)
-            ap_aff, ad_aff = _steps(*d_aff[2:])
+            ap_aff, ad_aff = _steps(*d_aff[1:])
             a_aff = min(1.0, ap_aff, ad_aff)
 
             gap_aff = sum(
                 _inner(xb + a_aff * dxb, sb + a_aff * dsb)
-                for xb, sb, dxb, dsb in zip(xs, ss, d_aff[2], d_aff[3])
+                for xb, sb, dxb, dsb in zip(xs, ss, d_aff[1], d_aff[2])
             )
-            gap_aff += float((xlp + a_aff * d_aff[4]) @ (slp + a_aff * d_aff[5]))
+            gap_aff += float((xlp + a_aff * d_aff[3]) @ (slp + a_aff * d_aff[4]))
             mu_aff = max(gap_aff, 0.0) / ntot
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 1e-8
             # keep mu tethered to the infeasibility: driving the gap far
             # below the residuals jams the iterate on the boundary before
             # the moment equations are satisfied
-            res_abs = max(float(np.max(np.abs(r), initial=0.0)) for r in (r_p, rd_lp, r_eq, *rd))
+            res_abs = max(float(np.max(np.abs(r), initial=0.0)) for r in (r_p, rd_lp, *rd))
             if mu > 0 and res_abs > 0:
                 sigma = max(sigma, min(0.9, 0.1 * res_abs / mu))
 
             # corrector: recenter to sigma*mu and cancel the second-order term
             es_cor = []
-            for sc, dxb, dsb in zip(scals, d_aff[2], d_aff[3]):
+            for sc, dxb, dsb in zip(scals, d_aff[1], d_aff[2]):
                 dxh = sc["tinv"] @ dxb @ sc["tinv"]
                 dsh = sc["t"] @ dsb @ sc["t"]
                 cross = _herm(dxh @ dsh)
                 vmat = (sc["p"] * sc["lam"]) @ sc["p"].conj().T
                 b = sigma * mu * np.eye(vmat.shape[0]) - vmat @ vmat - cross
                 es_cor.append(_lyap_inv(sc["p"], sc["lam"], _herm(b)))
-            elp_cor = (sigma * mu - xlp * slp - d_aff[4] * d_aff[5]) / vlp
-            dy, dlam, dxs, dss, dxlp, dslp = _direction(es_cor, elp_cor)
+            elp_cor = (sigma * mu - xlp * slp - d_aff[3] * d_aff[4]) / vlp
+            dy, dxs, dss, dxlp, dslp = _direction(es_cor, elp_cor)
 
             # equal primal/dual step: both residuals then contract at least
             # as fast as mu, so the gap cannot outrun the infeasibility
             ap, ad = _steps(dxs, dss, dxlp, dslp)
-            alpha = min(1.0, gamma * ap, gamma * ad)
+            alpha = min(1.0, _FRACTION_TO_BOUNDARY * ap, _FRACTION_TO_BOUNDARY * ad)
             if alpha < 1e-10:
                 stalls += 1
                 if stalls >= 5:
@@ -486,7 +443,6 @@ def solve(
             xlp = xlp + alpha * dxlp
             slp = slp + alpha * dslp
             y = y + alpha * dy
-            lam_eq = lam_eq + alpha * dlam
 
     except _NumericalProblem as err:
         status = STATUS_NUMERICAL_FAILURE
@@ -541,13 +497,6 @@ def verify_solution(program: ConicProgram, solution: SdpSolution, psd_tol: float
         cert_min = min(cert_min, float(np.linalg.eigvalsh(_herm(xb))[0]))
         dual_obj += _inner(f0, xb)
         moments += _rv(fs).reshape(program.n_vars, -1) @ _rv(xb).reshape(-1)
-    if program.eq_a is not None:
-        # equality multipliers are folded into the moment residual bound
-        resid, *_ = np.linalg.lstsq(
-            program.eq_a.T, program.objective - moments, rcond=None
-        )
-        moments = moments + program.eq_a.T @ resid
-        dual_obj += float(program.eq_b @ resid)
     primal_obj = float(program.objective @ y)
     moment_residual = float(np.max(np.abs(program.objective - moments)))
     return {

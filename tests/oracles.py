@@ -292,47 +292,50 @@ def in_box_state_candidate(mats, true_rho, eps, d1, d2):
     """Least-entangled state inside the error box shrunk by 0.1%.
 
     The candidate comes from the package solver (entcert.sdp on n x n
-    complex Hermitian blocks, in the Hermitian basis of entcert.bound): over
-    rho >= 0 with unit trace and P >= 0, P >= rho^T1, minimize 2 tr P - 1,
-    which is ||rho^T1||_1 at the optimum, subject to
-    |tr(rho M_i)/n_i - 1| <= 0.999 eps for every operator after the leading
-    identity.  The rows are divided by n_i, so the box is met to the
-    solver's residual in relative terms even for data near 1e-10.  The
-    solution is projected onto the PSD cone and mixed with 1e-12 of the
-    maximally mixed state so its smallest eigenvalue is strictly positive;
-    the shrunk box leaves room for both moves.  Nothing here is trusted:
+    complex Hermitian blocks): over rho >= 0 with unit trace and P >= 0,
+    P >= rho^T1, minimize 2 tr P - 1, which is ||rho^T1||_1 at the optimum,
+    subject to |tr(rho M_i)/n_i - 1| <= 0.999 eps for every operator after
+    the leading identity.  rho = I/n + sum_k y_k B_k runs over the traceless
+    directions of entcert.bound._unit_trace_basis, so its trace is 1 by
+    construction; P is written in entcert.bound._hermitian_basis.  The rows
+    are divided by n_i, so the box is met to the solver's residual in
+    relative terms even for data near 1e-10.  The solution is projected
+    onto the PSD cone and mixed with 1e-12 of the maximally mixed state so
+    its smallest eigenvalue is strictly positive; the shrunk box leaves
+    room for both moves.  Nothing here is trusted:
     check_in_box_state decides.
     """
     from entcert import bound, sdp
 
     mats = np.asarray(mats)
     n = d1 * d2
-    nh = n * n
-    basis = bound._hermitian_basis(n)
-    traces = np.real(np.einsum("kaa->k", basis))
-    basis_pt = _partial_transpose_first(basis, d1, d2)
-    zero = np.zeros_like(basis)
-    # variables y = (rho coordinates, P coordinates) in the Hermitian basis;
-    # blocks rho >= 0, P >= 0, P - rho^T1 >= 0
-    c = np.concatenate([np.zeros(nh), -2.0 * traces])
-    square = np.zeros((n, n))
+    rho0, dirs = bound._unit_trace_basis(n)
+    herm = bound._hermitian_basis(n)
+    nb, nh = len(dirs), len(herm)
+    traces = np.real(np.einsum("kaa->k", herm))
+    # variables y = (rho coordinates, P coordinates); blocks rho >= 0,
+    # P >= 0, P - rho^T1 >= 0
+    c = np.concatenate([np.zeros(nb), -2.0 * traces])
     blocks = [
-        (square, np.concatenate([-basis, zero])),
-        (square, np.concatenate([zero, -basis])),
-        (square, np.concatenate([basis_pt, -basis])),
+        (rho0, np.concatenate([-dirs, np.zeros((nh, n, n))])),
+        (np.zeros((n, n)), np.concatenate([np.zeros((nb, n, n)), -herm])),
+        (
+            -_partial_transpose_first(rho0, d1, d2),
+            np.concatenate([_partial_transpose_first(dirs, d1, d2), -herm]),
+        ),
     ]
     data = np.real(np.einsum("iab,ba->i", mats[1:], true_rho))
-    rows = np.real(np.einsum("iab,kba->ik", mats[1:], basis)) / data[:, None]
-    for row in rows:
+    rows = np.real(np.einsum("iab,kba->ik", mats[1:], dirs)) / data[:, None]
+    shifts = np.real(np.einsum("iab,ba->i", mats[1:], rho0)) / data
+    for row, shift in zip(rows, shifts):
         for sign in (1.0, -1.0):
-            f = np.zeros((2 * nh, 1, 1))
-            f[:nh, 0, 0] = sign * row
-            blocks.append((np.array([[0.999 * eps + sign]]), f))
-    trace_row = np.concatenate([traces, np.zeros(nh)])[None, :]
-    program = sdp.ConicProgram(c, blocks, equalities=(trace_row, np.array([1.0])))
+            f = np.zeros((nb + nh, 1, 1))
+            f[:nb, 0, 0] = sign * row
+            blocks.append((np.array([[0.999 * eps + sign * (1.0 - shift)]]), f))
+    program = sdp.ConicProgram(c, blocks)
     sol = sdp.solve(program)
 
-    rho = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+    rho = rho0 + np.tensordot(sol.y_star[:nb], dirs, axes=(0, 0))
     w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
     rho = (1.0 - 1e-12) * rho / np.trace(rho).real + 1e-12 * np.eye(n) / n

@@ -329,11 +329,10 @@ def test_robust_table_solves_stop_stalled(monkeypatch):
 
 
 def _replayed_stop(history, gap_tol=1e-7, feas_tol=1e-8):
-    """Iteration and status at which the stop rule of sdp.solve ends a solve
-    without equality constraints, replayed from its history: before the gap
-    converges, progress is a 0.1% drop of the worst of gap and residuals
-    below its best; after that, of the worst residual below its best since
-    convergence."""
+    """Iteration and status at which the stop rule of sdp.solve ends a
+    solve, replayed from its history: before the gap converges, progress
+    is a 0.1% drop of the worst of gap and residuals below its best; after
+    that, of the worst residual below its best since convergence."""
     best_score = best_res = math.inf
     progress = 0
     for it, rec in enumerate(history, start=1):
@@ -425,6 +424,17 @@ def test_error_box_states_rebuild_and_check():
 
 # ---------------------------------------------------------------------------
 # reconciliation of noisy data
+
+
+def test_unit_trace_basis():
+    for n in (2, 4, 16):
+        rho0, basis = bound._unit_trace_basis(n)
+        assert basis.shape == (n * n - 1, n, n)
+        assert np.allclose(rho0, rho0.conj().T) and abs(np.trace(rho0) - 1.0) < 1e-15
+        assert np.max(np.abs(basis - np.swapaxes(basis, 1, 2).conj())) == 0.0
+        assert np.max(np.abs(np.einsum("kaa->k", basis))) < 1e-15
+        flat = np.concatenate([basis.real, basis.imag], axis=1).reshape(n * n - 1, -1)
+        assert np.linalg.matrix_rank(flat) == n * n - 1
 
 
 def test_programs_hold_native_hermitian_blocks(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from entcert import sdp
+from entcert import bound, sdp
 
 import oracles
 
@@ -82,21 +82,6 @@ def test_separable_toy_single_diagonal_block():
     sol = sdp.solve(sdp.ConicProgram([1.0, 1.0], [(np.eye(4), fs)]), gap_tol=1e-9)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 2.0) < 1e-7
-
-
-def test_equality_constrained_toy():
-    prog = sdp.ConicProgram(
-        [1.0, 0.0],
-        [
-            (np.array([[1.0]]), np.array([[[0.0]], [[1.0]]])),
-            (np.array([[5.0]]), np.array([[[-1.0]], [[0.0]]])),
-        ],
-        equalities=(np.array([[1.0, -1.0]]), np.array([0.0])),
-    )
-    sol = sdp.solve(prog)
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 1.0) < 1e-6
-    assert np.allclose(sol.y_star, [1.0, 1.0], atol=1e-5)
 
 
 def test_infeasible_program_detected():
@@ -254,6 +239,23 @@ def test_hermitian_shift_reaches_min_eigenvalue():
         assert sol.status == "optimal"
         assert abs(sol.objective_value - np.linalg.eigvalsh(a)[0]) < 1e-7
         assert sol.dual_certificate[0].dtype == complex
+        report = sdp.verify_solution(prog, sol)
+        assert report["psd_ok"] and report["weak_duality_ok"]
+
+
+def test_unit_trace_fit_reaches_max_eigenvalue():
+    # max tr(rho A) over density matrices rho = I/n + sum_k y_k B_k is the
+    # largest eigenvalue of A; the unit trace needs no equality row
+    rng = np.random.default_rng(53)
+    for n in (2, 4):
+        a = _random_hermitian(rng, n)
+        rho0, basis = bound._unit_trace_basis(n)
+        c = np.real(np.einsum("kab,ba->k", basis, a))
+        prog = sdp.ConicProgram(c, [(rho0, -basis)])
+        sol = sdp.solve(prog, gap_tol=1e-9)
+        assert sol.status == "optimal"
+        value = sol.objective_value + np.trace(a).real / n
+        assert abs(value - np.linalg.eigvalsh(a)[-1]) < 1e-6
         report = sdp.verify_solution(prog, sol)
         assert report["psd_ok"] and report["weak_duality_ok"]
 
