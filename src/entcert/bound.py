@@ -16,7 +16,7 @@ local-oscillator phase-noise models used in the robustness studies.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,11 +96,12 @@ class MeasurementSet:
 class PhaseNoiseModel:
     """Local-oscillator phase noise used when generating data.
 
-    static_calibration perturbs each nominal setting once per trial:
-    theta = 0 becomes +-epsilon/10 and theta = pi/2 becomes
-    (pi/2)(1 +- epsilon/10), signs drawn independently per mode and per
-    setting.  phase_averaged replaces the LO by an equal-weight mixture of
-    `samples` coherent states with phase offsets drawn uniformly from an
+    Both kinds act on the LO as a list of coherent components.
+    static_calibration perturbs each nominal setting once per trial, giving
+    a one-component LO: theta = 0 becomes +-epsilon/10 and theta = pi/2
+    becomes (pi/2)(1 +- epsilon/10), signs drawn independently per mode and
+    per setting.  phase_averaged replaces the LO by an equal-weight mixture
+    of `samples` coherent states with phase offsets drawn uniformly from an
     interval of full width `width` (or of standard deviation `width` when
     width_is_std is set), redrawn per mode and per setting.
     """
@@ -164,7 +165,6 @@ def build_measurements(
     phases: Sequence[float] = DEFAULT_PHASES,
     *,
     signal_cutoff: int = 3,
-    phases2: Optional[Sequence[float]] = None,
     lo_components1=None,
     lo_components2=None,
 ):
@@ -175,13 +175,13 @@ def build_measurements(
     {P_{0,0}, P_{1,0}, P_{2,0}, P_{3,0}, P_{0,pi/2}, .., P_{3,pi/2}}.
     The joint operator with 1-based index (j, k) sits at list position
     (j-1)*P + k, after the identity at position 0, where P is the per-mode
-    element count.  phases2 / lo_components* allow the two modes to carry
-    different (e.g. noise-perturbed) settings while keeping the ordering.
+    element count.  lo_components1 / lo_components2 give, per phase setting,
+    the LO of that mode as a list of (weight, amplitude) components (see
+    detector.homodyne_povm); a noise-perturbed mode keeps its nominal phase
+    labels and ordering and carries the perturbed LO there.
     """
     ops1 = _mode_elements(det1, outcomes, phases, signal_cutoff, lo_components1)
-    ops2 = _mode_elements(
-        det2, outcomes, phases if phases2 is None else phases2, signal_cutoff, lo_components2
-    )
+    ops2 = _mode_elements(det2, outcomes, phases, signal_cutoff, lo_components2)
     space = HilbertSpec((signal_cutoff, signal_cutoff))
     out = [FockOperator(space, np.eye(space.dim, dtype=complex))]
     for a in ops1:
@@ -640,7 +640,10 @@ def noisy_bound(
 
     The expectation values come from the true (noise-perturbed) operators
     while the witness program is built on the nominal operators, modeling an
-    experimenter unaware of the miscalibration.  The data is first
+    experimenter unaware of the miscalibration.  Each noise draw is an LO
+    component list per mode and setting (one component for a static draw),
+    and both kinds build the true operators through the same
+    lo_components1 / lo_components2 call.  The data is first
     reconciled to the nearest physical moment vector (reconcile_expectations);
     without that step the mismatch makes the witness program unbounded.
     """
@@ -649,38 +652,23 @@ def noisy_bound(
     cutoff = state.space.cutoffs[0]
     if state.space.cutoffs[1] != cutoff:
         raise ValueError("expected a symmetric bipartite cutoff")
-    if model.kind == "static_calibration":
-        phases1 = [
-            apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng).lo_phase
-            for p in phases
-        ]
-        phases1 = [p if p < math.pi else p - 2.0 * math.pi for p in phases1]
-        phases2 = [
-            apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng).lo_phase
-            for p in phases
-        ]
-        phases2 = [p if p < math.pi else p - 2.0 * math.pi for p in phases2]
-        true_ops = build_measurements(
-            det1, det2, outcomes, phases1, signal_cutoff=cutoff, phases2=phases2
-        )
-    else:
-        comps1 = [
-            _as_components(apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng))
-            for p in phases
-        ]
-        comps2 = [
-            _as_components(apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng))
-            for p in phases
-        ]
-        true_ops = build_measurements(
-            det1,
-            det2,
-            outcomes,
-            phases,
-            signal_cutoff=cutoff,
-            lo_components1=comps1,
-            lo_components2=comps2,
-        )
+    comps1 = [
+        _as_components(apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng))
+        for p in phases
+    ]
+    comps2 = [
+        _as_components(apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng))
+        for p in phases
+    ]
+    true_ops = build_measurements(
+        det1,
+        det2,
+        outcomes,
+        phases,
+        signal_cutoff=cutoff,
+        lo_components1=comps1,
+        lo_components2=comps2,
+    )
     data = simulate_expectations(state, true_ops)
     if nominal_ops is None:
         nominal_ops = build_measurements(det1, det2, outcomes, phases, signal_cutoff=cutoff)

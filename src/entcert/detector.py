@@ -10,10 +10,16 @@ is
 
     Pi_{beta,gamma} = Tr_LO[ (|alpha><alpha| (x) 1) U† (Pi_c (x) Pi_d) U ]
 
-which reproduces Tr(rho Pi_{beta,gamma}) for every signal state rho.  In the
-unbalanced configuration the LO-arm detector efficiency is set to zero and
-outcomes carry the live detector's click count only (bins + 1 outcomes per
-setting).  Wigner functions of POVM elements are evaluated from the
+which reproduces Tr(rho Pi_{beta,gamma}) for every signal state rho.  The LO
+is always a list of coherent components (w_k, alpha_k) with sum_k w_k = 1,
+a pure LO being one component; the element is linear in the LO state, so
+
+    Pi_{beta,gamma} = sum_k w_k Tr_LO[ (|alpha_k><alpha_k| (x) 1) U† (Pi_c (x) Pi_d) U ]
+
+and all components are contracted in one pass on one LO cutoff chosen for
+the largest |alpha_k|.  In the unbalanced configuration the LO-arm detector
+efficiency is set to zero and outcomes carry the live detector's click count
+only (bins + 1 outcomes per setting).  Wigner functions of POVM elements are evaluated from the
 Fock-basis displacement kernel (associated Laguerre polynomials).
 """
 
@@ -26,7 +32,6 @@ import numpy as np
 from scipy.special import comb, eval_genlaguerre, gammaln
 
 from .fock import (
-    TAIL_TOL,
     TOL_PSD,
     FockOperator,
     HilbertSpec,
@@ -221,11 +226,14 @@ def homodyne_povm(
 ) -> PovmSet:
     """Signal-mode POVM of one weak-homodyne setting.
 
-    lo_components optionally replaces the pure LO by a mixture of coherent
-    states, given as (weight, complex amplitude) pairs with weights summing
-    to 1 (used for phase-averaged LO models).  The LO cutoff follows the
-    adaptive rule (tail mass below TAIL_TOL, at least 12).  PovmSet raises
-    when the POVM misses completeness by more than TOL_COMPLETE.
+    The LO is a list of coherent components, given as (weight, complex
+    amplitude) pairs with nonnegative weights summing to 1; None means the
+    pure LO [(1.0, det.lo_alpha)].  Each element is linear in the LO state,
+    so a mixture gives Pi_beta = sum_k w_k Pi_beta(alpha_k), contracted over
+    the components in one pass.  One LO cutoff, chosen by adaptive_lo_cutoff
+    for the largest amplitude, keeps every component's tail mass below
+    TAIL_TOL.  PovmSet raises when the POVM misses completeness by more than
+    TOL_COMPLETE.
     """
     if lo_components is None:
         lo_components = [(1.0, det.lo_alpha)]
@@ -242,6 +250,11 @@ def homodyne_povm(
 
     u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
+    vecs = np.array([coherent_amplitudes(a, lo_cutoff)[0] for _, a in lo_components])
+    # wv[k, na, nb, b]: component k, na photons on the LO-aligned arm, nb on the
+    # signal-aligned arm; the weights ride on the conjugate factor
+    wv = np.einsum("rab,ka->krb", u_r, vecs).reshape(len(weights), d_pad, d_pad, d_sig)
+    wv_conj = wv.conj() * weights[:, None, None, None]
 
     if det.unbalanced:
         outcomes = list(range(det.tmd_c.bins + 1))
@@ -249,27 +262,15 @@ def homodyne_povm(
         outcomes = [
             (bc, bd) for bc in range(det.tmd_c.bins + 1) for bd in range(det.tmd_d.bins + 1)
         ]
-    ops = [np.zeros((d_sig, d_sig), dtype=complex) for _ in outcomes]
-
-    for w, alpha in lo_components:
-        vec, tail = coherent_amplitudes(alpha, lo_cutoff)
-        if tail > TAIL_TOL:
-            raise ValueError(f"LO tail mass {tail:.3e} exceeds {TAIL_TOL:.1e}")
-        wv = np.einsum("rab,a->rb", u_r, vec).reshape(d_pad, d_pad, d_sig)
-        # wv[na, nb, b]: na photons on the LO-aligned arm, nb on the signal-aligned arm
-        for i, outc in enumerate(outcomes):
-            if det.unbalanced:
-                t_live = d_live[outc]
-                op = np.einsum("abi,b,abj->ij", wv.conj(), t_live, wv, optimize=True)
-            else:
-                bc, bd = outc
-                op = np.einsum(
-                    "abi,a,b,abj->ij", wv.conj(), d_lo[bd], d_live[bc], wv, optimize=True
-                )
-            ops[i] += w * op
-
     elements = []
-    for outc, op in zip(outcomes, ops):
+    for outc in outcomes:
+        if det.unbalanced:
+            op = np.einsum("kabi,b,kabj->ij", wv_conj, d_live[outc], wv, optimize=True)
+        else:
+            bc, bd = outc
+            op = np.einsum(
+                "kabi,a,b,kabj->ij", wv_conj, d_lo[bd], d_live[bc], wv, optimize=True
+            )
         op = 0.5 * (op + op.conj().T)
         elements.append(PovmElement(outc, det, FockOperator(HilbertSpec((signal_cutoff,)), op)))
     return PovmSet(tuple(elements))

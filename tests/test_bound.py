@@ -1,6 +1,7 @@
 """Unit tests for measurement assembly and the witness-SDP bound pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,7 +486,9 @@ def test_reconcile_miscalibrated_data():
         det,
         phases=(0.05, math.pi / 2.0 + 0.05),
         signal_cutoff=2,
-        phases2=(-0.03, math.pi / 2.0 - 0.03),
+        lo_components2=[
+            [(1.0, replace(det, lo_phase=p).lo_alpha)] for p in (-0.03, math.pi / 2.0 - 0.03)
+        ],
     )
     data = simulate_expectations(st, true_ops)
     ms = MeasurementSet(nominal, data)

@@ -1,5 +1,7 @@
 """Unit tests for the TMD and weak-homodyne detector model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -232,16 +234,36 @@ def test_homodyne_phase_covariance():
         assert np.max(np.abs(b.operator.matrix - expect)) < 1e-8
 
 
-def test_homodyne_mixed_lo_components():
-    # equal mixture of two phases = average of the two pure-LO POVMs
-    comps = [(0.5, 1.0 * np.exp(1j * 0.1)), (0.5, 1.0 * np.exp(1j * 0.5))]
-    mixed = detector.homodyne_povm(_det(), 3, lo_components=comps)
-    p1 = detector.homodyne_povm(_det(phase=0.1), 3)
-    p2 = detector.homodyne_povm(_det(phase=0.5), 3)
-    for m, a, b in zip(mixed.elements, p1.elements, p2.elements):
-        avg = 0.5 * (a.operator.matrix + b.operator.matrix)
-        assert np.max(np.abs(m.operator.matrix - avg)) < 1e-12
+@pytest.mark.parametrize("unbalanced", [True, False])
+def test_homodyne_mixed_lo_components(unbalanced):
+    # a mixture is the weighted sum of the pure-LO POVMs of its components;
+    # both amplitudes get the minimum LO cutoff, so all POVMs share one truncation
+    comps = [(0.5, 1.0), (0.3, 1.0 * np.exp(1j * 0.5)), (0.2, 0.6 * np.exp(1j * 0.1))]
+    det = _det(unbalanced=unbalanced)
+    mixed = detector.homodyne_povm(det, 3, lo_components=comps)
+    pures = [
+        detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a), unbalanced=unbalanced), 3)
+        for _, a in comps
+    ]
+    assert len(mixed.elements) == (9 if unbalanced else 81)
+    for i, m in enumerate(mixed.elements):
+        expect = sum(w * p.elements[i].operator.matrix for (w, _), p in zip(comps, pures))
+        assert all(p.elements[i].outcome == m.outcome for p in pures)
+        assert np.max(np.abs(m.operator.matrix - expect)) < 1e-12
     assert mixed.completeness_deficit() < 1e-6
+
+
+@pytest.mark.parametrize("setting", [0.0, np.pi / 2])
+@pytest.mark.parametrize("error", [0.01, -0.01])
+def test_homodyne_one_component_list_is_the_shifted_pure_lo(setting, error):
+    # a static phase error travels as a one-component LO on the nominal setting
+    nominal = _det(phase=setting)
+    shifted = replace(nominal, lo_phase=setting + error)
+    one = detector.homodyne_povm(nominal, 3, lo_components=[(1.0, shifted.lo_alpha)])
+    pure = detector.homodyne_povm(shifted, 3)
+    for a, b in zip(one.elements, pure.elements):
+        assert a.outcome == b.outcome
+        assert np.array_equal(a.operator.matrix, b.operator.matrix)
 
 
 def test_homodyne_large_amplitude_uses_larger_cutoff():

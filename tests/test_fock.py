@@ -75,6 +75,16 @@ def test_adaptive_lo_cutoff():
     assert oracles.poisson_tail(6.25, c - 1) > 1e-6
 
 
+@pytest.mark.parametrize("largest", [0.5, 1.0, 2.5, 4.0])
+def test_adaptive_lo_cutoff_covers_every_smaller_amplitude(largest):
+    # one cutoff serves an LO mixture: chosen for the largest amplitude, it
+    # keeps the tail of every smaller one below TAIL_TOL too
+    c = fock.adaptive_lo_cutoff(largest)
+    for a in np.linspace(0.0, largest, 41):
+        _, tail = fock.coherent_amplitudes(a, c)
+        assert tail <= fock.TAIL_TOL
+
+
 def test_two_mode_squeezed_trivial():
     st = fock.two_mode_squeezed(SqueezedParams(0.0, 3))
     expect = np.zeros((16, 16))
