@@ -17,6 +17,19 @@ are grouped into a single diagonal (linear-programming) cone so scalar
 constraints cost vector arithmetic only.  The dual certificate X returned
 with the solution verifies the objective bound independently: weak duality
 gives  c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
+
+The Schur complement Re tr(W Fi W Fj) is assembled from the sparsity of
+the data, following the same paper.  At set-up each block's F columns are
+sorted once into three classes: *zero* (Fj vanishes on the block), *pair*
+(one Hermitian pair of entries v at (r, c) and conj(v) at (c, r), or a
+single real diagonal entry) and *dense* (everything else).  Pair-pair
+entries are O(1) products of entries of W, pair-dense entries are gathered
+from W Fj W, and only the dense-dense block needs the products T Fj T,
+T = W^(1/2).  The diagonal cone uses only the columns its rows touch.
+Every sum_j y_j Fj is one real product with the real view of the nonzero
+columns, and each Newton direction takes one refinement pass against that
+operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
+assembled matrix.
 """
 
 from dataclasses import dataclass, field
@@ -174,6 +187,116 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from the upper triangle of a."""
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def _run(idx: np.ndarray):
+    """idx as a slice when it is one contiguous run, else idx itself."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _sub(rows, cols):
+    """Index of the rows x cols submatrix, from _run results."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
+class _MatrixCone:
+    """One matrix block of the scaled program, its F columns sorted by the
+    nonzero pattern of the data.
+
+    A column is *zero* when Fj vanishes on the block, a *pair* when
+    Fj = v E_rc + conj(v) E_cr (a single real diagonal entry d is the case
+    r = c, v = d/2), and *dense* otherwise.  Zero columns drop out of every
+    product; the Schur entries of pairs are products of entries of W.
+    """
+
+    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray):
+        m, n, _ = fs.shape
+        self.index = index
+        self.f0 = f0
+        nonzero = fs.reshape(m, -1) != 0.0
+        count = np.count_nonzero(nonzero, axis=1)
+        # first nonzero in row-major order: the upper entry of a pair
+        r, c = np.divmod(np.argmax(nonzero, axis=1), n)
+        is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
+        self.cols = np.flatnonzero(count)
+        # real view of the nonzero columns, (len(cols), n*n*[1 or 2])
+        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, -1)
+        self.pairs = np.flatnonzero(is_pair)
+        self.r = r[self.pairs]
+        self.c = c[self.pairs]
+        v = fs[self.pairs, self.r, self.c]
+        self.v = np.where(self.r == self.c, 0.5 * v, v)
+        self.dense = np.flatnonzero((count > 0) & ~is_pair)
+        self.fs_dense = fs[self.dense]
+        self.pair_run = _run(self.pairs)
+        self.dense_run = _run(self.dense)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """sum_j y_j Fj, one real product on the real view."""
+        n = self.f0.shape[0]
+        return (y[self.cols] @ self.flat).view(self.f0.dtype).reshape(n, n)
+
+    def moments(self, x: np.ndarray) -> np.ndarray:
+        """Re tr(Fj X) for the nonzero columns."""
+        return self.flat @ _rv(x).reshape(-1)
+
+    def add_schur(self, schur: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+        """Add Re tr(W Fi W Fj), T = W^(1/2), to the symmetric schur.
+
+        Pair-pair entries are 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
+        + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima & Nakata
+        1997); pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the
+        dense-dense block is G G^T with G the real view of T Fj T.
+        """
+        p, d, v = self.pair_run, self.dense_run, self.v
+        if self.pairs.size:
+            a = w[np.ix_(self.c, self.r)]
+            b = w[np.ix_(self.c, self.c)] * w[np.ix_(self.r, self.r)].conj()
+            spp = (np.outer(v, v) * (a * a.T)).real + (np.outer(v, v.conj()) * b).real
+            # spp is half of each entry and symmetric in exact arithmetic;
+            # spp + spp.T doubles it and stays symmetric bit for bit, however
+            # the complex products were rounded
+            schur[_sub(p, p)] += spp + spp.T
+        if self.dense.size:
+            tft = t @ self.fs_dense @ t
+            g = _rv(tft).reshape(self.dense.size, -1)
+            schur[_sub(d, d)] += _mirror_upper(scipy.linalg.blas.dsyrk(1.0, g))
+            if self.pairs.size:
+                wfw = t @ tft @ t
+                spd = 2.0 * (wfw[:, self.c, self.r] * v).real
+                schur[_sub(p, d)] += spd.T
+                schur[_sub(d, p)] += spd
+
+
+class _LpCone:
+    """The 1x1 blocks grouped into one diagonal cone, s = f0 - F y >= 0,
+    stored over the columns that some row touches."""
+
+    def __init__(self, f0: np.ndarray, f: np.ndarray):
+        self.f0 = f0
+        self.cols = np.flatnonzero(np.any(f != 0.0, axis=0))
+        self.f = f[:, self.cols]
+        self.run = _run(self.cols)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        return self.f @ y[self.cols]
+
+    def add_schur(self, schur: np.ndarray, w2: np.ndarray) -> None:
+        """Add sum_k w2_k F[k, i] F[k, j] over the touched columns."""
+        if self.f.size:
+            g = self.f * np.sqrt(w2)[:, None]
+            schur[_sub(self.run, self.run)] += _mirror_upper(
+                scipy.linalg.blas.dsyrk(1.0, g, trans=1)
+            )
+
+
 # ---------------------------------------------------------------------------
 # solver
 
@@ -195,46 +318,45 @@ def solve(
     Every status but ``infeasible`` carries the best iterate seen, the one
     with the smallest worst of gap and residuals.  ``info`` holds the
     iteration history, the returned iterate's dual objective and its
-    ``weak_duality_violation``, max(0, primal - dual).
+    ``weak_duality_violation``, max(0, primal - dual), and
+    ``ridge_retries``, the number of Cholesky factorizations of the Schur
+    complement that failed over the solve, each retried with a larger
+    diagonal ridge.
     """
     m = program.objective.size
 
-    # split 1x1 blocks into a grouped diagonal cone; keep the rest as
-    # matrix cones, entries (orig_index, f0, fs)
-    cones = [(k, f0, fs) for k, (f0, fs) in enumerate(program.blocks) if f0.shape[0] > 1]
+    # matrix cones, and the 1x1 blocks grouped into one diagonal cone
+    matrix_blocks = [
+        (k, f0, fs) for k, (f0, fs) in enumerate(program.blocks) if f0.shape[0] > 1
+    ]
     lp_index = [k for k, (f0, _) in enumerate(program.blocks) if f0.shape[0] == 1]
     lp_f0 = np.array([program.blocks[k][0][0, 0].real for k in lp_index])
     lp_f = np.array([program.blocks[k][1][:, 0, 0].real for k in lp_index]).reshape(-1, m)
-    nlp = len(lp_index)
-    ntot = sum(f0.shape[0] for _, f0, _ in cones) + nlp
 
     # Jacobi column scaling equilibrates the Schur complement; variables
     # coupling only to low-norm constraint matrices otherwise force huge
     # multipliers and wreck its conditioning
     nrm2 = np.einsum("kj,kj->j", lp_f, lp_f)
-    for _, _, fs in cones:
+    for _, _, fs in matrix_blocks:
         flat = _rv(fs).reshape(m, -1)
         nrm2 += np.einsum("jk,jk->j", flat, flat)
     dvec = 1.0 / np.sqrt(np.maximum(nrm2, 1e-16))
     dvec = np.minimum(dvec, 1e8)
     c = program.objective * dvec
-    # entries (orig_index, f0, fs, fs_flat), fs_flat the real view of fs
-    # reshaped to (m, -1) for the Re tr(Fj X) moments
-    sdp = []
-    for k, f0, fs in cones:
-        fs = fs * dvec[:, None, None]
-        sdp.append((k, f0, fs, _rv(fs).reshape(m, -1)))
-    lp_f = lp_f * dvec[None, :]
+    cones = [_MatrixCone(k, f0, fs * dvec[:, None, None]) for k, f0, fs in matrix_blocks]
+    lp = _LpCone(lp_f0, lp_f * dvec[None, :])
+    nlp = len(lp_index)
+    ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
 
-    xs = [np.eye(f0.shape[0], dtype=f0.dtype) for _, f0, _, _ in sdp]
-    ss = [np.eye(f0.shape[0], dtype=f0.dtype) for _, f0, _, _ in sdp]
+    xs = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
+    ss = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
     xlp = np.ones(nlp)
     slp = np.ones(nlp)
     y = np.zeros(m)
 
     scale_c = 1.0 + np.max(np.abs(c))
     scale_f = 1.0 + max(
-        [np.max(np.abs(f0)) for _, f0, _, _ in sdp] + [np.max(np.abs(lp_f0), initial=0.0)]
+        [np.max(np.abs(cone.f0)) for cone in cones] + [np.max(np.abs(lp.f0), initial=0.0)]
     )
 
     history = []
@@ -244,13 +366,14 @@ def solve(
     status = STATUS_MAX_ITERATIONS
     detail = ""
     stalls = 0
+    ridge_retries = 0
     it = 0
     progress_it = 0
 
     def _pack(y_, xs_, xlp_, gap_, dobj_):
         cert = [None] * len(program.blocks)
-        for (k, _, _, _), xb in zip(sdp, xs_):
-            cert[k] = _herm(xb)
+        for cone, xb in zip(cones, xs_):
+            cert[cone.index] = _herm(xb)
         for j, k in enumerate(lp_index):
             cert[k] = np.full((1, 1), xlp_[j], dtype=program.blocks[k][0].dtype)
         return {
@@ -260,25 +383,28 @@ def solve(
             "dual_objective": dobj_,
         }
 
+    def _moments(xs_, xlp_):
+        # Re tr(Fj X) summed over every cone
+        out = np.zeros(m)
+        out[lp.cols] += lp.f.T @ xlp_
+        for cone, xb in zip(cones, xs_):
+            out[cone.cols] += cone.moments(xb)
+        return out
+
     try:
         for it in range(1, max_iter + 1):
             # residuals of both constraint systems
-            rd = [
-                _herm(sb + np.tensordot(y, fs, axes=(0, 0)) - f0)
-                for (_, f0, fs, _), sb in zip(sdp, ss)
-            ]
-            rd_lp = slp + lp_f @ y - lp_f0
-            moments = lp_f.T @ xlp
-            for (_, _, _, fs_flat), xb in zip(sdp, xs):
-                moments += fs_flat @ _rv(xb).reshape(-1)
+            rd = [_herm(sb + cone.apply(y) - cone.f0) for cone, sb in zip(cones, ss)]
+            rd_lp = slp + lp.apply(y) - lp.f0
+            moments = _moments(xs, xlp)
             r_p = c - moments
 
             gap_abs = sum(_inner(xb, sb) for xb, sb in zip(xs, ss)) + float(xlp @ slp)
             # roundoff can push the gap below zero once it is spent
             mu = max(gap_abs, 0.0) / ntot
             pobj = float(c @ y)
-            dobj = sum(_inner(f0, xb) for (_, f0, _, _), xb in zip(sdp, xs))
-            dobj += float(lp_f0 @ xlp)
+            dobj = sum(_inner(cone.f0, xb) for cone, xb in zip(cones, xs))
+            dobj += float(lp.f0 @ xlp)
 
             rel_gap = gap_abs / (1.0 + abs(pobj) + abs(dobj))
             res_x = float(np.max(np.abs(r_p))) / scale_c
@@ -345,13 +471,11 @@ def solve(
             wlp = np.sqrt(xlp / slp)
             vlp = np.sqrt(xlp * slp)
 
-            # entry (i, j) is Re tr(T Fi T T Fj T) over the matrix cones;
-            # dsyrk forms only the upper triangle, at half the cost of g g^T
-            schur = (lp_f * (wlp**2)[:, None]).T @ lp_f
-            for (_, _, fs, _), sc in zip(sdp, scals):
-                g = _rv(sc["t"] @ fs @ sc["t"]).reshape(m, -1)
-                schur += scipy.linalg.blas.dsyrk(1.0, g)
-            schur = np.triu(schur) + np.triu(schur, 1).T
+            # entry (i, j) is Re tr(W Fi W Fj) summed over the cones
+            schur = np.zeros((m, m))
+            lp.add_schur(schur, wlp**2)
+            for cone, sc in zip(cones, scals):
+                cone.add_schur(schur, sc["w"], sc["t"])
 
             # regularize only when the factorization actually fails; a
             # preemptive ridge scaled to the diagonal grows like the inverse
@@ -363,26 +487,35 @@ def solve(
                     cho = scipy.linalg.cho_factor(schur)
                     break
                 except scipy.linalg.LinAlgError:
+                    ridge_retries += 1
                     schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
             if cho is None:
                 raise _NumericalProblem("Schur complement not positive definite")
 
+            def _schur_apply(v):
+                # Re tr(Fi W (sum_j v_j Fj) W) summed over the cones
+                wvw = [sc["w"] @ cone.apply(v) @ sc["w"] for cone, sc in zip(cones, scals)]
+                return _moments(wvw, wlp**2 * lp.apply(v))
+
             def _direction(es, elp):
                 # assemble rhs, solve for dy, back out dS and dX blockwise
-                rhs = r_p - lp_f.T @ (wlp * elp + wlp**2 * rd_lp)
-                for (_, _, _, fs_flat), sc, rb, eb in zip(sdp, scals, rd, es):
+                rhs = r_p.copy()
+                rhs[lp.cols] -= lp.f.T @ (wlp * elp + wlp**2 * rd_lp)
+                for cone, sc, rb, eb in zip(cones, scals, rd, es):
                     h = sc["t"] @ eb @ sc["t"] + sc["w"] @ rb @ sc["w"]
-                    rhs -= fs_flat @ _rv(h).reshape(-1)
+                    rhs[cone.cols] -= cone.moments(h)
                 dy = scipy.linalg.cho_solve(cho, rhs)
-                # one refinement pass against roundoff in the factorization
-                dy += scipy.linalg.cho_solve(cho, rhs - schur @ dy)
+                # one refinement pass against the operator the Schur
+                # complement stands for, so roundoff in both the entry-wise
+                # assembly and the factorization is corrected
+                dy += scipy.linalg.cho_solve(cho, rhs - _schur_apply(dy))
                 dss, dxs = [], []
-                for (_, _, fs, _), sc, rb, eb in zip(sdp, scals, rd, es):
-                    dsb = _herm(-rb - np.tensordot(dy, fs, axes=(0, 0)))
+                for cone, sc, rb, eb in zip(cones, scals, rd, es):
+                    dsb = _herm(-rb - cone.apply(dy))
                     dxb = _herm(sc["t"] @ eb @ sc["t"] - sc["w"] @ dsb @ sc["w"])
                     dss.append(dsb)
                     dxs.append(dxb)
-                dslp = -rd_lp - lp_f @ dy
+                dslp = -rd_lp - lp.apply(dy)
                 dxlp = wlp * elp - wlp**2 * dslp
                 return dy, dxs, dss, dxlp, dslp
 
@@ -474,6 +607,7 @@ def solve(
                 np.maximum(0.0, pobj - result["dual_objective"])
             ),
             "detail": detail,
+            "ridge_retries": ridge_retries,
         },
     )
 

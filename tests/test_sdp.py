@@ -202,6 +202,22 @@ def test_max_iterations_status():
     assert np.all(np.isfinite(sol.y_star))
 
 
+@pytest.mark.parametrize("scalars", [0, 2], ids=["matrix", "matrix+scalars"])
+def test_weak_duality_violation_first_iterate(scalars):
+    # with F0 = -I the first iterate y = 0, X = I has primal 0 and dual
+    # tr(F0 X) = -(block dimensions), with no roundoff in either; max_iter=1
+    # returns it, so the violation is that dimension exactly
+    n = 3
+    blocks = [(-np.eye(n), np.eye(n)[None])]
+    blocks += [(-np.eye(1), np.ones((1, 1, 1)))] * scalars
+    sol = sdp.solve(sdp.ConicProgram([1.0], blocks), max_iter=1)
+    assert sol.status == "max_iterations" and sol.iterations == 1
+    assert np.all(sol.y_star == 0.0) and sol.objective_value == 0.0
+    assert sol.info["dual_objective"] == -(n + scalars)
+    assert sol.info["weak_duality_violation"] == n + scalars
+    assert sol.info["ridge_retries"] == 0
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -273,3 +289,97 @@ def test_complex_program_matches_its_real_embedding():
     report = sdp.verify_solution(prog, native)
     assert report["psd_ok"] and report["weak_duality_ok"]
     assert report["moment_residual"] < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# structured Schur assembly
+
+
+def _rv(a):
+    return np.ascontiguousarray(a).view(float).reshape(len(a), -1)
+
+
+def _column_zoo(rng, n, hermitian):
+    """(class, Fj) for every column class: zero, single diagonal entry, real,
+    imaginary and general pairs, two diagonal entries and dense matrices."""
+    dtype = complex if hermitian else float
+
+    def pair(p, q, v):
+        f = np.zeros((n, n), dtype)
+        f[p, q] = v
+        f[q, p] = np.conj(v)
+        return f
+
+    diag = np.zeros((n, n), dtype)
+    diag[1, 1] = rng.normal()
+    two = np.zeros((n, n), dtype)
+    two[0, 0], two[2, 2] = rng.normal(size=2)
+    dense = _random_hermitian(rng, n) if hermitian else _sym(rng.normal(size=(n, n)))
+    zoo = [
+        ("zero", np.zeros((n, n), dtype)),
+        ("pair", diag),
+        ("pair", pair(0, 2, rng.normal())),
+        ("dense", two),
+        ("dense", dense),
+        ("dense", pair(0, 1, 1.0) + pair(2, 3, -2.0)),
+    ]
+    if hermitian:
+        zoo += [
+            ("pair", pair(1, 3, 1j * rng.normal())),
+            ("pair", pair(3, 0, rng.normal() + 1j * rng.normal())),
+        ]
+    return zoo
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["runs", "shuffled"])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_structured_schur_matches_dense(hermitian, shuffled):
+    # the class-wise Schur complement equals G G^T, G the real view of
+    # T Fj T, and the real-view apply equals the tensordot it replaces;
+    # columns of one class come in contiguous runs or shuffled
+    rng = np.random.default_rng(61)
+    n = 5
+    zoo = [col for _ in range(4) for col in _column_zoo(rng, n, hermitian)]
+    order = rng.permutation(len(zoo)) if shuffled else np.argsort([k for k, _ in zoo], kind="stable")
+    kinds = np.array([zoo[i][0] for i in order])
+    fs = np.array([zoo[i][1] for i in order])
+    m = len(fs)
+    cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs)
+    assert np.array_equal(cone.pairs, np.flatnonzero(kinds == "pair"))
+    assert np.array_equal(cone.dense, np.flatnonzero(kinds == "dense"))
+    assert np.array_equal(cone.cols, np.flatnonzero(kinds != "zero"))
+
+    a = _random_hermitian(rng, n) if hermitian else _sym(rng.normal(size=(n, n)))
+    lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
+    w = _herm((u * lam) @ u.conj().T)
+    t = (u * np.sqrt(lam)) @ u.conj().T
+    schur = np.zeros((m, m))
+    cone.add_schur(schur, w, t)
+    g = _rv(t @ fs @ t)
+    ref = g @ g.T
+    assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(schur, schur.T)
+
+    y = rng.normal(size=m)
+    applied = np.tensordot(y, fs, axes=(0, 0))
+    assert np.max(np.abs(cone.apply(y) - applied)) <= 1e-14 * np.max(np.abs(applied))
+
+
+def test_structured_schur_lp_rows_use_touched_columns():
+    rng = np.random.default_rng(67)
+    m, k = 9, 6
+    w2 = rng.uniform(0.1, 10.0, size=k)
+    # scattered untouched columns, then touched columns in one run
+    for zero, touched in (([1, 4, 8], [0, 2, 3, 5, 6, 7]), ([0, 1, 8], [2, 3, 4, 5, 6, 7])):
+        f = rng.normal(size=(k, m))
+        f[:, zero] = 0.0
+        lp = sdp._LpCone(rng.normal(size=k), f)
+        assert np.array_equal(lp.cols, touched)
+        schur = np.zeros((m, m))
+        lp.add_schur(schur, w2)
+        ref = (f * w2[:, None]).T @ f
+        assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(schur, schur.T)
+        y = rng.normal(size=m)
+        assert np.max(np.abs(lp.apply(y) - f @ y)) <= 1e-14 * np.max(np.abs(f @ y))
+
