@@ -199,6 +199,11 @@ def _run(idx: np.ndarray):
     return idx
 
 
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[rows][:, cols]; taking the few columns first is the fast order."""
+    return np.take(a[:, cols], rows, axis=0)
+
+
 def _sub(rows, cols):
     """Index of the rows x cols submatrix, from _run results."""
     if isinstance(rows, slice) or isinstance(cols, slice):
@@ -257,8 +262,8 @@ class _MatrixCone:
         """
         p, d, v = self.pair_run, self.dense_run, self.v
         if self.pairs.size:
-            a = w[np.ix_(self.c, self.r)]
-            b = w[np.ix_(self.c, self.c)] * w[np.ix_(self.r, self.r)].conj()
+            a = _gather(w, self.c, self.r)
+            b = _gather(w, self.c, self.c) * _gather(w.conj(), self.r, self.r)
             spp = (np.outer(v, v) * (a * a.T)).real + (np.outer(v, v.conj()) * b).real
             # spp is half of each entry and symmetric in exact arithmetic;
             # spp + spp.T doubles it and stays symmetric bit for bit, however
