@@ -192,23 +192,9 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return np.triu(a) + np.triu(a, 1).T
 
 
-def _run(idx: np.ndarray):
-    """idx as a slice when it is one contiguous run, else idx itself."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """a[rows][:, cols]; taking the few columns first is the fast order."""
     return np.take(a[:, cols], rows, axis=0)
-
-
-def _sub(rows, cols):
-    """Index of the rows x cols submatrix, from _run results."""
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return rows, cols
-    return np.ix_(rows, cols)
 
 
 class _MatrixCone:
@@ -232,7 +218,7 @@ class _MatrixCone:
         is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
         self.cols = np.flatnonzero(count)
         # real view of the nonzero columns, (len(cols), n*n*[1 or 2])
-        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, -1)
+        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(f0).size)
         self.pairs = np.flatnonzero(is_pair)
         self.r = r[self.pairs]
         self.c = c[self.pairs]
@@ -240,8 +226,6 @@ class _MatrixCone:
         self.v = np.where(self.r == self.c, 0.5 * v, v)
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
         self.fs_dense = fs[self.dense]
-        self.pair_run = _run(self.pairs)
-        self.dense_run = _run(self.dense)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j Fj, one real product on the real view."""
@@ -260,24 +244,24 @@ class _MatrixCone:
         1997); pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the
         dense-dense block is G G^T with G the real view of T Fj T.
         """
-        p, d, v = self.pair_run, self.dense_run, self.v
-        if self.pairs.size:
+        p, d, v = self.pairs, self.dense, self.v
+        if p.size:
             a = _gather(w, self.c, self.r)
             b = _gather(w, self.c, self.c) * _gather(w.conj(), self.r, self.r)
             spp = (np.outer(v, v) * (a * a.T)).real + (np.outer(v, v.conj()) * b).real
             # spp is half of each entry and symmetric in exact arithmetic;
             # spp + spp.T doubles it and stays symmetric bit for bit, however
             # the complex products were rounded
-            schur[_sub(p, p)] += spp + spp.T
-        if self.dense.size:
+            schur[np.ix_(p, p)] += spp + spp.T
+        if d.size:
             tft = t @ self.fs_dense @ t
-            g = _rv(tft).reshape(self.dense.size, -1)
-            schur[_sub(d, d)] += _mirror_upper(scipy.linalg.blas.dsyrk(1.0, g))
-            if self.pairs.size:
+            g = _rv(tft).reshape(d.size, -1)
+            schur[np.ix_(d, d)] += _mirror_upper(scipy.linalg.blas.dsyrk(1.0, g))
+            if p.size:
                 wfw = t @ tft @ t
                 spd = 2.0 * (wfw[:, self.c, self.r] * v).real
-                schur[_sub(p, d)] += spd.T
-                schur[_sub(d, p)] += spd
+                schur[np.ix_(p, d)] += spd.T
+                schur[np.ix_(d, p)] += spd
 
 
 class _LpCone:
@@ -288,7 +272,6 @@ class _LpCone:
         self.f0 = f0
         self.cols = np.flatnonzero(np.any(f != 0.0, axis=0))
         self.f = f[:, self.cols]
-        self.run = _run(self.cols)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.f @ y[self.cols]
@@ -297,7 +280,7 @@ class _LpCone:
         """Add sum_k w2_k F[k, i] F[k, j] over the touched columns."""
         if self.f.size:
             g = self.f * np.sqrt(w2)[:, None]
-            schur[_sub(self.run, self.run)] += _mirror_upper(
+            schur[np.ix_(self.cols, self.cols)] += _mirror_upper(
                 scipy.linalg.blas.dsyrk(1.0, g, trans=1)
             )
 

@@ -336,7 +336,8 @@ def _column_zoo(rng, n, hermitian):
 def test_structured_schur_matches_dense(hermitian, shuffled):
     # the class-wise Schur complement equals G G^T, G the real view of
     # T Fj T, and the real-view apply equals the tensordot it replaces;
-    # columns of one class come in contiguous runs or shuffled
+    # columns of one class come in contiguous runs, as in the witness
+    # program, or shuffled
     rng = np.random.default_rng(61)
     n = 5
     zoo = [col for _ in range(4) for col in _column_zoo(rng, n, hermitian)]
@@ -383,3 +384,19 @@ def test_structured_schur_lp_rows_use_touched_columns():
         y = rng.normal(size=m)
         assert np.max(np.abs(lp.apply(y) - f @ y)) <= 1e-14 * np.max(np.abs(f @ y))
 
+
+
+@pytest.mark.parametrize("size", [3, 1], ids=["matrix", "scalar"])
+def test_constant_block_leaves_solution_unchanged(size):
+    # a block on which every Fj vanishes only asks F0 >= 0; with F0 = I the
+    # program's optimum is that of the program without the block
+    rng = np.random.default_rng(73)
+    c, blocks, _, _ = _random_program(rng, hermitian=True)
+    const = (np.eye(size), np.zeros((len(c), size, size)))
+    prog = sdp.ConicProgram(c, blocks + [const])
+    sol = sdp.solve(prog)
+    ref = sdp.solve(sdp.ConicProgram(c, blocks))
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.objective_value - ref.objective_value) < 1e-6
+    report = sdp.verify_solution(prog, sol)
+    assert report["psd_ok"] and report["weak_duality_ok"]
