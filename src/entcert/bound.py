@@ -275,7 +275,8 @@ def _witness_program(
     near-null combinations; per-column scaling inside the solver cannot see
     them, but in the Gram eigenbasis they become ordinary well-scaled
     directions.  Exactly dependent combinations carry no constraint at all
-    and are dropped so they cannot wander.
+    and are dropped so they cannot wander, and at most n^2 directions are
+    kept, the real dimension of the n x n Hermitian operators.
     """
     if not measurements.includes_identity:
         raise ValueError("witness program needs the identity measurement")
@@ -291,7 +292,13 @@ def _witness_program(
     basis_pt = fock.partial_transpose_array(basis, d1, d2)
 
     vecs, sig = _gram_rotation(mats)
-    rot = vecs[:, sig > null_cut * sig.max()]
+    keep = sig > null_cut * sig.max()
+    # mutually orthogonal combinations past the nh largest are roundoff,
+    # whatever their measured norm; one kept would make block A's columns
+    # dependent and leave the objective along the dependence to roundoff
+    if np.count_nonzero(keep) > nh:
+        keep &= sig >= np.sort(sig)[-nh]
+    rot = vecs[:, keep]
     nk = rot.shape[1]
 
     idx_id = measurements.identity_index

@@ -410,6 +410,49 @@ def test_weak_duality_violation_reported_at_cli_table_point(monkeypatch):
     assert violation == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def _criterion_8_first_measurements():
+    """The full measurement set of the first configuration drawn by
+    tests/test_acceptance.py::test_criterion_8_soundness_suite: n_max = 1,
+    a random state and 65 click moments at two LO phases."""
+    rng = np.random.default_rng(88)
+    state = fock.TruncatedState(HilbertSpec((1, 1)), random_density(rng, 4))
+    alpha, refl, eta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 0.9), rng.uniform(0.05, 0.3)
+    phases = (0.0, rng.uniform(0.8, 2.3))
+    tmd = TmdConfig(8, eta)
+    det = DetectorConfig(alpha, 0.0, refl, tmd, tmd)
+    ops = build_measurements(det, det, phases=phases, signal_cutoff=1)
+    return MeasurementSet(ops, simulate_expectations(state, ops))
+
+
+def test_witness_directions_capped_at_operator_dimension(monkeypatch):
+    # the 65 operators span the 16 real dimensions of 4 x 4 Hermitian
+    # matrices, yet the relative null cut alone keeps a 17th Gram direction
+    # of norm ~5e-10; that one is roundoff, block A's columns are dependent
+    # along it, and the objective's slope there is roundoff as well, so the
+    # first rung used to end infeasible ("objective diverges").  With 16
+    # directions the first rung is optimal and the ladder keeps it.
+    ms = _criterion_8_first_measurements()
+    _, sig = bound._gram_rotation(np.array([op.matrix for op in ms.operators]))
+    assert np.count_nonzero(sig > bound.GRAM_NULL_CUT * sig.max()) == 17
+    _, _, _, rot = bound._witness_program(ms, 0.0)
+    assert rot.shape[1] == 16
+    statuses = []
+    original = sdp.solve
+
+    def recording(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    res = lower_bound_negativity(ms)
+    assert statuses == [sdp.STATUS_OPTIMAL]
+    assert res.info["null_cut"] == bound.GRAM_NULL_CUT
+    check = verify_bound(ms, res)
+    assert check["feasible"] and check["bound_matches"]
+    assert res.lower_bound == pytest.approx(0.0621998545, abs=1e-8)
+
+
 def test_error_box_states_rebuild_and_check():
     # the in-box states behind oracles.ERROR_BOX_LN: rebuilt, re-checked by
     # the oracle, accepted by TruncatedState, and matching the frozen LN
