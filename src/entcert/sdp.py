@@ -21,11 +21,17 @@ gives  c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
 The Schur complement Re tr(W Fi W Fj) is assembled from the sparsity of
 the data, following the same paper.  At set-up each block's F columns are
 sorted once into three classes: *zero* (Fj vanishes on the block), *pair*
-(one Hermitian pair of entries v at (r, c) and conj(v) at (c, r), or a
-single real diagonal entry) and *dense* (everything else).  Pair-pair
-entries are O(1) products of entries of W, pair-dense entries are gathered
-from W Fj W, and only the dense-dense block needs the products T Fj T,
-T = W^(1/2).  The diagonal cone uses only the columns its rows touch.
+(one Hermitian pair of entries v at (r, c) and conj(v) at (c, r) with v
+real or imaginary, or a single real diagonal entry) and *dense* (everything
+else).  Each term of a pair-pair entry is then exactly +-|v_i v_j| times
+the real or imaginary part of one entry of K = W (x) W, so set-up turns the
+pairs into gather tables, int32 indices into the real view of K and real
+coefficients, npairs^2 of each and shared between cones whose pairs match
+(the blocks I - H and I + H of the witness program); an iteration forms K
+with one outer product and gathers from it.  Pair-dense entries are
+gathered from W Fj W, and only the dense-dense block needs the products
+T Fj T, T = W^(1/2).  The diagonal cone uses only the columns its rows
+touch.
 Every sum_j y_j Fj is one real product with the real view of the nonzero
 columns, and each Newton direction takes one refinement pass against that
 operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
@@ -161,7 +167,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     tinv = (uw / np.sqrt(tw)) @ uw.conj().T
     v = _herm(t @ s @ t)
     lam, p = _floored_eigh(v)
-    return {"w": w, "t": t, "tinv": tinv, "p": p, "lam": lam}
+    return {"w": w, "t": t, "tinv": tinv, "p": p, "lam": lam, "s_mhalf": s_mhalf}
 
 
 def _lyap_inv(p: np.ndarray, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,10 +176,13 @@ def _lyap_inv(p: np.ndarray, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _herm(p @ (2.0 * bt / (lam[:, None] + lam[None, :])) @ p.conj().T)
 
 
-def _max_step_psd(mat: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest a with mat + a*dmat PSD; mat assumed PD."""
+def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
     w, u = _floored_eigh(mat)
-    mihalf = (u / np.sqrt(w)) @ u.conj().T
+    return (u / np.sqrt(w)) @ u.conj().T
+
+
+def _max_step_psd(mihalf: np.ndarray, dmat: np.ndarray) -> float:
+    """Largest a with mat + a*dmat PSD, given mihalf = mat^(-1/2) of a PD mat."""
     lmin = np.linalg.eigvalsh(_herm(mihalf @ dmat @ mihalf))[0]
     if lmin >= 0.0:
         return np.inf
@@ -192,9 +201,46 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return np.triu(a) + np.triu(a, 1).T
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """a[rows][:, cols]; taking the few columns first is the fast order."""
-    return np.take(a[:, cols], rows, axis=0)
+# W (x) W entries below which pair columns are always tabulated (1 MB)
+_PAIR_TABLE_FLOOR = 2**16
+
+
+def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: dict):
+    """Gather indices and coefficients of the pair-pair Schur entries.
+
+    With every v real or imaginary, each term of the pair-pair entry is
+    exactly +-|v_i| |v_j| times the real or the imaginary part of one entry
+    of K = W (x) W:  v_i v_j W[c_i,r_j] W[c_j,r_i] is K[c_i,r_j,c_j,r_i] and
+    v_i conj(v_j) W[c_i,c_j] W[r_j,r_i] is K[c_i,c_j,r_j,r_i].  Returns
+    (index, coef), both shaped (2, npairs, npairs): index into the flat
+    real view of K (int32) and the signed coefficient of each term, so the
+    real parts of the two terms are coef * rv(K)[index], rounded as the
+    complex products are.  The entries are even in v, so cones whose pairs
+    match up to the sign of v share one set of tables, kept in `tables`.
+    """
+    key = (n, r.tobytes(), c.tobytes())
+    for v0, found in tables.get(key, ()):
+        if np.array_equal(v, v0) or np.array_equal(v, -v0):
+            return found
+    im = v.imag != 0.0
+    a = np.where(im, v.imag, v.real)
+    # v_i v_j is -|v_i v_j| when both are imaginary and picks Im K with a
+    # sign flip, Re(i x K) = -x Im K, when one is; v_i conj(v_j) is positive
+    # for two imaginaries and gives -Im K or +Im K as v_i or v_j is the
+    # imaginary one
+    mixed = im[:, None] ^ im[None, :]
+    sign1 = np.where(im[:, None] | im[None, :], -1.0, 1.0)
+    sign2 = np.where(im[:, None] & ~im[None, :], -1.0, 1.0)
+    mag = np.outer(a, a)
+    coef = np.array([sign1 * mag, sign2 * mag])
+    row = c * n**3 + r
+    flat = np.array([row[:, None] + (r * n**2 + c * n)[None, :],
+                     row[:, None] + (c * n**2 + r * n)[None, :]])
+    if np.iscomplexobj(v):
+        flat = 2 * flat + mixed
+    found = (flat.astype(np.int32), coef)
+    tables.setdefault(key, []).append((v, found))
+    return found
 
 
 class _MatrixCone:
@@ -202,12 +248,14 @@ class _MatrixCone:
     nonzero pattern of the data.
 
     A column is *zero* when Fj vanishes on the block, a *pair* when
-    Fj = v E_rc + conj(v) E_cr (a single real diagonal entry d is the case
-    r = c, v = d/2), and *dense* otherwise.  Zero columns drop out of every
-    product; the Schur entries of pairs are products of entries of W.
+    Fj = v E_rc + conj(v) E_cr with v real or imaginary (a single real
+    diagonal entry d is the case r = c, v = d/2), and *dense* otherwise.
+    Zero columns drop out of every product; the Schur entries of pairs are
+    gathered from the real view of W (x) W through the tables of
+    _pair_tables, shared between cones whose pairs match.
     """
 
-    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray):
+    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray, tables: dict):
         m, n, _ = fs.shape
         self.index = index
         self.f0 = f0
@@ -215,17 +263,24 @@ class _MatrixCone:
         count = np.count_nonzero(nonzero, axis=1)
         # first nonzero in row-major order: the upper entry of a pair
         r, c = np.divmod(np.argmax(nonzero, axis=1), n)
+        v = fs[np.arange(m), r, c]
         is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
+        is_pair &= (v.real == 0.0) | (v.imag == 0.0)
+        # W (x) W has n^4 entries; where that dwarfs the pair block (few
+        # pairs on a large block) the pairs are cheaper as dense columns
+        if n**4 > max(4 * np.count_nonzero(is_pair) ** 2, _PAIR_TABLE_FLOOR):
+            is_pair[:] = False
         self.cols = np.flatnonzero(count)
         # real view of the nonzero columns, (len(cols), n*n*[1 or 2])
         self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(f0).size)
         self.pairs = np.flatnonzero(is_pair)
         self.r = r[self.pairs]
         self.c = c[self.pairs]
-        v = fs[self.pairs, self.r, self.c]
-        self.v = np.where(self.r == self.c, 0.5 * v, v)
+        self.v = np.where(self.r == self.c, 0.5 * v[self.pairs], v[self.pairs])
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
         self.fs_dense = fs[self.dense]
+        if self.pairs.size:
+            self.pp_index, self.pp_coef = _pair_tables(n, self.r, self.c, self.v, tables)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j Fj, one real product on the real view."""
@@ -241,17 +296,16 @@ class _MatrixCone:
 
         Pair-pair entries are 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
         + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima & Nakata
-        1997); pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the
-        dense-dense block is G G^T with G the real view of T Fj T.
+        1997), gathered from W (x) W; pair-dense entries are
+        2 Re(v_i (W Fj W)[c_i,r_i]); the dense-dense block is G G^T with G
+        the real view of T Fj T.
         """
         p, d, v = self.pairs, self.dense, self.v
         if p.size:
-            a = _gather(w, self.c, self.r)
-            b = _gather(w, self.c, self.c) * _gather(w.conj(), self.r, self.r)
-            spp = (np.outer(v, v) * (a * a.T)).real + (np.outer(v, v.conj()) * b).real
+            terms = self.pp_coef * _rv(np.multiply.outer(w, w)).reshape(-1)[self.pp_index]
+            spp = terms[0] + terms[1]
             # spp is half of each entry and symmetric in exact arithmetic;
-            # spp + spp.T doubles it and stays symmetric bit for bit, however
-            # the complex products were rounded
+            # spp + spp.T doubles it and stays symmetric bit for bit
             schur[np.ix_(p, p)] += spp + spp.T
         if d.size:
             tft = t @ self.fs_dense @ t
@@ -331,7 +385,10 @@ def solve(
     dvec = 1.0 / np.sqrt(np.maximum(nrm2, 1e-16))
     dvec = np.minimum(dvec, 1e8)
     c = program.objective * dvec
-    cones = [_MatrixCone(k, f0, fs * dvec[:, None, None]) for k, f0, fs in matrix_blocks]
+    tables = {}
+    cones = [
+        _MatrixCone(k, f0, fs * dvec[:, None, None], tables) for k, f0, fs in matrix_blocks
+    ]
     lp = _LpCone(lp_f0, lp_f * dvec[None, :])
     nlp = len(lp_index)
     ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
@@ -456,6 +513,9 @@ def solve(
             # NT scalings, Schur complement, factorization (shared by both
             # predictor and corrector)
             scals = [_nt_scaling(xb, sb) for xb, sb in zip(xs, ss)]
+            # inverse square roots for the step lengths; S's comes with
+            # its NT scaling
+            x_mhalf = [_inv_sqrt(xb) for xb in xs]
             wlp = np.sqrt(xlp / slp)
             vlp = np.sqrt(xlp * slp)
 
@@ -510,9 +570,9 @@ def solve(
             def _steps(dxs, dss, dxlp, dslp):
                 ap = _max_step_pos(xlp, dxlp)
                 ad = _max_step_pos(slp, dslp)
-                for xb, sb, dxb, dsb in zip(xs, ss, dxs, dss):
-                    ap = min(ap, _max_step_psd(xb, dxb))
-                    ad = min(ad, _max_step_psd(sb, dsb))
+                for xmh, sc, dxb, dsb in zip(x_mhalf, scals, dxs, dss):
+                    ap = min(ap, _max_step_psd(xmh, dxb))
+                    ad = min(ad, _max_step_psd(sc["s_mhalf"], dsb))
                 return ap, ad
 
             # predictor: aim straight at the boundary (sigma = 0, E = -V)

@@ -226,6 +226,26 @@ def cutting_plane_maximize(c, blocks, box=10.0, tol=1e-8, max_cuts=4000,
 
 
 # ---------------------------------------------------------------------------
+# Schur complement oracle: the pair-pair entries of Re tr(W Fi W Fj) for
+# Fi = v_i E_{r_i c_i} + conj(v_i) E_{c_i r_i}, evaluated in complex
+# arithmetic from gathered entries of W, as the solver did before it
+# gathered them from W (x) W
+
+
+def pair_schur_block(w, r, c, v) -> np.ndarray:
+    """Entries 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j] + v_i conj(v_j) W[r_j,r_i]
+    W[c_i,c_j]] (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997) for the
+    pairs (r, c, v), a diagonal entry d carried as r = c and v = d/2.  Each
+    entry is summed as half plus its transpose, so the block is symmetric
+    bit for bit."""
+    v = np.asarray(v)
+    a = w[c[:, None], r[None, :]]
+    b = w[c[:, None], c[None, :]] * w.conj()[r[:, None], r[None, :]]
+    half = (np.outer(v, v) * (a * a.T)).real + (np.outer(v, v.conj()) * b).real
+    return half + half.T
+
+
+# ---------------------------------------------------------------------------
 # error-box oracle: physical states whose moments lie inside the relative
 # error box of a data vector
 #

@@ -300,8 +300,9 @@ def _rv(a):
 
 
 def _column_zoo(rng, n, hermitian):
-    """(class, Fj) for every column class: zero, single diagonal entry, real,
-    imaginary and general pairs, two diagonal entries and dense matrices."""
+    """(class, Fj) for every column class: zero, single diagonal entry, real
+    and imaginary pairs, general pairs, two diagonal entries and dense
+    matrices."""
     dtype = complex if hermitian else float
 
     def pair(p, q, v):
@@ -326,7 +327,9 @@ def _column_zoo(rng, n, hermitian):
     if hermitian:
         zoo += [
             ("pair", pair(1, 3, 1j * rng.normal())),
-            ("pair", pair(3, 0, rng.normal() + 1j * rng.normal())),
+            # a general v is dense: its pair entries would not be signed
+            # real or imaginary parts of single W (x) W entries
+            ("dense", pair(3, 0, rng.normal() + 1j * rng.normal())),
         ]
     return zoo
 
@@ -345,7 +348,7 @@ def test_structured_schur_matches_dense(hermitian, shuffled):
     kinds = np.array([zoo[i][0] for i in order])
     fs = np.array([zoo[i][1] for i in order])
     m = len(fs)
-    cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs)
+    cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {})
     assert np.array_equal(cone.pairs, np.flatnonzero(kinds == "pair"))
     assert np.array_equal(cone.dense, np.flatnonzero(kinds == "dense"))
     assert np.array_equal(cone.cols, np.flatnonzero(kinds != "zero"))
@@ -364,6 +367,55 @@ def test_structured_schur_matches_dense(hermitian, shuffled):
     y = rng.normal(size=m)
     applied = np.tensordot(y, fs, axes=(0, 0))
     assert np.max(np.abs(cone.apply(y) - applied)) <= 1e-14 * np.max(np.abs(applied))
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("program", ["witness", "witness-scaled", "reconcile"])
+def test_pair_tables_match_oracle(program, hermitian):
+    # the pair-pair block gathered from W (x) W equals the complex per-entry
+    # formula bit for bit on the columns of the witness program's blocks
+    # H^T1 - sum nu_i M_i, I + H and I - H (unscaled, and Jacobi-scaled as
+    # the solver scales them) and of the reconcile fit's state block
+    rng = np.random.default_rng(79)
+    d1, d2 = 2, 3
+    n = d1 * d2
+    basis = bound._hermitian_basis(n)
+    if program == "reconcile":
+        blocks = [-bound._unit_trace_basis(n)[1]]
+    else:
+        herm = _random_hermitian if hermitian else lambda rng, n: _sym(rng.normal(size=(n, n)))
+        dense = np.array([herm(rng, n) for _ in range(3)], dtype=complex)
+        zeros = np.zeros_like(dense)
+        blocks = [
+            np.concatenate([-oracles._partial_transpose_first(basis, d1, d2), dense]),
+            np.concatenate([basis, zeros]),
+            np.concatenate([-basis, zeros]),
+        ]
+    if not hermitian:
+        real = np.all([np.all(fs.imag == 0.0, axis=(1, 2)) for fs in blocks], axis=0)
+        blocks = [fs[real].real for fs in blocks]
+    m = len(blocks[0])
+    if program == "witness-scaled":
+        dvec = rng.uniform(0.1, 10.0, size=m)
+        blocks = [fs * dvec[:, None, None] for fs in blocks]
+
+    tables = {}
+    cones = [sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, tables) for k, fs in enumerate(blocks)]
+    a = _random_hermitian(rng, n) if hermitian else rng.normal(size=(n, n))
+    lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
+    w = _herm((u * lam) @ u.conj().T)
+    t = (u * np.sqrt(lam)) @ u.conj().T
+    off_diagonal = n * n - n if hermitian else (n * n - n) // 2
+    for cone in cones:
+        p = cone.pairs
+        assert p.size == (off_diagonal if program == "reconcile" else off_diagonal + n)
+        schur = np.zeros((m, m))
+        cone.add_schur(schur, w, t)
+        assert np.array_equal(schur[np.ix_(p, p)], oracles.pair_schur_block(w, cone.r, cone.c, cone.v))
+    if program != "reconcile":
+        # I + H and I - H carry the same pairs with opposite signs
+        assert cones[2].pp_index is cones[1].pp_index and cones[2].pp_coef is cones[1].pp_coef
+        assert cones[0].pp_index is not cones[1].pp_index
 
 
 def test_structured_schur_lp_rows_use_touched_columns():
