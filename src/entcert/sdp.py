@@ -31,11 +31,19 @@ coefficients, npairs^2 of each and shared between cones whose pairs match
 with one outer product and gathers from it.  Pair-dense entries are
 gathered from W Fj W, and only the dense-dense block needs the products
 T Fj T, T = W^(1/2).  The diagonal cone uses only the columns its rows
-touch.
-Every sum_j y_j Fj is one real product with the real view of the nonzero
-columns, and each Newton direction takes one refinement pass against that
-operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
-assembled matrix.
+touch.  Every sum_j y_j Fj is one real product with the real view of the
+nonzero columns, and each Newton direction takes one refinement pass
+against that operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than
+against the assembled matrix.
+
+The iteration keeps to numpy's BLAS runtime.  The numpy and scipy wheels
+each bundle their own OpenBLAS, each with worker threads that spin while
+they wait for work, so a loop that alternates between the two keeps both
+pools spinning on the same cores.  The Schur complement is therefore
+factored by np.linalg.cholesky, and its dense products are numpy matmuls
+G G^T and G^T G, which numpy hands to syrk and returns symmetric bit for
+bit.  Only the triangular solves go through scipy.linalg.cho_solve: with
+one right-hand side they run on the calling thread and wake no worker.
 """
 
 from dataclasses import dataclass, field
@@ -196,11 +204,6 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from the upper triangle of a."""
-    return np.triu(a) + np.triu(a, 1).T
-
-
 # W (x) W entries below which pair columns are always tabulated (1 MB)
 _PAIR_TABLE_FLOOR = 2**16
 
@@ -310,7 +313,7 @@ class _MatrixCone:
         if d.size:
             tft = t @ self.fs_dense @ t
             g = _rv(tft).reshape(d.size, -1)
-            schur[np.ix_(d, d)] += _mirror_upper(scipy.linalg.blas.dsyrk(1.0, g))
+            schur[np.ix_(d, d)] += g @ g.T
             if p.size:
                 wfw = t @ tft @ t
                 spd = 2.0 * (wfw[:, self.c, self.r] * v).real
@@ -334,9 +337,7 @@ class _LpCone:
         """Add sum_k w2_k F[k, i] F[k, j] over the touched columns."""
         if self.f.size:
             g = self.f * np.sqrt(w2)[:, None]
-            schur[np.ix_(self.cols, self.cols)] += _mirror_upper(
-                scipy.linalg.blas.dsyrk(1.0, g, trans=1)
-            )
+            schur[np.ix_(self.cols, self.cols)] += g.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +533,9 @@ def solve(
             ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
             for attempt in range(4):
                 try:
-                    cho = scipy.linalg.cho_factor(schur)
+                    cho = (np.linalg.cholesky(schur, upper=True), False)
                     break
-                except scipy.linalg.LinAlgError:
+                except np.linalg.LinAlgError:
                     ridge_retries += 1
                     schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
             if cho is None:

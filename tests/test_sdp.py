@@ -418,6 +418,25 @@ def test_pair_tables_match_oracle(program, hermitian):
         assert cones[0].pp_index is not cones[1].pp_index
 
 
+def test_few_pairs_on_a_large_block_are_dense():
+    # n single diagonal entries on an n x n block: W (x) W would have n^4
+    # entries against n^2 in the pair block, so the columns go dense
+    n = 20
+    fs = np.zeros((n, n, n))
+    fs[np.arange(n), np.arange(n), np.arange(n)] = np.arange(1.0, n + 1)
+    cone = sdp._MatrixCone(0, np.eye(n), fs, {})
+    assert cone.pairs.size == 0 and np.array_equal(cone.dense, np.arange(n))
+    rng = np.random.default_rng(83)
+    a = rng.normal(size=(n, n))
+    lam, u = np.linalg.eigh(a @ a.T + 0.1 * np.eye(n))
+    w = (u * lam) @ u.T
+    schur = np.zeros((n, n))
+    cone.add_schur(schur, w, (u * np.sqrt(lam)) @ u.T)
+    d = np.arange(1.0, n + 1)
+    ref = np.outer(d, d) * w * w
+    assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_structured_schur_lp_rows_use_touched_columns():
     rng = np.random.default_rng(67)
     m, k = 9, 6
