@@ -228,8 +228,8 @@ def cutting_plane_maximize(c, blocks, box=10.0, tol=1e-8, max_cuts=4000,
 # ---------------------------------------------------------------------------
 # Schur complement oracle: the pair-pair entries of Re tr(W Fi W Fj) for
 # Fi = v_i E_{r_i c_i} + conj(v_i) E_{c_i r_i}, evaluated in complex
-# arithmetic from gathered entries of W, as the solver did before it
-# gathered them from W (x) W
+# arithmetic from gathered entries of W rather than from the real view of
+# W (x) W that the solver gathers from
 
 
 def pair_schur_block(w, r, c, v) -> np.ndarray:

@@ -400,7 +400,9 @@ def test_pair_tables_match_oracle(program, hermitian):
         blocks = [fs * dvec[:, None, None] for fs in blocks]
 
     tables = {}
-    cones = [sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, tables) for k, fs in enumerate(blocks)]
+    cones = [
+        sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, tables) for k, fs in enumerate(blocks)
+    ]
     a = _random_hermitian(rng, n) if hermitian else rng.normal(size=(n, n))
     lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
     w = _herm((u * lam) @ u.conj().T)
@@ -411,7 +413,8 @@ def test_pair_tables_match_oracle(program, hermitian):
         assert p.size == (off_diagonal if program == "reconcile" else off_diagonal + n)
         schur = np.zeros((m, m))
         cone.add_schur(schur, w, t)
-        assert np.array_equal(schur[np.ix_(p, p)], oracles.pair_schur_block(w, cone.r, cone.c, cone.v))
+        ref = oracles.pair_schur_block(w, cone.r, cone.c, cone.v)
+        assert np.array_equal(schur[np.ix_(p, p)], ref)
     if program != "reconcile":
         # I + H and I - H carry the same pairs with opposite signs
         assert cones[2].pp_index is cones[1].pp_index and cones[2].pp_coef is cones[1].pp_coef
