@@ -99,7 +99,9 @@ class TruncatedState:
 
     @classmethod
     def _trusted(cls, space: HilbertSpec, matrix: np.ndarray) -> "TruncatedState":
-        # Bypass the eigenvalue check for matrices PSD by construction.
+        # Skip validate() (shape, Hermiticity, trace and eigenvalues) for
+        # matrices that are valid states by construction; exact_log_negativity
+        # re-checks Hermiticity and finiteness itself.
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "matrix", _freeze(np.asarray(matrix, dtype=complex)))

@@ -129,9 +129,53 @@ def test_cut_choice_symmetric():
     assert abs(r0 - r1) < 1e-12
 
 
+def _trusted_variant(state, entries):
+    """The state's matrix with the given {(i, j): value} entries set,
+    wrapped without validation."""
+    mat = state.matrix.copy()
+    for (i, j), value in entries.items():
+        mat[i, j] = value
+    return TruncatedState._trusted(state.space, mat)
+
+
+def test_matches_dense_oracle_bit_for_bit():
+    rng = np.random.default_rng(17)
+    states = [_permuted_block_state(rng, c)[0] for c in ((3, 4), (5, 2), (6, 6))]
+    states += [_dense_random_state(rng, c) for c in ((2, 3), (4, 1), (3, 6))]
+    states.append(fock.two_mode_squeezed(SqueezedParams(0.3, 30)))
+    states.append(fock.photon_subtracted_ideal(SqueezedParams(0.2, 3), 0.95))
+    tmsv = fock.two_mode_squeezed(SqueezedParams(0.2, 3))
+    # one-sided entries within TOL_HERM: m_ij != 0, m_ji = 0
+    states.append(_trusted_variant(tmsv, {(1, 2): 4e-11, (7, 12): -3e-11j}))
+    # a pair whose Hermitian part is exactly 0, between two blocks: it must
+    # not join them
+    m = states[0].matrix
+    i, j = np.argwhere((m == 0) & (m.T == 0))[0]
+    states.append(_trusted_variant(states[0], {(i, j): 1e-12j, (j, i): 1e-12j}))
+    for state in states:
+        d1, d2 = state.space.dims
+        for cut in (0, 1):
+            res = exact_log_negativity(state, cut)
+            ln, trace_norm, negs = oracles.dense_exact_log_negativity(state.matrix, d1, d2, cut)
+            assert res.log_negativity == ln
+            assert res.trace_norm == trace_norm
+            assert res.negative_eigenvalues == negs
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+def test_non_finite_rejected(value):
+    # unchecked, NaN read as log_negativity 0 and inf as log_negativity inf
+    tmsv = fock.two_mode_squeezed(SqueezedParams(0.2, 3))
+    for entries in ({(0, 0): value}, {(1, 4): value, (4, 1): value}):
+        with pytest.raises(ValueError, match="non-finite"):
+            exact_log_negativity(_trusted_variant(tmsv, entries))
+
+
 def test_non_hermitian_rejected():
-    bad = TruncatedState._trusted(HilbertSpec((1, 1)), np.triu(np.ones((4, 4))) / 2.5)
-    with pytest.raises(ValueError):
+    mat = np.triu(np.ones((4, 4))) / 2.5
+    bad = TruncatedState._trusted(HilbertSpec((1, 1)), mat)
+    dense = np.max(np.abs(mat - mat.conj().T))
+    with pytest.raises(ValueError, match=f"not Hermitian: deviation {dense:.3e}"):
         exact_log_negativity(bad)
 
 
