@@ -75,13 +75,13 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     each connected component of its nonzero pattern is diagonalized on its
     own (for U(1)-symmetric states these are photon-number sectors).
 
-    Only rho's nonzero entries and their mirror entries are read: where
-    both vanish, so do rho - rho† and the Hermitian part.  The Hermiticity
-    deviation and the nonzero pattern come from those entries, the pattern
-    is moved to partial-transpose coordinates, and each component's block
-    is gathered from rho through the same index map, so no dense copy of
-    rho†, the Hermitian part or the partial transpose is formed.  Raises
-    ValueError for a non-finite entry or a deviation above TOL_HERM.
+    The Hermiticity deviation and the nonzero pattern are read from rho's
+    nonzero entries and their mirror entries alone: where both vanish, so
+    do rho - rho† and the Hermitian part.  The pattern is moved to
+    partial-transpose coordinates, and each component's block is gathered
+    from rho through the same index map, so no dense copy of rho†, the
+    Hermitian part or the partial transpose is formed.  Raises ValueError
+    for a non-finite entry or a deviation above TOL_HERM.
     """
     if state.space.n_modes != 2:
         raise ValueError("bipartite state expected")

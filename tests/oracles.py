@@ -20,6 +20,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.csgraph
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +288,6 @@ def dense_exact_log_negativity(rho, d1: int, d2: int, cut: int = 0):
     components ordered by smallest member.  The blocks are the arrays
     entcert.negativity.exact_log_negativity diagonalizes, so its results
     must agree bit for bit."""
-    import scipy.sparse
-    import scipy.sparse.csgraph
-
     rho = np.asarray(rho)
     t = (0.5 * (rho + rho.conj().T)).reshape(d1, d2, d1, d2)
     t = np.swapaxes(t, 0, 2) if cut == 0 else np.swapaxes(t, 1, 3)
