@@ -42,10 +42,10 @@ class MeasurementSet:
     """Bipartite measurement operators paired with their expectation values.
 
     The identity operator with expectation 1 anchors the witness program; it
-    must appear exactly once when includes_identity is set.
+    must appear exactly once.
     """
 
-    def __init__(self, operators, expectations, includes_identity=True):
+    def __init__(self, operators, expectations):
         operators = list(operators)
         expectations = np.asarray(expectations, dtype=float).reshape(-1)
         if len(operators) != expectations.size:
@@ -70,19 +70,13 @@ class MeasurementSet:
                 identity_hits.append(k)
         if np.min(expectations) < -1e-10 or np.max(expectations) > 1.0 + 1e-10:
             raise ValueError("expectations outside [0, 1]")
+        if len(identity_hits) != 1:
+            raise ValueError("identity operator must appear exactly once")
         self.operators = operators
         self.expectations = np.clip(expectations, 0.0, 1.0)
-        self.includes_identity = bool(includes_identity)
-        if self.includes_identity:
-            if len(identity_hits) != 1:
-                raise ValueError("identity operator must appear exactly once")
-            self.identity_index = identity_hits[0]
-            if abs(self.expectations[self.identity_index] - 1.0) > 1e-10:
-                raise ValueError("identity expectation must be 1")
-        else:
-            if identity_hits:
-                raise ValueError("unexpected identity operator present")
-            self.identity_index = None
+        self.identity_index = identity_hits[0]
+        if abs(self.expectations[self.identity_index] - 1.0) > 1e-10:
+            raise ValueError("identity expectation must be 1")
 
     def __len__(self):
         return len(self.operators)
@@ -190,9 +184,8 @@ def build_measurements(
     return out
 
 
-def simulate_expectations(state: TruncatedState, measurements) -> np.ndarray:
-    """m_i = Tr(rho M_i), clamped to [0, 1]."""
-    ops = measurements.operators if isinstance(measurements, MeasurementSet) else measurements
+def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:
+    """m_i = Tr(rho M_i) for a list of operators, clamped to [0, 1]."""
     vals = np.empty(len(ops))
     for k, op in enumerate(ops):
         if op.space.cutoffs != state.space.cutoffs:
@@ -257,6 +250,32 @@ def _gram_rotation(mats: np.ndarray):
     return vecs, sig
 
 
+def _boxed(measurements: MeasurementSet) -> list:
+    """Indices of the data that carry an error box: every nonzero datum
+    except the identity's, which is exact."""
+    mvec = measurements.expectations
+    return [i for i in range(len(mvec)) if i != measurements.identity_index and mvec[i] > 0.0]
+
+
+def _min_slack(h, nu, mats, d1, d2) -> float:
+    """Least eigenvalue of H^{T1} - sum_i nu_i M_i."""
+    g = fock.partial_transpose_array(h, d1, d2) - np.tensordot(nu, mats, axes=(0, 0))
+    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
+
+
+def _certified_objective(nu, mvec, epsilon, boxed):
+    """Worst-case linear objective over the error box and its clamped log2.
+
+    Returns (linear, bound): linear = sum_i nu_i m_i - epsilon sum_{i boxed}
+    |nu_i| m_i, and bound = log2(linear) clamped below at 0 (0 as well when
+    linear <= 0, a degenerate witness).
+    """
+    linear = float(nu @ mvec)
+    if epsilon > 0.0:
+        linear -= epsilon * float(np.sum(np.abs(nu[boxed]) * mvec[boxed]))
+    return linear, 0.0 if linear <= 0.0 else max(0.0, math.log2(linear))
+
+
 def _witness_program(
     measurements: MeasurementSet, epsilon: float, null_cut: float = GRAM_NULL_CUT
 ):
@@ -278,13 +297,10 @@ def _witness_program(
     and are dropped so they cannot wander, and at most n^2 directions are
     kept, the real dimension of the n x n Hermitian operators.
     """
-    if not measurements.includes_identity:
-        raise ValueError("witness program needs the identity measurement")
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
     n = space.dim
     nh = n * n
-    nm = len(measurements)
     mats = np.array([op.matrix for op in measurements.operators])
     mvec = measurements.expectations
 
@@ -301,11 +317,7 @@ def _witness_program(
     rot = vecs[:, keep]
     nk = rot.shape[1]
 
-    idx_id = measurements.identity_index
-    if epsilon > 0.0:
-        t_for = [i for i in range(nm) if i != idx_id and mvec[i] > 0.0]
-    else:
-        t_for = []
+    t_for = _boxed(measurements) if epsilon > 0.0 else []
     nt = len(t_for)
     nvar = nh + nk + nt
 
@@ -356,15 +368,13 @@ def _polish_witness(h, nu, mats, identity_index, d1, d2):
     s = max(1.0, norm)
     h = h / s
     nu = (nu / s).copy()
-    hpt = fock.partial_transpose_array(h, d1, d2)
     fro = np.sqrt(
         np.einsum("iab,iab->i", mats.real, mats.real)
         + np.einsum("iab,iab->i", mats.imag, mats.imag)
     )
     shift_total = 0.0
     for _ in range(8):
-        g = hpt - np.tensordot(nu, mats, axes=(0, 0))
-        lmin = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
+        lmin = _min_slack(h, nu, mats, d1, d2)
         margin = np.finfo(float).eps * float(np.abs(nu) @ fro + 1.0)
         if lmin >= margin:
             break
@@ -386,20 +396,14 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
     h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
 
-    linear = float(nu @ mvec)
-    if epsilon > 0.0:
-        linear -= epsilon * float(
-            np.sum(np.abs(nu[list(t_for)]) * mvec[list(t_for)])
-        )
-    degenerate = linear <= 0.0
-    bound = 0.0 if degenerate else max(0.0, math.log2(linear))
+    linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
         multipliers=nu,
         solver_status=sol.status,
         error_budget=epsilon,
-        degenerate=degenerate,
+        degenerate=linear <= 0.0,
         linear_objective=linear,
         info={
             "iterations": sol.iterations,
@@ -435,17 +439,22 @@ _CUT_LADDER = (GRAM_NULL_CUT, 1e-8, 1e-6)
 # is tried
 _CERT_LOSS_TOL = 1e-4
 
+# relative duality gap at which a witness solve stops
+_WITNESS_GAP_TOL = 1e-7
 
-def _solve_witness(measurements, epsilon, gap_tol, max_iter) -> BoundResult:
+
+def _solve_witness(measurements, epsilon) -> BoundResult:
     best = None
     for cut in _CUT_LADDER:
         program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
-        sol = sdp.solve(program, gap_tol=gap_tol, max_iter=max_iter)
+        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
         res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
         res.info["null_cut"] = cut
         if best is None or res.linear_objective > best.linear_objective:
             best = res
-        loss_tol = {sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: gap_tol}.get(sol.status)
+        loss_tol = {
+            sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: _WITNESS_GAP_TOL
+        }.get(sol.status)
         if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
             1.0 + abs(sol.objective_value)
         ):
@@ -453,9 +462,7 @@ def _solve_witness(measurements, epsilon, gap_tol, max_iter) -> BoundResult:
     return best
 
 
-def lower_bound_negativity(
-    measurements: MeasurementSet, gap_tol: float = 1e-7, max_iter: int = 200
-) -> BoundResult:
+def lower_bound_negativity(measurements: MeasurementSet) -> BoundResult:
     """Best certified lower bound from exact expectation values.
 
     Maximizes the linear objective sum nu_i m_i over feasible witnesses and
@@ -463,15 +470,10 @@ def lower_bound_negativity(
     transpose is never below 1).  The returned (H, nu) are polished to be
     feasible on their own, so the bound does not rely on solver internals.
     """
-    return _solve_witness(measurements, 0.0, gap_tol, max_iter)
+    return _solve_witness(measurements, 0.0)
 
 
-def lower_bound_negativity_robust(
-    measurements: MeasurementSet,
-    epsilon: float,
-    gap_tol: float = 1e-7,
-    max_iter: int = 200,
-) -> BoundResult:
+def lower_bound_negativity_robust(measurements: MeasurementSet, epsilon: float) -> BoundResult:
     """Worst-case bound when each datum n_i may err by a relative epsilon.
 
     Maximizes sum_i nu_i n_i - epsilon sum_i |nu_i| n_i, valid for any true
@@ -481,43 +483,32 @@ def lower_bound_negativity_robust(
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     if epsilon == 0.0:
-        return lower_bound_negativity(measurements, gap_tol=gap_tol, max_iter=max_iter)
-    return _solve_witness(measurements, epsilon, gap_tol, max_iter)
+        return lower_bound_negativity(measurements)
+    return _solve_witness(measurements, epsilon)
 
 
-def verify_bound(measurements: MeasurementSet, result: BoundResult, psd_tol: float = TOL_PSD):
+def verify_bound(measurements: MeasurementSet, result: BoundResult):
     """Re-check the witness inequalities and objective from scratch."""
-    space = measurements.space
-    d1, d2 = (c + 1 for c in space.cutoffs)
+    d1, d2 = (c + 1 for c in measurements.space.cutoffs)
     h = result.witness_H
     nu = result.multipliers
     mats = np.array([op.matrix for op in measurements.operators])
-    hpt = fock.partial_transpose_array(h, d1, d2)
-    g = hpt - np.tensordot(nu, mats, axes=(0, 0))
-    eye = np.eye(space.dim)
-    g_min = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
-    h_eigs = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-    linear = float(nu @ measurements.expectations)
-    if result.error_budget > 0.0:
-        mask = np.ones(len(measurements), bool)
-        mask[measurements.identity_index] = False
-        linear -= result.error_budget * float(
-            np.sum(np.abs(nu[mask]) * measurements.expectations[mask])
-        )
-    recomputed = 0.0 if linear <= 0.0 else max(0.0, math.log2(linear))
+    g_min = _min_slack(h, nu, mats, d1, d2)
+    h_norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
+    linear, recomputed = _certified_objective(
+        nu, measurements.expectations, result.error_budget, _boxed(measurements)
+    )
     return {
         "matrix_ineq_min_eig": g_min,
-        "h_norm": float(np.max(np.abs(h_eigs))),
-        "feasible": g_min > -psd_tol and float(np.max(np.abs(h_eigs))) <= 1.0 + psd_tol,
+        "h_norm": h_norm,
+        "feasible": g_min > -TOL_PSD and h_norm <= 1.0 + TOL_PSD,
         "linear_objective": linear,
         "recomputed_bound": recomputed,
         "bound_matches": abs(recomputed - result.lower_bound) < 1e-8,
     }
 
 
-def reconcile_expectations(
-    measurements: MeasurementSet, gap_tol: float = 1e-8, max_iter: int = 200
-):
+def reconcile_expectations(measurements: MeasurementSet):
     """Fit a physical state to the data and return its exact moments.
 
     Data recorded with miscalibrated detectors is in general reproducible by
@@ -581,7 +572,7 @@ def reconcile_expectations(
             frow[nb, 0, 0] = -sig_eff[k]
             blocks.append((sign * target * np.ones((1, 1)), frow))
     program = sdp.ConicProgram(c, blocks)
-    sol = sdp.solve(program, gap_tol=gap_tol, max_iter=max_iter)
+    sol = sdp.solve(program, gap_tol=1e-8)
 
     rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
     rho = 0.5 * (rho + rho.conj().T)
@@ -606,24 +597,25 @@ def reconcile_expectations(
 def apply_phase_noise(det: DetectorConfig, model: PhaseNoiseModel, rng=None):
     """One noise draw for a single detector at its current nominal phase.
 
-    static_calibration returns a DetectorConfig with the perturbed phase;
-    phase_averaged returns the LO mixture as a list of (weight, amplitude)
-    components.  Zero noise returns the configuration unchanged.
+    Returns the LO as a list of (weight, amplitude) components: one
+    component at the perturbed phase for static_calibration, the LO mixture
+    for phase_averaged, and [(1.0, det.lo_alpha)] for zero noise.
     """
     if rng is None:
         rng = np.random.default_rng(model.seed)
     if model.kind == "static_calibration":
         if model.epsilon == 0.0:
-            return det
+            return [(1.0, det.lo_alpha)]
         sign = 1.0 if rng.random() < 0.5 else -1.0
         theta0 = det.lo_phase
         if abs(theta0) < 1e-12:
             theta = sign * model.epsilon / 10.0
         else:
             theta = theta0 * (1.0 + sign * model.epsilon / 10.0)
-        return replace(det, lo_phase=theta)
+        # through DetectorConfig, so the phase is wrapped into [0, 2 pi)
+        return [(1.0, replace(det, lo_phase=theta).lo_alpha)]
     if model.width == 0.0:
-        return det
+        return [(1.0, det.lo_alpha)]
     half = math.sqrt(3.0) * model.width if model.width_is_std else model.width / 2.0
     deltas = rng.uniform(-half, half, model.samples)
     weight = 1.0 / model.samples
@@ -637,10 +629,9 @@ def noisy_bound(
     det2: DetectorConfig,
     model: PhaseNoiseModel,
     *,
-    outcomes: Sequence = DEFAULT_OUTCOMES,
     phases: Sequence[float] = DEFAULT_PHASES,
-    rng=None,
-    nominal_ops=None,
+    rng,
+    nominal_ops,
     robust_epsilon: float = 0.0,
 ) -> BoundResult:
     """One trial: simulate data under noisy detectors, bound with nominal ones.
@@ -649,52 +640,34 @@ def noisy_bound(
     while the witness program is built on the nominal operators, modeling an
     experimenter unaware of the miscalibration.  Each noise draw is an LO
     component list per mode and setting (one component for a static draw),
-    and both kinds build the true operators through the same
-    lo_components1 / lo_components2 call.  The data is first
-    reconciled to the nearest physical moment vector (reconcile_expectations);
-    without that step the mismatch makes the witness program unbounded.
+    passed to build_measurements as lo_components1 / lo_components2.  The
+    data is first reconciled to the nearest physical moment vector
+    (reconcile_expectations); without that step the mismatch makes the
+    witness program unbounded.  info["verified"] records verify_bound's
+    verdict on the reconciled set the bound was certified against.
     """
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     cutoff = state.space.cutoffs[0]
     if state.space.cutoffs[1] != cutoff:
         raise ValueError("expected a symmetric bipartite cutoff")
-    comps1 = [
-        _as_components(apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng))
-        for p in phases
-    ]
-    comps2 = [
-        _as_components(apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng))
-        for p in phases
-    ]
+    comps1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
+    comps2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
     true_ops = build_measurements(
         det1,
         det2,
-        outcomes,
-        phases,
+        phases=phases,
         signal_cutoff=cutoff,
         lo_components1=comps1,
         lo_components2=comps2,
     )
     data = simulate_expectations(state, true_ops)
-    if nominal_ops is None:
-        nominal_ops = build_measurements(det1, det2, outcomes, phases, signal_cutoff=cutoff)
-    ms = MeasurementSet(nominal_ops, data)
-    ms, fit_info = reconcile_expectations(ms)
-    if robust_epsilon > 0.0:
-        result = lower_bound_negativity_robust(ms, robust_epsilon)
-    else:
-        result = lower_bound_negativity(ms)
+    ms, fit_info = reconcile_expectations(MeasurementSet(nominal_ops, data))
+    result = lower_bound_negativity_robust(ms, robust_epsilon)
+    check = verify_bound(ms, result)
     result.info["noise_kind"] = model.kind
     result.info["noise_seed"] = model.seed
     result.info["reconciliation"] = fit_info
+    result.info["verified"] = bool(check["feasible"] and check["bound_matches"])
     return result
-
-
-def _as_components(noisy):
-    if isinstance(noisy, DetectorConfig):
-        return [(1.0, noisy.lo_alpha)]
-    return noisy
 
 
 def noise_trials(
@@ -703,22 +676,19 @@ def noise_trials(
     det2: DetectorConfig,
     model: PhaseNoiseModel,
     trials: int = 20,
-    **kwargs,
+    *,
+    phases: Sequence[float] = DEFAULT_PHASES,
+    robust_epsilon: float = 0.0,
 ):
     """Repeated noise draws sharing one seeded stream; deterministic."""
     rng = np.random.default_rng(model.seed)
     cutoff = state.space.cutoffs[0]
-    nominal_ops = kwargs.pop("nominal_ops", None)
-    if nominal_ops is None:
-        nominal_ops = build_measurements(
-            det1,
-            det2,
-            kwargs.get("outcomes", DEFAULT_OUTCOMES),
-            kwargs.get("phases", DEFAULT_PHASES),
-            signal_cutoff=cutoff,
-        )
+    nominal_ops = build_measurements(det1, det2, phases=phases, signal_cutoff=cutoff)
     return [
-        noisy_bound(state, det1, det2, model, rng=rng, nominal_ops=nominal_ops, **kwargs)
+        noisy_bound(
+            state, det1, det2, model,
+            phases=phases, rng=rng, nominal_ops=nominal_ops, robust_epsilon=robust_epsilon,
+        )
         for _ in range(trials)
     ]
 

@@ -35,8 +35,8 @@ from .fock import (
     TOL_PSD,
     FockOperator,
     HilbertSpec,
-    _sector_unitary,
     adaptive_lo_cutoff,
+    beam_splitter_unitary,
     coherent_amplitudes,
 )
 
@@ -203,18 +203,14 @@ def tmd_povm(config: TmdConfig, cutoff: int) -> PovmSet:
 def _bs_columns(reflectivity: float, lo_cutoff: int, signal_cutoff: int) -> np.ndarray:
     """Beam splitter columns for inputs (a <= lo_cutoff photons in the LO
     mode, b <= signal_cutoff in the signal mode), rows on the padded output
-    space with per-mode cutoff lo_cutoff + signal_cutoff.  Exact on every
-    total-photon-number sector, so the columns are orthonormal."""
-    chi = float(np.arccos(np.sqrt(reflectivity)))
-    pad = lo_cutoff + signal_cutoff
-    d_lo, d_sig, d_pad = lo_cutoff + 1, signal_cutoff + 1, pad + 1
-    out = np.zeros((d_pad * d_pad, d_lo * d_sig), dtype=complex)
-    for total in range(pad + 1):
-        u_sec = _sector_unitary(chi, total)
-        cols_a = [a for a in range(total + 1) if a <= lo_cutoff and total - a <= signal_cutoff]
-        col_idx = [a * d_sig + (total - a) for a in cols_a]
-        row_idx = [na * d_pad + (total - na) for na in range(total + 1)]
-        out[np.ix_(row_idx, col_idx)] = u_sec[:, cols_a]
+    space with per-mode cutoff lo_cutoff + signal_cutoff.  An input carries
+    at most that cutoff in total, and the padded space holds every output
+    of such a photon-number sector, so the columns are exact and
+    orthonormal."""
+    d_pad = lo_cutoff + signal_cutoff + 1
+    u = beam_splitter_unitary(reflectivity, HilbertSpec((d_pad - 1, d_pad - 1))).matrix
+    cols = (np.arange(lo_cutoff + 1)[:, None] * d_pad + np.arange(signal_cutoff + 1)).ravel()
+    out = u[:, cols]
     out.setflags(write=False)
     return out
 

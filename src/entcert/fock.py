@@ -189,28 +189,28 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
     return vec / np.sqrt(norm_sq), tail
 
 
-def coherent_state(alpha: complex, cutoff: int, tail_tol: float = TAIL_TOL):
+def coherent_state(alpha: complex, cutoff: int):
     """Truncated, renormalized coherent state |alpha>.
 
     Returns (state, tail).  Raises ValueError when the discarded Poisson
-    tail mass exceeds tail_tol, signalling a cutoff too small for |alpha|.
+    tail mass exceeds TAIL_TOL, signalling a cutoff too small for |alpha|.
     """
     vec, tail = coherent_amplitudes(alpha, cutoff)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise ValueError(
-            f"coherent-state tail mass {tail:.3e} exceeds {tail_tol:.1e}; "
+            f"coherent-state tail mass {tail:.3e} exceeds {TAIL_TOL:.1e}; "
             f"raise the cutoff for |alpha| = {abs(alpha):.3g}"
         )
     space = HilbertSpec((cutoff,))
     return TruncatedState.from_vector(space, vec), tail
 
 
-def adaptive_lo_cutoff(amplitude: float, minimum: int = 12, tail_tol: float = TAIL_TOL) -> int:
-    """Smallest cutoff (at least `minimum`) with coherent tail mass below tail_tol."""
-    c = max(int(minimum), 0)
+def adaptive_lo_cutoff(amplitude: float) -> int:
+    """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL."""
+    c = 12
     while True:
         _, tail = coherent_amplitudes(abs(amplitude), c)
-        if tail <= tail_tol:
+        if tail <= TAIL_TOL:
             return c
         c += 1
 

@@ -661,7 +661,7 @@ def solve(
     )
 
 
-def verify_solution(program: ConicProgram, solution: SdpSolution, psd_tol: float = TOL_PSD):
+def verify_solution(program: ConicProgram, solution: SdpSolution):
     """Independent certificate check by eigendecomposition.
 
     Returns minimum eigenvalues of the slack and certificate blocks, the
@@ -688,6 +688,6 @@ def verify_solution(program: ConicProgram, solution: SdpSolution, psd_tol: float
         "slack_min_eig": slack_min,
         "certificate_min_eig": cert_min,
         "moment_residual": moment_residual,
-        "psd_ok": slack_min > -psd_tol and cert_min > -psd_tol,
+        "psd_ok": slack_min > -TOL_PSD and cert_min > -TOL_PSD,
         "weak_duality_ok": dual_obj >= primal_obj - 1e-9 * (1.0 + abs(primal_obj)),
     }

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from entcert import bound as bound_mod
 from entcert import cli
 from entcert.detector import povm_set_from_json
 
@@ -202,6 +203,25 @@ def test_sweep_bad_row_sets_exit_code(tmp_path):
     bad = [r for r in rows if r[8] == "false"]
     assert len(good) == 1 and len(bad) == 1
     assert bad[0][7].startswith("error:")
+
+
+def test_noise_sweep_reports_verify_bound_verdict(tmp_path, monkeypatch):
+    # the verified column of a noise sweep is verify_bound's verdict on the
+    # certified trials, not a finiteness check of the bounds
+    def reject(measurements, result):
+        return {"feasible": False, "bound_matches": True}
+
+    monkeypatch.setattr(bound_mod, "verify_bound", reject)
+    out = tmp_path / "width.csv"
+    rc = cli.main(
+        ["sweep", "--axis", "width", "--values", "0.4", "--n-max", "2", "--trials", "1",
+         "--seed", "3", "--out", str(out)]
+    )
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert np.isfinite(float(rows[0][4]))
+    assert rows[0][8] == "false"
 
 
 # ---------------------------------------------------------------------------
