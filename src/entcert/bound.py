@@ -594,15 +594,13 @@ def reconcile_expectations(measurements: MeasurementSet):
 # phase-noise models
 
 
-def apply_phase_noise(det: DetectorConfig, model: PhaseNoiseModel, rng=None):
+def apply_phase_noise(det: DetectorConfig, model: PhaseNoiseModel, rng):
     """One noise draw for a single detector at its current nominal phase.
 
     Returns the LO as a list of (weight, amplitude) components: one
     component at the perturbed phase for static_calibration, the LO mixture
     for phase_averaged, and [(1.0, det.lo_alpha)] for zero noise.
     """
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     if model.kind == "static_calibration":
         if model.epsilon == 0.0:
             return [(1.0, det.lo_alpha)]
@@ -714,17 +712,3 @@ def bound_result_to_json(result: BoundResult) -> dict:
             if isinstance(v, (int, float, str, bool))
         },
     }
-
-
-def bound_result_from_json(doc: dict) -> BoundResult:
-    h = np.array(doc["witness_H_re"]) + 1j * np.array(doc["witness_H_im"])
-    return BoundResult(
-        lower_bound=float(doc["lower_bound"]),
-        witness_H=h,
-        multipliers=np.array(doc["multipliers"]),
-        solver_status=doc["solver_status"],
-        error_budget=float(doc["error_budget"]),
-        degenerate=bool(doc["degenerate"]),
-        linear_objective=float(doc["linear_objective"]),
-        info=dict(doc.get("info", {})),
-    )

@@ -338,7 +338,8 @@ def cmd_bound(args) -> int:
                 "bound_max": max(bounds),
             },
         )
-        return 0
+        failed = any(res.solver_status == "numerical_failure" for res in results)
+        return 1 if failed else 0
     result, check, _ = _bound_for(cfg, state, det, float(args.robust_epsilon))
     doc = bound_mod.bound_result_to_json(result)
     doc.update(

@@ -185,16 +185,6 @@ def click_matrix(config: TmdConfig, cutoff: int) -> np.ndarray:
     return convolution_matrix(config, cutoff) @ loss_matrix(cutoff, config.efficiency)
 
 
-def tmd_povm(config: TmdConfig, cutoff: int) -> PovmSet:
-    """Diagonal click POVM of a bare TMD on one mode."""
-    d = click_matrix(config, cutoff)
-    elements = [
-        PovmElement(k, config, FockOperator(HilbertSpec((cutoff,)), np.diag(d[k]).astype(complex)))
-        for k in range(config.bins + 1)
-    ]
-    return PovmSet(tuple(elements))
-
-
 # ---------------------------------------------------------------------------
 # weak homodyne POVM
 
@@ -324,10 +314,6 @@ def _complex_matrix_to_json(mat: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def _complex_matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def _tmd_to_json(t: TmdConfig) -> dict:
     return {
         "bins": t.bins,
@@ -336,16 +322,13 @@ def _tmd_to_json(t: TmdConfig) -> dict:
     }
 
 
-def _tmd_from_json(d) -> TmdConfig:
-    probs = d.get("bin_probabilities")
-    return TmdConfig(d["bins"], d["efficiency"], tuple(probs) if probs else None)
-
-
 def povm_set_to_json(povm: PovmSet) -> dict:
-    """Structured JSON document: setting metadata and row-major re/im matrices."""
+    """Structured JSON document of a weak-homodyne POVM: the DetectorConfig
+    under "kind": "homodyne", and each element's outcome with its row-major
+    [re, im] matrix."""
     setting = povm.setting
-    if isinstance(setting, DetectorConfig):
-        meta = {
+    return {
+        "setting": {
             "kind": "homodyne",
             "lo_amplitude": setting.lo_amplitude,
             "lo_phase": setting.lo_phase,
@@ -353,11 +336,7 @@ def povm_set_to_json(povm: PovmSet) -> dict:
             "unbalanced": setting.unbalanced,
             "tmd_c": _tmd_to_json(setting.tmd_c),
             "tmd_d": _tmd_to_json(setting.tmd_d),
-        }
-    else:
-        meta = {"kind": "tmd", "tmd": _tmd_to_json(setting)}
-    return {
-        "setting": meta,
+        },
         "elements": [
             {
                 "outcome": list(e.outcome) if isinstance(e.outcome, tuple) else e.outcome,
@@ -366,25 +345,3 @@ def povm_set_to_json(povm: PovmSet) -> dict:
             for e in povm.elements
         ],
     }
-
-
-def povm_set_from_json(doc: dict) -> PovmSet:
-    meta = doc["setting"]
-    if meta["kind"] == "homodyne":
-        setting = DetectorConfig(
-            meta["lo_amplitude"],
-            meta["lo_phase"],
-            meta["reflectivity"],
-            _tmd_from_json(meta["tmd_c"]),
-            _tmd_from_json(meta["tmd_d"]),
-            meta["unbalanced"],
-        )
-    else:
-        setting = _tmd_from_json(meta["tmd"])
-    elements = []
-    for e in doc["elements"]:
-        mat = _complex_matrix_from_json(e["matrix"])
-        outcome = tuple(e["outcome"]) if isinstance(e["outcome"], list) else e["outcome"]
-        cutoff = mat.shape[0] - 1
-        elements.append(PovmElement(outcome, setting, FockOperator(HilbertSpec((cutoff,)), mat)))
-    return PovmSet(tuple(elements))

@@ -2,11 +2,11 @@
 
 Everything is an explicit matrix on a tensor product of truncated
 single-mode Fock spaces (per-mode photon-number cutoffs).  The module
-provides the state families used elsewhere in the package (coherent
-states, two-mode squeezed vacuum, photon-subtracted states), beam
-splitter unitaries built exactly on photon-number sectors, and the
-standard bipartite primitives (tensor product, partial trace, partial
-transpose).
+provides the state families used elsewhere in the package (two-mode
+squeezed vacuum, photon-subtracted states), coherent-state amplitudes for
+the local oscillator, beam splitter unitaries built exactly on
+photon-number sectors, and the package's one partial-transpose map (on
+the first mode).
 
 Basis convention: for cutoffs (c1, c2) the flat index of |n1, n2> is
 n1 * (c2 + 1) + n2 (first mode major).  All operations are pure
@@ -189,22 +189,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
     return vec / np.sqrt(norm_sq), tail
 
 
-def coherent_state(alpha: complex, cutoff: int):
-    """Truncated, renormalized coherent state |alpha>.
-
-    Returns (state, tail).  Raises ValueError when the discarded Poisson
-    tail mass exceeds TAIL_TOL, signalling a cutoff too small for |alpha|.
-    """
-    vec, tail = coherent_amplitudes(alpha, cutoff)
-    if tail > TAIL_TOL:
-        raise ValueError(
-            f"coherent-state tail mass {tail:.3e} exceeds {TAIL_TOL:.1e}; "
-            f"raise the cutoff for |alpha| = {abs(alpha):.3g}"
-        )
-    space = HilbertSpec((cutoff,))
-    return TruncatedState.from_vector(space, vec), tail
-
-
 def adaptive_lo_cutoff(amplitude: float) -> int:
     """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL."""
     c = 12
@@ -291,29 +275,6 @@ def beam_splitter_unitary(reflectivity: float, space: HilbertSpec) -> FockOperat
     return FockOperator(space, u)
 
 
-def unitarity_deficit(op: FockOperator) -> float:
-    """Max |U†U - I| on the subspace of total photon number <= min(cutoffs)."""
-    if op.space.n_modes != 2:
-        raise ValueError("two-mode operator expected")
-    c1, c2 = op.space.cutoffs
-    interior = min(c1, c2)
-    idx = [
-        n1 * (c2 + 1) + n2
-        for n1 in range(c1 + 1)
-        for n2 in range(c2 + 1)
-        if n1 + n2 <= interior
-    ]
-    g = op.matrix.conj().T @ op.matrix
-    g = g[np.ix_(idx, idx)] - np.eye(len(idx))
-    return float(np.max(np.abs(g)))
-
-
-def phase_rotation(phi: float, cutoff: int) -> FockOperator:
-    """Single-mode Fock-basis phase rotation diag(e^{i n phi})."""
-    n = np.arange(cutoff + 1)
-    return FockOperator(HilbertSpec((cutoff,)), np.diag(np.exp(1j * n * phi)))
-
-
 # ---------------------------------------------------------------------------
 # conditional photon subtraction
 
@@ -363,68 +324,23 @@ def photon_subtracted_conditional(state: TruncatedState, params: SubtractionPara
 
 
 # ---------------------------------------------------------------------------
-# bipartite primitives
+# partial transpose
 
 
-def tensor(a, b):
-    """Tensor product of states or operators; spaces concatenate."""
-    space = HilbertSpec(a.space.cutoffs + b.space.cutoffs)
-    mat = np.kron(a.matrix, b.matrix)
-    if isinstance(a, TruncatedState) and isinstance(b, TruncatedState):
-        return TruncatedState._trusted(space, mat)
-    return FockOperator(space, mat)
+def partial_transpose_index(rows: np.ndarray, cols: np.ndarray, d2: int):
+    """Coordinates that the first-mode partial transpose moves the entries
+    (rows, cols) of a (d1*d2)-square matrix to.  The map is its own inverse,
+    so it also gives the source entry of each transposed one."""
+    r1, r2 = np.divmod(rows, d2)
+    c1, c2 = np.divmod(cols, d2)
+    return c1 * d2 + r2, r1 * d2 + c2
 
 
-def partial_transpose_array(
-    mats: np.ndarray, d1: int, d2: int, subsystem: int = 0
-) -> np.ndarray:
-    """Transpose the indices of one subsystem of (d1*d2) x (d1*d2) matrices.
+def partial_transpose_array(mats: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """First-mode partial transpose of (d1*d2) x (d1*d2) matrices.
 
     mats may carry any leading batch axes; the last two index the bipartite
-    space with the first subsystem's index running slowest.
+    space.  Each entry is gathered through partial_transpose_index.
     """
-    if subsystem not in (0, 1):
-        raise ValueError("subsystem must be 0 or 1")
-    lead = mats.shape[:-2]
-    t = mats.reshape(*lead, d1, d2, d1, d2)
-    t = np.swapaxes(t, -4, -2) if subsystem == 0 else np.swapaxes(t, -3, -1)
-    return t.reshape(*lead, d1 * d2, d1 * d2)
-
-
-def partial_transpose(op, subsystem: int = 0) -> FockOperator:
-    """Transpose the indices of one subsystem of a bipartite operator."""
-    if op.space.n_modes != 2:
-        raise ValueError("partial transpose needs a bipartite space")
-    return FockOperator(op.space, partial_transpose_array(op.matrix, *op.space.dims, subsystem))
-
-
-def partial_trace(state: TruncatedState, keep) -> TruncatedState:
-    """Reduced state on the kept modes (0-based indices, ascending order)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = state.space.n_modes
-    if len(keep) == 0:
-        raise ValueError("keep must name at least one mode")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError("keep indices out of range")
-    dims = state.space.dims
-    t = state.matrix.reshape(*dims, *dims)
-    traced = 0
-    for m in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=m, axis2=m + (n - traced))
-        traced += 1
-    d = int(np.prod([dims[k] for k in keep]))
-    out_space = HilbertSpec(tuple(state.space.cutoffs[k] for k in keep))
-    return TruncatedState._trusted(out_space, t.reshape(d, d))
-
-
-def expectation(state: TruncatedState, op: FockOperator) -> complex:
-    """Tr(rho M)."""
-    if state.space.dim != op.space.dim:
-        raise ValueError("dimension mismatch")
-    return complex(np.trace(state.matrix @ op.matrix))
-
-
-def trace_distance(a: TruncatedState, b: TruncatedState) -> float:
-    """(1/2) || rho - sigma ||_1 for Hermitian inputs."""
-    w = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.sum(np.abs(w)))
+    rows, cols = partial_transpose_index(*np.indices((d1 * d2, d1 * d2)), d2)
+    return mats[..., rows, cols]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TOL_HERM, TruncatedState
+from .fock import TOL_HERM, TruncatedState, partial_transpose_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,26 +54,17 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         labels = new
 
 
-def _pt_index(rows: np.ndarray, cols: np.ndarray, d2: int, cut: int):
-    """Coordinates that the partial transpose at mode `cut` moves the
-    entries (rows, cols) of a (d1*d2)-square matrix to.  The map is its own
-    inverse, so it also gives the source entry of each transposed one."""
-    r1, r2 = np.divmod(rows, d2)
-    c1, c2 = np.divmod(cols, d2)
-    if cut == 0:
-        return c1 * d2 + r2, r1 * d2 + c2
-    return r1 * d2 + c2, c1 * d2 + r2
+def exact_log_negativity(state: TruncatedState) -> NegativityResult:
+    """Logarithmic negativity of a two-mode state.
 
-
-def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResult:
-    """Logarithmic negativity across the bipartition at the given mode.
-
-    Eigendecomposition of the partial transpose of (rho + rho†)/2; the
-    trace norm is the sum of absolute eigenvalues and the result is its
-    base-2 logarithm, clamped below at 0.  Basis states that no nonzero
-    entry of the partial transpose connects span invariant subspaces, so
-    each connected component of its nonzero pattern is diagonalized on its
-    own (for U(1)-symmetric states these are photon-number sectors).
+    Eigendecomposition of the first-mode partial transpose of
+    (rho + rho†)/2; the second-mode one is its transpose, with the same
+    spectrum.  The trace norm is the sum of absolute eigenvalues and the
+    result is its base-2 logarithm, clamped below at 0.  Basis states
+    that no nonzero entry of the partial transpose connects span invariant
+    subspaces, so each connected component of its nonzero pattern is
+    diagonalized on its own (for U(1)-symmetric states these are
+    photon-number sectors).
 
     The Hermiticity deviation and the nonzero pattern are read from rho's
     nonzero entries and their mirror entries alone: where both vanish, so
@@ -85,8 +76,6 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     """
     if state.space.n_modes != 2:
         raise ValueError("bipartite state expected")
-    if cut not in (0, 1):
-        raise ValueError("subsystem must be 0 or 1")
     mat = state.matrix
     d2 = state.space.dims[1]
     # rho's nonzero entries suffice: |x - y| and the Hermitian part's nonzero
@@ -101,7 +90,7 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     if herm > TOL_HERM:
         raise ValueError(f"input not Hermitian: deviation {herm:.3e}")
     keep = 0.5 * (x + y) != 0
-    rows, cols = _pt_index(r[keep], c[keep], d2, cut)
+    rows, cols = partial_transpose_index(r[keep], c[keep], d2)
     labels = _component_labels(rows, cols, mat.shape[0])
     # members of each component in ascending order, components by smallest member
     order = np.argsort(labels, kind="stable")
@@ -110,7 +99,7 @@ def exact_log_negativity(state: TruncatedState, cut: int = 0) -> NegativityResul
     for size in np.unique(sizes):
         # one stacked eigvalsh per block size, gathered from rho
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        hr, hc = _pt_index(idx[:, :, None], idx[:, None, :], d2, cut)
+        hr, hc = partial_transpose_index(idx[:, :, None], idx[:, None, :], d2)
         block = 0.5 * (mat[hr, hc] + mat[hc, hr].conj())
         parts.append(np.linalg.eigvalsh(block).ravel())
     w = np.sort(np.concatenate(parts))

@@ -151,6 +151,21 @@ def wigner_displaced_parity(op: np.ndarray, x: float, p: float, pad: int = 30) -
     return float(np.real(val)) / math.pi
 
 
+def povm_from_json(doc: dict):
+    """(setting, outcomes, matrices) of one POVM document as written by
+    entcert.detector.povm_set_to_json: the setting dict as stored, the
+    outcomes with JSON lists turned back into tuples, and the element
+    matrices stacked from their [re, im] pairs."""
+    outcomes = [
+        tuple(e["outcome"]) if isinstance(e["outcome"], list) else e["outcome"]
+        for e in doc["elements"]
+    ]
+    mats = np.array(
+        [[[complex(re, im) for re, im in row] for row in e["matrix"]] for e in doc["elements"]]
+    )
+    return doc["setting"], outcomes, mats
+
+
 # ---------------------------------------------------------------------------
 # SDP oracle: Kelley cutting-plane method on the dual (maximization) form
 #
@@ -280,18 +295,17 @@ def dense_log_negativity(rho, d1: int, d2: int) -> float:
     return max(0.0, math.log2(float(np.sum(np.abs(w)))))
 
 
-def dense_exact_log_negativity(rho, d1: int, d2: int, cut: int = 0):
+def dense_exact_log_negativity(rho, d1: int, d2: int):
     """(log_negativity, trace_norm, negative_eigenvalues) by the dense route:
-    partial transpose of the dense Hermitian part, its nonzero pattern split
+    first-mode partial transpose of the dense Hermitian part (reshaped and
+    swapped, not gathered through an index map), its nonzero pattern split
     into connected components (scipy's csgraph, each labelled by its
     smallest member), and one stacked eigvalsh per block size over the
     components ordered by smallest member.  The blocks are the arrays
     entcert.negativity.exact_log_negativity diagonalizes, so its results
     must agree bit for bit."""
     rho = np.asarray(rho)
-    t = (0.5 * (rho + rho.conj().T)).reshape(d1, d2, d1, d2)
-    t = np.swapaxes(t, 0, 2) if cut == 0 else np.swapaxes(t, 1, 3)
-    pt = t.reshape(d1 * d2, d1 * d2)
+    pt = _partial_transpose_first(0.5 * (rho + rho.conj().T), d1, d2)
     n = pt.shape[0]
     graph = scipy.sparse.csr_matrix((pt != 0).astype(np.int8))
     _, comp = scipy.sparse.csgraph.connected_components(graph, directed=False)

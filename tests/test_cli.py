@@ -9,7 +9,8 @@ import pytest
 
 from entcert import bound as bound_mod
 from entcert import cli
-from entcert.detector import povm_set_from_json
+
+import oracles
 
 
 def read_csv(path):
@@ -78,9 +79,10 @@ def test_povm_json_roundtrips(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["signal_cutoff"] == 2
     assert len(doc["settings"]) == 2
-    povm = povm_set_from_json(doc["settings"][0])
-    assert len(povm.elements) == 9
-    assert povm.completeness_deficit() < 1e-6
+    setting, outcomes, mats = oracles.povm_from_json(doc["settings"][0])
+    assert setting["kind"] == "homodyne"
+    assert outcomes == list(range(9))
+    assert np.max(np.abs(mats.sum(axis=0) - np.eye(3))) < 1e-6
 
 
 def test_wigner_grids_and_phase_rotation(tmp_path):
@@ -148,6 +150,27 @@ def test_bound_noise_trials_emitted(tmp_path):
     assert len(doc["trials"]) == 2
     assert doc["bound_min"] <= doc["bound_max"]
     assert all("reconciliation" in t for t in doc["trials"])
+
+
+def test_bound_noise_failed_trial_sets_exit_code(tmp_path, monkeypatch):
+    # one numerical_failure among the trials fails the run, as it does for
+    # a single bound; the document is still written
+    noise_trials = bound_mod.noise_trials
+
+    def second_trial_fails(*args, **kwargs):
+        results = noise_trials(*args, **kwargs)
+        results[1].solver_status = "numerical_failure"
+        return results
+
+    monkeypatch.setattr(bound_mod, "noise_trials", second_trial_fails)
+    out = tmp_path / "noise.json"
+    rc = cli.main(
+        ["bound", "--n-max", "2", "--noise", "static_calibration", "--epsilon", "0.1",
+         "--trials", "2", "--seed", "5", "--out", str(out)]
+    )
+    assert rc == 1
+    doc = json.loads(out.read_text())
+    assert doc["trials"][1]["solver_status"] == "numerical_failure"
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ def test_product_state_zero():
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho_a = g @ g.conj().T
     rho_a /= np.trace(rho_a).real
-    a = TruncatedState(HilbertSpec((2,)), rho_a)
-    b, _ = fock.coherent_state(0.5, 8)
-    res = exact_log_negativity(fock.tensor(a, b))
+    vec, _ = fock.coherent_amplitudes(0.5, 8)
+    rho_b = np.outer(vec, vec.conj())
+    res = exact_log_negativity(TruncatedState(HilbertSpec((2, 8)), np.kron(rho_a, rho_b)))
     assert 0.0 <= res.log_negativity < 1e-12
     assert abs(res.trace_norm - 1.0) < 1e-10
 
@@ -57,7 +57,7 @@ def _permuted_block_state(rng, cutoffs):
         y[np.ix_(idx, idx)] = g + g.conj().T
         start += size
     y += 2.0 * np.eye(d)  # keeps the trace away from zero
-    z = fock.partial_transpose(fock.FockOperator(space, y)).matrix
+    z = oracles._partial_transpose_first(y, *space.dims)
     return TruncatedState._trusted(space, z / np.trace(z).real), sorted(set(sizes))
 
 
@@ -105,7 +105,7 @@ def test_truncated_below_closed_form():
 def test_local_rotation_invariance():
     st = fock.two_mode_squeezed(SqueezedParams(0.25, 3))
     base = exact_log_negativity(st).log_negativity
-    rot = fock.phase_rotation(0.83, 3).matrix
+    rot = np.diag(np.exp(1j * np.arange(4) * 0.83))
     for u in (np.kron(rot, np.eye(4)), np.kron(np.eye(4), rot)):
         rotated = TruncatedState._trusted(st.space, u @ st.matrix @ u.conj().T)
         assert abs(exact_log_negativity(rotated).log_negativity - base) < 1e-9
@@ -123,10 +123,14 @@ def test_subtracted_ideal_frozen_value():
 
 
 def test_cut_choice_symmetric():
-    st = fock.two_mode_squeezed(SqueezedParams(0.2, 3))
-    r0 = exact_log_negativity(st, cut=0).log_negativity
-    r1 = exact_log_negativity(st, cut=1).log_negativity
-    assert abs(r0 - r1) < 1e-12
+    # the second-mode partial transpose is the transpose of the first-mode
+    # one, so the first-mode trace norm serves both cuts
+    rng = np.random.default_rng(19)
+    for state in (_dense_random_state(rng, (2, 3)), _permuted_block_state(rng, (3, 4))[0]):
+        d1, d2 = state.space.dims
+        t = np.swapaxes(state.matrix.reshape(d1, d2, d1, d2), 1, 3)
+        w = np.linalg.eigvalsh(t.reshape(d1 * d2, d1 * d2))
+        assert abs(exact_log_negativity(state).trace_norm - np.sum(np.abs(w))) < 1e-12
 
 
 def _trusted_variant(state, entries):
@@ -154,12 +158,11 @@ def test_matches_dense_oracle_bit_for_bit():
     states.append(_trusted_variant(states[0], {(i, j): 1e-12j, (j, i): 1e-12j}))
     for state in states:
         d1, d2 = state.space.dims
-        for cut in (0, 1):
-            res = exact_log_negativity(state, cut)
-            ln, trace_norm, negs = oracles.dense_exact_log_negativity(state.matrix, d1, d2, cut)
-            assert res.log_negativity == ln
-            assert res.trace_norm == trace_norm
-            assert res.negative_eigenvalues == negs
+        res = exact_log_negativity(state)
+        ln, trace_norm, negs = oracles.dense_exact_log_negativity(state.matrix, d1, d2)
+        assert res.log_negativity == ln
+        assert res.trace_norm == trace_norm
+        assert res.negative_eigenvalues == negs
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
@@ -180,6 +183,6 @@ def test_non_hermitian_rejected():
 
 
 def test_non_bipartite_rejected():
-    st, _ = fock.coherent_state(0.3, 8)
+    vec, _ = fock.coherent_amplitudes(0.3, 8)
     with pytest.raises(ValueError):
-        exact_log_negativity(st)
+        exact_log_negativity(TruncatedState.from_vector(HilbertSpec((8,)), vec))
