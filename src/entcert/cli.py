@@ -201,7 +201,6 @@ def make_states(cfg: ExperimentConfig):
     subtracted, p_click = fock.photon_subtracted_conditional(
         initial,
         fock.SubtractionParams(cfg.transmission, cfg.apd_efficiency),
-        mode=0,
     )
     return initial, subtracted, p_click
 

@@ -279,27 +279,24 @@ def beam_splitter_unitary(reflectivity: float, space: HilbertSpec) -> FockOperat
 # conditional photon subtraction
 
 
-def photon_subtracted_conditional(state: TruncatedState, params: SubtractionParams, mode: int = 0):
+def photon_subtracted_conditional(state: TruncatedState, params: SubtractionParams):
     """Photon subtraction by a physical beam splitter and a bucket detector.
 
-    Couples the chosen mode (default: the first) to a vacuum ancilla with a
-    beam splitter of intensity transmission T, detects the ancilla with a
-    binary detector of efficiency apd_efficiency (binomial loss then
-    "at least one click"), renormalizes and traces out the ancilla.
+    Couples the first mode to a vacuum ancilla with a beam splitter of
+    intensity transmission T, detects the ancilla with a binary detector of
+    efficiency apd_efficiency (binomial loss then "at least one click"),
+    renormalizes and traces out the ancilla.
 
     Returns (conditional_state, heralding_probability).  Raises ValueError
     when the heralding probability falls below PROB_FLOOR.
     """
     if state.space.n_modes != 2:
         raise ValueError("bipartite input state expected")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 or 1")
     c1, c2 = state.space.cutoffs
-    c_sub = state.space.cutoffs[mode]
-    dx = c_sub + 1
+    dx = c1 + 1
 
     # U on (subtracted mode, ancilla); the mode keeps T of its intensity.
-    pair = HilbertSpec((c_sub, c_sub))
+    pair = HilbertSpec((c1, c1))
     u4 = beam_splitter_unitary(params.transmission, pair).matrix.reshape(dx, dx, dx, dx)
 
     rho6 = state.matrix.reshape(c1 + 1, c2 + 1, c1 + 1, c2 + 1)
@@ -307,13 +304,9 @@ def photon_subtracted_conditional(state: TruncatedState, params: SubtractionPara
     ua = u4[:, :, :, 0]  # [out_mode, out_anc, in_mode]
     # Bucket-detector click weights on the ancilla photon number.
     click = 1.0 - (1.0 - params.apd_efficiency) ** np.arange(dx)
-    if mode == 0:
-        evolved = np.einsum("PXa,aBcD,QYc->PBXQDY", ua, rho6, ua.conj(), optimize=True)
-        # indices: (mode1, mode2, anc | mode1', mode2', anc')
-        cond = np.einsum("PBXQDX,X->PBQD", evolved, click, optimize=True)
-    else:
-        evolved = np.einsum("PXb,AbCd,QYd->APXCQY", ua, rho6, ua.conj(), optimize=True)
-        cond = np.einsum("APXCQX,X->APCQ", evolved, click, optimize=True)
+    evolved = np.einsum("PXa,aBcD,QYc->PBXQDY", ua, rho6, ua.conj(), optimize=True)
+    # indices: (mode1, mode2, anc | mode1', mode2', anc')
+    cond = np.einsum("PBXQDX,X->PBQD", evolved, click, optimize=True)
     p_herald = float(np.real(np.einsum("PBPB->", cond)))
     if p_herald < PROB_FLOOR:
         raise ValueError(f"heralding probability {p_herald:.3e} below {PROB_FLOOR:.1e}")

@@ -25,16 +25,19 @@ sorted once into three classes: *zero* (Fj vanishes on the block), *pair*
 real or imaginary, or a single real diagonal entry) and *dense* (everything
 else).  Each term of a pair-pair entry is then exactly +-|v_i v_j| times
 the real or imaginary part of one entry of K = W (x) W, so set-up turns the
-pairs into gather tables, int32 indices into the real view of K and real
+pairs into gather tables, intp indices into the real view of K and real
 coefficients, npairs^2 of each and shared between cones whose pairs match
 (the blocks I - H and I + H of the witness program); an iteration forms K
 with one outer product and gathers from it.  Pair-dense entries are
 gathered from W Fj W, and only the dense-dense block needs the products
 T Fj T, T = W^(1/2).  The diagonal cone uses only the columns its rows
-touch.  Every sum_j y_j Fj is one real product with the real view of the
-nonzero columns, and each Newton direction takes one refinement pass
-against that operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than
-against the assembled matrix.
+touch.  Each class block is added to the Schur complement in place, through
+basic slices when its rows and its columns are contiguous runs, as they are
+in every program the bound pipeline builds, and through np.ix_ otherwise.
+Every sum_j y_j Fj is one real product with the real view of the nonzero
+columns, and each Newton direction takes one refinement pass against that
+operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
+assembled matrix.
 
 The iteration keeps to numpy's BLAS runtime.  The numpy and scipy wheels
 each bundle their own OpenBLAS, each with worker threads that spin while
@@ -42,14 +45,15 @@ they wait for work, so a loop that alternates between the two keeps both
 pools spinning on the same cores.  The Schur complement is therefore
 factored by np.linalg.cholesky, and its dense products are numpy matmuls
 G G^T and G^T G, which numpy hands to syrk and returns symmetric bit for
-bit.  Only the triangular solves go through scipy.linalg.cho_solve: with
-one right-hand side they run on the calling thread and wake no worker.
+bit.  Only the triangular solves are scipy's: each is one LAPACK dpotrs
+call on a Fortran-order copy of the factor, made once per iteration, and
+with one right-hand side it runs on the calling thread and wakes no worker.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 TOL_SYM = 1e-10
 TOL_PSD = 1e-9
@@ -208,6 +212,35 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
 _PAIR_TABLE_FLOOR = 2**16
 
 
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve U^T U x = rhs for the upper Cholesky factor U, given in
+    Fortran order so LAPACK's dpotrs reads it without a copy."""
+    if not np.all(np.isfinite(rhs)):
+        raise _NumericalProblem("non-finite Newton right-hand side")
+    x, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=0)
+    if info != 0:
+        raise _NumericalProblem(f"dpotrs failed with info {info}")
+    return x
+
+
+def _run(idx: np.ndarray):
+    """idx, sorted and unique, as a basic slice when it is one contiguous
+    run; None otherwise."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return None
+
+
+def _slot(rows: np.ndarray, cols: np.ndarray):
+    """Index of the Schur sub-block rows x cols: basic slices when both
+    are contiguous runs, so that += adds in place on a view, and np.ix_
+    otherwise."""
+    r, c = _run(rows), _run(cols)
+    if r is None or c is None:
+        return np.ix_(rows, cols)
+    return r, c
+
+
 def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: dict):
     """Gather indices and coefficients of the pair-pair Schur entries.
 
@@ -216,10 +249,11 @@ def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: di
     of K = W (x) W:  v_i v_j W[c_i,r_j] W[c_j,r_i] is K[c_i,r_j,c_j,r_i] and
     v_i conj(v_j) W[c_i,c_j] W[r_j,r_i] is K[c_i,c_j,r_j,r_i].  Returns
     (index, coef), both shaped (2, npairs, npairs): index into the flat
-    real view of K (int32) and the signed coefficient of each term, so the
-    real parts of the two terms are coef * rv(K)[index], rounded as the
-    complex products are.  The entries are even in v, so cones whose pairs
-    match up to the sign of v share one set of tables, kept in `tables`.
+    real view of K (intp, which np.take reads without a cast) and the
+    signed coefficient of each term, so the real parts of the two terms are
+    coef * rv(K)[index], rounded as the complex products are.  The entries
+    are even in v, so cones whose pairs match up to the sign of v share one
+    set of tables, kept in `tables`.
     """
     key = (n, r.tobytes(), c.tobytes())
     for v0, found in tables.get(key, ()):
@@ -241,7 +275,7 @@ def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: di
                      row[:, None] + (c * n**2 + r * n)[None, :]])
     if np.iscomplexobj(v):
         flat = 2 * flat + mixed
-    found = (flat.astype(np.int32), coef)
+    found = (flat.astype(np.intp), coef)
     tables.setdefault(key, []).append((v, found))
     return found
 
@@ -284,6 +318,12 @@ class _MatrixCone:
         self.fs_dense = fs[self.dense]
         if self.pairs.size:
             self.pp_index, self.pp_coef = _pair_tables(n, self.r, self.c, self.v, tables)
+        # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
+        # dense-pair entries
+        self.pp_slot = _slot(self.pairs, self.pairs)
+        self.dd_slot = _slot(self.dense, self.dense)
+        self.pd_slot = _slot(self.pairs, self.dense)
+        self.dp_slot = _slot(self.dense, self.pairs)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j Fj, one real product on the real view."""
@@ -299,26 +339,28 @@ class _MatrixCone:
 
         Pair-pair entries are 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
         + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima & Nakata
-        1997), gathered from W (x) W; pair-dense entries are
-        2 Re(v_i (W Fj W)[c_i,r_i]); the dense-dense block is G G^T with G
-        the real view of T Fj T.
+        1997), gathered from W (x) W by np.take through the intp tables;
+        pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the dense-dense
+        block is G G^T with G the real view of T Fj T.  Each block is added
+        in place through the slots set up in __init__.
         """
         p, d, v = self.pairs, self.dense, self.v
         if p.size:
-            terms = self.pp_coef * _rv(np.multiply.outer(w, w)).reshape(-1)[self.pp_index]
+            k = _rv(np.multiply.outer(w, w)).reshape(-1)
+            terms = self.pp_coef * np.take(k, self.pp_index)
             spp = terms[0] + terms[1]
             # spp is half of each entry and symmetric in exact arithmetic;
             # spp + spp.T doubles it and stays symmetric bit for bit
-            schur[np.ix_(p, p)] += spp + spp.T
+            schur[self.pp_slot] += spp + spp.T
         if d.size:
             tft = t @ self.fs_dense @ t
             g = _rv(tft).reshape(d.size, -1)
-            schur[np.ix_(d, d)] += g @ g.T
+            schur[self.dd_slot] += g @ g.T
             if p.size:
                 wfw = t @ tft @ t
                 spd = 2.0 * (wfw[:, self.c, self.r] * v).real
-                schur[np.ix_(p, d)] += spd.T
-                schur[np.ix_(d, p)] += spd
+                schur[self.pd_slot] += spd.T
+                schur[self.dp_slot] += spd
 
 
 class _LpCone:
@@ -329,6 +371,7 @@ class _LpCone:
         self.f0 = f0
         self.cols = np.flatnonzero(np.any(f != 0.0, axis=0))
         self.f = f[:, self.cols]
+        self.slot = _slot(self.cols, self.cols)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.f @ y[self.cols]
@@ -337,7 +380,7 @@ class _LpCone:
         """Add sum_k w2_k F[k, i] F[k, j] over the touched columns."""
         if self.f.size:
             g = self.f * np.sqrt(w2)[:, None]
-            schur[np.ix_(self.cols, self.cols)] += g.T @ g
+            schur[self.slot] += g.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +572,20 @@ def solve(
             # regularize only when the factorization actually fails; a
             # preemptive ridge scaled to the diagonal grows like the inverse
             # squared gap and poisons the late iterations
-            cho = None
+            factor = None
             ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
             for attempt in range(4):
                 try:
-                    cho = (np.linalg.cholesky(schur, upper=True), False)
+                    factor = np.linalg.cholesky(schur, upper=True)
                     break
                 except np.linalg.LinAlgError:
                     ridge_retries += 1
                     schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
-            if cho is None:
+            if factor is None:
                 raise _NumericalProblem("Schur complement not positive definite")
+            # dpotrs reads a Fortran-order factor in place; one copy serves
+            # the iteration's four solves
+            factor = np.asfortranarray(factor)
 
             def _schur_apply(v):
                 # Re tr(Fi W (sum_j v_j Fj) W) summed over the cones
@@ -553,11 +599,11 @@ def solve(
                 for cone, sc, rb, eb in zip(cones, scals, rd, es):
                     h = sc["t"] @ eb @ sc["t"] + sc["w"] @ rb @ sc["w"]
                     rhs[cone.cols] -= cone.moments(h)
-                dy = scipy.linalg.cho_solve(cho, rhs)
+                dy = _cho_solve(factor, rhs)
                 # one refinement pass against the operator the Schur
                 # complement stands for, so roundoff in both the entry-wise
                 # assembly and the factorization is corrected
-                dy += scipy.linalg.cho_solve(cho, rhs - _schur_apply(dy))
+                dy += _cho_solve(factor, rhs - _schur_apply(dy))
                 dss, dxs = [], []
                 for cone, sc, rb, eb in zip(cones, scals, rd, es):
                     dsb = _herm(-rb - cone.apply(dy))

@@ -38,9 +38,7 @@ def _operators(alpha, reflectivity, eta, phases, cutoff):
 
 def _subtracted(lam, transmission, apd, n_max=3):
     ini = fock.two_mode_squeezed(fock.SqueezedParams(lam, n_max))
-    sub, _ = fock.photon_subtracted_conditional(
-        ini, fock.SubtractionParams(transmission, apd), mode=0
-    )
+    sub, _ = fock.photon_subtracted_conditional(ini, fock.SubtractionParams(transmission, apd))
     return ini, sub
 
 

@@ -39,7 +39,7 @@ def toy_detector(eta=0.1, amplitude=1.0):
 def table_point_state(transmission, n_max=3, lam=0.2, apd=0.2):
     tmsv = fock.two_mode_squeezed(SqueezedParams(lam, n_max))
     st, _ = fock.photon_subtracted_conditional(
-        tmsv, SubtractionParams(transmission=transmission, apd_efficiency=apd), mode=0
+        tmsv, SubtractionParams(transmission=transmission, apd_efficiency=apd)
     )
     return st
 

@@ -183,15 +183,6 @@ def test_photon_subtracted_conditional_ideal_limit():
     assert trace_distance <= 1e-2
 
 
-def test_photon_subtracted_conditional_mode_choice():
-    tmsv = fock.two_mode_squeezed(SqueezedParams(0.2, 3))
-    c0, p0 = fock.photon_subtracted_conditional(tmsv, SubtractionParams(0.9, 0.3), mode=0)
-    c1, p1 = fock.photon_subtracted_conditional(tmsv, SubtractionParams(0.9, 0.3), mode=1)
-    assert abs(p0 - p1) < 1e-14  # symmetric input
-    swapped = c1.matrix.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
-    assert np.max(np.abs(c0.matrix - swapped)) < 1e-13
-
-
 def _random_state(rng, dims):
     d = int(np.prod(dims))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -1,10 +1,13 @@
 """Unit tests for the interior-point SDP solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
-from entcert import bound, sdp
+from entcert import bound, cli, sdp
 
 import oracles
 
@@ -334,24 +337,34 @@ def _column_zoo(rng, n, hermitian):
     return zoo
 
 
-@pytest.mark.parametrize("shuffled", [False, True], ids=["runs", "shuffled"])
+@pytest.mark.parametrize("ordering", ["runs", "mixed", "shuffled"])
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
-def test_structured_schur_matches_dense(hermitian, shuffled):
+def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     # the class-wise Schur complement equals G G^T, G the real view of
     # T Fj T, and the real-view apply equals the tensordot it replaces;
     # columns of one class come in contiguous runs, as in the witness
-    # program, or shuffled
+    # program, pairs in one run between scattered dense and zero columns,
+    # or shuffled
     rng = np.random.default_rng(61)
     n = 5
     zoo = [col for _ in range(4) for col in _column_zoo(rng, n, hermitian)]
-    order = rng.permutation(len(zoo)) if shuffled else np.argsort([k for k, _ in zoo], kind="stable")
-    kinds = np.array([zoo[i][0] for i in order])
+    kinds = np.array([k for k, _ in zoo])
+    if ordering == "runs":
+        order = np.argsort(kinds, kind="stable")
+    elif ordering == "mixed":
+        rest = rng.permutation(np.flatnonzero(kinds != "pair"))
+        order = np.insert(rest, 3, np.flatnonzero(kinds == "pair"))
+    else:
+        order = rng.permutation(len(zoo))
+    kinds = kinds[order]
     fs = np.array([zoo[i][1] for i in order])
     m = len(fs)
     cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {})
     assert np.array_equal(cone.pairs, np.flatnonzero(kinds == "pair"))
     assert np.array_equal(cone.dense, np.flatnonzero(kinds == "dense"))
     assert np.array_equal(cone.cols, np.flatnonzero(kinds != "zero"))
+    if ordering == "mixed":
+        assert sdp._run(cone.pairs) is not None and sdp._run(cone.dense) is None
 
     a = _random_hermitian(rng, n) if hermitian else _sym(rng.normal(size=(n, n)))
     lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
@@ -364,9 +377,70 @@ def test_structured_schur_matches_dense(hermitian, shuffled):
     assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(schur, schur.T)
 
+    # slices and np.ix_ add the same blocks, bit for bit, onto a nonzero
+    # starting matrix
+    start = _sym(rng.normal(size=(m, m)))
+    sliced = start.copy()
+    cone.add_schur(sliced, w, t)
+    monkeypatch.setattr(sdp, "_slot", lambda rows, cols: np.ix_(rows, cols))
+    fancy = start.copy()
+    sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}).add_schur(fancy, w, t)
+    assert np.array_equal(sliced, fancy)
+
     y = rng.normal(size=m)
     applied = np.tensordot(y, fs, axes=(0, 0))
     assert np.max(np.abs(cone.apply(y) - applied)) <= 1e-14 * np.max(np.abs(applied))
+
+
+@pytest.mark.parametrize("program", ["witness", "witness-robust", "reconcile"])
+def test_pipeline_schur_slots_are_slices(program, monkeypatch):
+    # every class of every cone of the programs the bound pipeline builds is
+    # one contiguous run of columns, so add_schur adds each block in place
+    # through basic slices; a reordering of the program's variables that
+    # scattered a class would fall back to np.ix_, ~9x slower on a 256 x 256
+    # block, and no correctness test would notice
+    cfg = replace(cli.ExperimentConfig(), n_max=2)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    slots = []
+    slot = sdp._slot
+
+    def record(rows, cols):
+        out = slot(rows, cols)
+        if rows.size and cols.size:
+            slots.append(out)
+        return out
+
+    monkeypatch.setattr(sdp, "_slot", record)
+    if program == "reconcile":
+        bound.reconcile_expectations(ms)
+    else:
+        epsilon = 1e-2 if program == "witness-robust" else 0.0
+        sdp.solve(bound._witness_program(ms, epsilon)[0], max_iter=1)
+    # the four class blocks of the witness program's block A (the reconcile
+    # fit's state block), the pair-pair blocks of I -+ H and the diagonal
+    # cone's block, which the robust program and the fit have
+    assert len(slots) == {"witness": 6, "witness-robust": 7, "reconcile": 5}[program]
+    for out in slots:
+        assert all(isinstance(s, slice) for s in out), out
+
+
+@pytest.mark.parametrize("m", [50, 300])
+def test_cho_solve_matches_scipy(m):
+    # one dpotrs call on the Fortran-order factor gives scipy's cho_solve
+    # bit for bit; a non-finite right-hand side ends the solve as a
+    # numerical problem, where cho_solve raises ValueError
+    rng = np.random.default_rng(89)
+    a = rng.normal(size=(m, m))
+    u = np.linalg.cholesky(a @ a.T + m * np.eye(m), upper=True)
+    factor = np.asfortranarray(u)
+    b = rng.normal(size=m)
+    assert np.array_equal(sdp._cho_solve(factor, b), scipy.linalg.cho_solve((u, False), b))
+    b[m // 2] = np.nan
+    with pytest.raises(sdp._NumericalProblem):
+        sdp._cho_solve(factor, b)
 
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
