@@ -42,7 +42,7 @@ class MeasurementSet:
     """Bipartite measurement operators paired with their expectation values.
 
     The identity operator with expectation 1 anchors the witness program; it
-    must appear exactly once.
+    must appear exactly once.  `matrices` stacks the operator matrices.
     """
 
     def __init__(self, operators, expectations):
@@ -73,6 +73,7 @@ class MeasurementSet:
         if len(identity_hits) != 1:
             raise ValueError("identity operator must appear exactly once")
         self.operators = operators
+        self.matrices = np.array([op.matrix for op in operators])
         self.expectations = np.clip(expectations, 0.0, 1.0)
         self.identity_index = identity_hits[0]
         if abs(self.expectations[self.identity_index] - 1.0) > 1e-10:
@@ -136,8 +137,8 @@ class BoundResult:
 # measurement assembly and simulation
 
 
-def _mode_elements(det, outcomes, phases, signal_cutoff, lo_components_per_phase):
-    """Ordered single-mode operators: outcomes within each phase setting."""
+def _mode_elements(det, phases, signal_cutoff, lo_components_per_phase):
+    """Ordered single-mode operators: DEFAULT_OUTCOMES within each phase setting."""
     ops = []
     for idx, phase in enumerate(phases):
         comps = None if lo_components_per_phase is None else lo_components_per_phase[idx]
@@ -145,7 +146,7 @@ def _mode_elements(det, outcomes, phases, signal_cutoff, lo_components_per_phase
             replace(det, lo_phase=float(phase)), signal_cutoff, lo_components=comps
         )
         by_outcome = {e.outcome: e.operator.matrix for e in povm.elements}
-        for beta in outcomes:
+        for beta in DEFAULT_OUTCOMES:
             if beta not in by_outcome:
                 raise ValueError(f"outcome {beta!r} not produced by the detector")
             ops.append(by_outcome[beta])
@@ -155,7 +156,6 @@ def _mode_elements(det, outcomes, phases, signal_cutoff, lo_components_per_phase
 def build_measurements(
     det1: DetectorConfig,
     det2: DetectorConfig,
-    outcomes: Sequence = DEFAULT_OUTCOMES,
     phases: Sequence[float] = DEFAULT_PHASES,
     *,
     signal_cutoff: int = 3,
@@ -164,8 +164,8 @@ def build_measurements(
 ):
     """All products of the two single-mode click POVM subsets, plus identity.
 
-    Per mode the ordered element list runs over outcomes within each phase
-    setting, e.g. for outcomes (0,1,2,3) and phases (0, pi/2):
+    Per mode the ordered element list runs over DEFAULT_OUTCOMES (0, 1, 2, 3)
+    within each phase setting, e.g. for phases (0, pi/2):
     {P_{0,0}, P_{1,0}, P_{2,0}, P_{3,0}, P_{0,pi/2}, .., P_{3,pi/2}}.
     The joint operator with 1-based index (j, k) sits at list position
     (j-1)*P + k, after the identity at position 0, where P is the per-mode
@@ -174,8 +174,8 @@ def build_measurements(
     detector.homodyne_povm); a noise-perturbed mode keeps its nominal phase
     labels and ordering and carries the perturbed LO there.
     """
-    ops1 = _mode_elements(det1, outcomes, phases, signal_cutoff, lo_components1)
-    ops2 = _mode_elements(det2, outcomes, phases, signal_cutoff, lo_components2)
+    ops1 = _mode_elements(det1, phases, signal_cutoff, lo_components1)
+    ops2 = _mode_elements(det2, phases, signal_cutoff, lo_components2)
     space = HilbertSpec((signal_cutoff, signal_cutoff))
     out = [FockOperator(space, np.eye(space.dim, dtype=complex))]
     for a in ops1:
@@ -276,9 +276,7 @@ def _certified_objective(nu, mvec, epsilon, boxed):
     return linear, 0.0 if linear <= 0.0 else max(0.0, math.log2(linear))
 
 
-def _witness_program(
-    measurements: MeasurementSet, epsilon: float, null_cut: float = GRAM_NULL_CUT
-):
+def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: float):
     """Assemble the block SDP over y = (H parameters, z, [t aux]).
 
     Blocks: H^{T1} - sum nu_i M_i >= 0, I - H >= 0, I + H >= 0, all n x n
@@ -301,7 +299,7 @@ def _witness_program(
     d1, d2 = (c + 1 for c in space.cutoffs)
     n = space.dim
     nh = n * n
-    mats = np.array([op.matrix for op in measurements.operators])
+    mats = measurements.matrices
     mvec = measurements.expectations
 
     basis = _hermitian_basis(n)
@@ -388,7 +386,7 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
     nh = space.dim ** 2
-    mats = np.array([op.matrix for op in measurements.operators])
+    mats = measurements.matrices
     mvec = measurements.expectations
 
     h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
@@ -492,8 +490,7 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult):
     d1, d2 = (c + 1 for c in measurements.space.cutoffs)
     h = result.witness_H
     nu = result.multipliers
-    mats = np.array([op.matrix for op in measurements.operators])
-    g_min = _min_slack(h, nu, mats, d1, d2)
+    g_min = _min_slack(h, nu, measurements.matrices, d1, d2)
     h_norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
     linear, recomputed = _certified_objective(
         nu, measurements.expectations, result.error_budget, _boxed(measurements)
@@ -542,7 +539,7 @@ def reconcile_expectations(measurements: MeasurementSet):
     """
     space = measurements.space
     n = space.dim
-    mats = np.array([op.matrix for op in measurements.operators])
+    mats = measurements.matrices
     mvec = measurements.expectations
     rho0, basis = _unit_trace_basis(n)
     nb = len(basis)

@@ -2,9 +2,12 @@
 
 Configuration is a single JSON document with sections state / detector /
 noise / sweep; every field has a default chosen so that an empty
-configuration reproduces the headline error-budget table.  Resolution
-order: built-in defaults, then per-axis sweep defaults, then the config
-file, then command-line flags.  All CSV output uses a header row, fixed
+configuration reproduces the headline error-budget table.  Each
+ExperimentConfig field names its section, and that one entry gives its
+document key, its flag's dest and, for a sweep axis, the field the axis
+sets.  Resolution order: built-in defaults, then per-axis sweep defaults,
+then the config file, whose unknown sections and keys are rejected, then
+command-line flags.  All CSV output uses a header row, fixed
 column order, 10 significant digits, '.' decimals and LF line endings, and
 is byte-identical for identical configuration and seed (wall-clock timing
 is only added with --timing).
@@ -15,7 +18,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,141 +57,106 @@ AXIS_DEFAULTS = {
     },
 }
 
-NOISE_AXES = ("epsilon", "width")
+
+def _setting(section: str, default):
+    """A config field stored in `section` of the document, under its name
+    less any `section_` prefix."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat view of the JSON configuration document."""
 
-    lam: float = 0.2
-    n_max: int = 3
-    transmission: float = 0.95
-    apd_efficiency: float = 0.20
-    lo_amplitude: float = 1.0
-    phases: tuple = (0.0, math.pi / 2.0)
-    reflectivity: float = 0.5
-    efficiency: float = 0.1
-    bins: int = 8
-    noise_kind: str | None = None
-    noise_epsilon: float = 0.0
-    noise_width: float = 0.0
-    noise_samples: int = 100
-    width_is_std: bool = False
-    trials: int = 20
-    seed: int | None = None
-    sweep_axis: str | None = None
-    sweep_values: tuple | None = None
+    lam: float = _setting("state", 0.2)
+    n_max: int = _setting("state", 3)
+    transmission: float = _setting("state", 0.95)
+    apd_efficiency: float = _setting("state", 0.20)
+    lo_amplitude: float = _setting("detector", 1.0)
+    phases: tuple = _setting("detector", (0.0, math.pi / 2.0))
+    reflectivity: float = _setting("detector", 0.5)
+    efficiency: float = _setting("detector", 0.1)
+    bins: int = _setting("detector", 8)
+    noise_kind: str | None = _setting("noise", None)
+    noise_epsilon: float = _setting("noise", 0.0)
+    noise_width: float = _setting("noise", 0.0)
+    noise_samples: int = _setting("noise", 100)
+    width_is_std: bool = _setting("noise", False)
+    trials: int = _setting("noise", 20)
+    seed: int | None = _setting("noise", None)
+    sweep_axis: str | None = _setting("sweep", None)
+    sweep_values: tuple | None = _setting("sweep", None)
 
     def document(self) -> dict:
-        return {
-            "state": {
-                "lam": self.lam,
-                "n_max": self.n_max,
-                "transmission": self.transmission,
-                "apd_efficiency": self.apd_efficiency,
-            },
-            "detector": {
-                "lo_amplitude": self.lo_amplitude,
-                "phases": list(self.phases),
-                "reflectivity": self.reflectivity,
-                "efficiency": self.efficiency,
-                "bins": self.bins,
-            },
-            "noise": {
-                "kind": self.noise_kind,
-                "epsilon": self.noise_epsilon,
-                "width": self.noise_width,
-                "samples": self.noise_samples,
-                "width_is_std": self.width_is_std,
-                "trials": self.trials,
-                "seed": self.seed,
-            },
-            "sweep": {
-                "axis": self.sweep_axis,
-                "values": None if self.sweep_values is None else list(self.sweep_values),
-            },
-        }
+        doc = {}
+        for key, f in _FIELDS.items():
+            val = getattr(self, f.name)
+            doc.setdefault(f.metadata["section"], {})[key] = (
+                list(val) if isinstance(val, tuple) else val
+            )
+        return doc
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
-    for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], val)
-        else:
-            base[key] = val
-    return base
+# document key -> ExperimentConfig field; a sweep axis is the key it sets
+_FIELDS = {
+    f.name.removeprefix(f.metadata["section"] + "_"): f for f in fields(ExperimentConfig)
+}
+
+
+def _cast(annotation, val):
+    """val as the annotated type; None stays None where the annotation allows
+    it, and tuples hold floats."""
+    types = typing.get_args(annotation) or (annotation,)
+    if val is None and type(None) in types:
+        return None
+    if types[0] is tuple:
+        return tuple(float(v) for v in val)
+    return types[0](val)
 
 
 def _config_from_document(doc: dict) -> ExperimentConfig:
     """Typed config from a complete document (every key present, as
     resolve_config guarantees by starting from ExperimentConfig().document())."""
-    state, det, noise, sweep = doc["state"], doc["detector"], doc["noise"], doc["sweep"]
-    values = sweep["values"]
     return ExperimentConfig(
-        lam=float(state["lam"]),
-        n_max=int(state["n_max"]),
-        transmission=float(state["transmission"]),
-        apd_efficiency=float(state["apd_efficiency"]),
-        lo_amplitude=float(det["lo_amplitude"]),
-        phases=tuple(float(p) for p in det["phases"]),
-        reflectivity=float(det["reflectivity"]),
-        efficiency=float(det["efficiency"]),
-        bins=int(det["bins"]),
-        noise_kind=noise["kind"],
-        noise_epsilon=float(noise["epsilon"]),
-        noise_width=float(noise["width"]),
-        noise_samples=int(noise["samples"]),
-        width_is_std=bool(noise["width_is_std"]),
-        trials=int(noise["trials"]),
-        seed=None if noise["seed"] is None else int(noise["seed"]),
-        sweep_axis=sweep["axis"],
-        sweep_values=None if values is None else tuple(float(v) for v in values),
+        **{f.name: _cast(f.type, doc[f.metadata["section"]][key]) for key, f in _FIELDS.items()}
     )
 
 
-_FLAG_FIELDS = {
-    "lam": ("state", "lam"),
-    "n_max": ("state", "n_max"),
-    "transmission": ("state", "transmission"),
-    "apd_efficiency": ("state", "apd_efficiency"),
-    "lo_amplitude": ("detector", "lo_amplitude"),
-    "reflectivity": ("detector", "reflectivity"),
-    "efficiency": ("detector", "efficiency"),
-    "bins": ("detector", "bins"),
-    "phases": ("detector", "phases"),
-    "noise": ("noise", "kind"),
-    "epsilon": ("noise", "epsilon"),
-    "width": ("noise", "width"),
-    "samples": ("noise", "samples"),
-    "width_is_std": ("noise", "width_is_std"),
-    "trials": ("noise", "trials"),
-    "seed": ("noise", "seed"),
-    "axis": ("sweep", "axis"),
-    "values": ("sweep", "values"),
-}
+def _merge(doc: dict, extra: dict):
+    for section, entries in extra.items():
+        doc[section].update(entries)
 
 
 def resolve_config(args) -> ExperimentConfig:
     """Defaults, then axis defaults, then config file, then flags."""
     doc = ExperimentConfig().document()
-    axis = getattr(args, "axis", None)
     file_doc = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_doc = json.load(fh)
+    if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
+        raise SystemExit("the config file must be a JSON object of section objects")
+    unknown = []
+    for section, entries in file_doc.items():
+        if section not in doc:
+            unknown.append(section)
+        else:
+            unknown += [f"{section}.{key}" for key in entries if key not in doc[section]]
+    if unknown:
+        raise SystemExit(f"unknown config keys: {', '.join(unknown)}")
+    axis = getattr(args, "sweep_axis", None)
     if axis is None:
         axis = file_doc.get("sweep", {}).get("axis")
     if axis is not None:
         if axis not in AXIS_DEFAULTS:
             raise SystemExit(f"unknown sweep axis {axis!r}; choose from {sorted(AXIS_DEFAULTS)}")
-        _deep_update(doc, json.loads(json.dumps(AXIS_DEFAULTS[axis])))
+        _merge(doc, AXIS_DEFAULTS[axis])
         doc["sweep"]["axis"] = axis
-    _deep_update(doc, file_doc)
-    for flag, (section, key) in _FLAG_FIELDS.items():
-        val = getattr(args, flag, None)
+    _merge(doc, file_doc)
+    for key, f in _FIELDS.items():
+        val = getattr(args, f.name, None)
         if val is not None and val is not False:
-            doc[section][key] = val
+            doc[f.metadata["section"]][key] = val
     return _config_from_document(doc)
 
 
@@ -366,36 +335,21 @@ SWEEP_HEADER = (
 )
 
 
-# ExperimentConfig field each sweep axis sets
-_AXIS_FIELDS = {
-    "lam": "lam",
-    "transmission": "transmission",
-    "reflectivity": "reflectivity",
-    "epsilon": "noise_epsilon",
-    "width": "noise_width",
-}
-
-
-def _sweep_point_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis not in _AXIS_FIELDS:
-        raise SystemExit(f"unknown sweep axis {axis!r}")
-    return replace(cfg, **{_AXIS_FIELDS[axis]: value})
-
-
 def run_sweep(cfg: ExperimentConfig):
     """One row per sweep value; failures abort the row, not the sweep."""
     rows = []
     failed = False
     op_cache = {}
+    axis_field = _FIELDS[cfg.sweep_axis]
     for value in sorted(cfg.sweep_values):
-        point = _sweep_point_config(cfg, cfg.sweep_axis, value)
+        point = replace(cfg, **{axis_field.name: value})
         t0 = time.monotonic()
         try:
             initial, state, _ = make_states(point)
             e_ini = negativity.exact_log_negativity(initial).log_negativity
             e_sub = negativity.exact_log_negativity(state).log_negativity
             det = make_detector(point)
-            if cfg.sweep_axis in NOISE_AXES:
+            if axis_field.metadata["section"] == "noise":
                 model = noise_model(point)
                 results = bound_mod.noise_trials(
                     state, det, det, model, trials=point.trials, phases=point.phases
@@ -434,7 +388,7 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if cfg.sweep_axis is None:
         raise SystemExit("sweep requires --axis or a sweep.axis config entry")
-    if cfg.sweep_axis in NOISE_AXES and cfg.seed is None:
+    if _FIELDS[cfg.sweep_axis].metadata["section"] == "noise" and cfg.seed is None:
         raise SystemExit("--seed is required for noise runs")
     rows, failed = run_sweep(cfg)
     header = SWEEP_HEADER + (("wall_time_s",) if args.timing else ())
@@ -501,11 +455,32 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _add_noise(p: argparse.ArgumentParser):
     p.add_argument(
-        "--noise", choices=("static_calibration", "phase_averaged"), help="noise model"
+        "--noise",
+        dest="noise_kind",
+        choices=("static_calibration", "phase_averaged"),
+        help="noise model",
     )
-    p.add_argument("--epsilon", type=float, help="static calibration error scale")
-    p.add_argument("--width", type=float, help="phase averaging width (radians)")
-    p.add_argument("--samples", type=int, help="coherent components per averaged LO")
+    p.add_argument(
+        "--epsilon",
+        dest="noise_epsilon",
+        metavar="EPSILON",
+        type=float,
+        help="static calibration error scale",
+    )
+    p.add_argument(
+        "--width",
+        dest="noise_width",
+        metavar="WIDTH",
+        type=float,
+        help="phase averaging width (radians)",
+    )
+    p.add_argument(
+        "--samples",
+        dest="noise_samples",
+        metavar="SAMPLES",
+        type=int,
+        help="coherent components per averaged LO",
+    )
     p.add_argument(
         "--width-is-std",
         dest="width_is_std",
@@ -554,9 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one axis and emit a CSV table")
     _add_common(p)
     _add_noise(p)
-    p.add_argument("--axis", choices=sorted(AXIS_DEFAULTS), help="sweep axis")
+    p.add_argument(
+        "--axis", dest="sweep_axis", choices=sorted(AXIS_DEFAULTS), help="sweep axis"
+    )
     p.add_argument(
         "--values",
+        dest="sweep_values",
+        metavar="VALUES",
         type=lambda s: tuple(float(x) for x in s.split(",")),
         help="comma-separated sweep values",
     )

@@ -279,7 +279,7 @@ def _disp_element(n_row: int, m_col: int, beta: np.ndarray, abs2: np.ndarray) ->
     return pref * (-np.conj(beta)) ** k * np.exp(-0.5 * abs2) * lag
 
 
-def wigner_of_operator(op: FockOperator, xs=None, ps=None) -> np.ndarray:
+def wigner_of_operator(op: FockOperator, xs, ps) -> np.ndarray:
     """W(x, p) of a single-mode operator on a grid; W[i, j] = W(xs[i], ps[j]).
 
     Normalization: for a density matrix the grid integrates to 1 and the
@@ -287,10 +287,6 @@ def wigner_of_operator(op: FockOperator, xs=None, ps=None) -> np.ndarray:
     """
     if op.space.n_modes != 1:
         raise ValueError("single-mode operator expected")
-    if xs is None:
-        xs = np.linspace(-5.0, 5.0, 201)
-    if ps is None:
-        ps = np.linspace(-5.0, 5.0, 201)
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     rho = op.matrix

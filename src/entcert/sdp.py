@@ -459,19 +459,6 @@ def solve(
     it = 0
     progress_it = 0
 
-    def _pack(y_, xs_, xlp_, gap_, dobj_):
-        cert = [None] * len(program.blocks)
-        for cone, xb in zip(cones, xs_):
-            cert[cone.index] = _herm(xb)
-        for j, k in enumerate(lp_index):
-            cert[k] = np.full((1, 1), xlp_[j], dtype=program.blocks[k][0].dtype)
-        return {
-            "y": y_.copy(),
-            "cert": cert,
-            "gap": gap_,
-            "dual_objective": dobj_,
-        }
-
     def _moments(xs_, xlp_):
         # Re tr(Fj X) summed over every cone
         out = np.zeros(m)
@@ -527,7 +514,9 @@ def solve(
                 progress_it = it
             if score < best_score:
                 best_score = score
-                best = _pack(y, xs, xlp, rel_gap, dobj)
+                # every update below rebinds these arrays, so references
+                # keep the iterate
+                best = (y, list(xs), xlp, rel_gap, dobj)
 
             if rel_gap < gap_tol and res < feas_tol:
                 status = STATUS_OPTIMAL
@@ -676,31 +665,30 @@ def solve(
         status = STATUS_NUMERICAL_FAILURE
         detail = str(err)
 
-    if best is None:
-        best = _pack(y, xs, xlp, np.inf, np.nan)
+    if best is None or status == STATUS_INFEASIBLE:
+        best = (y, xs, xlp, np.inf, np.nan)
+    y_best, xs_best, xlp_best, gap_best, dobj_best = best
+    cert = [None] * len(program.blocks)
+    for cone, xb in zip(cones, xs_best):
+        cert[cone.index] = _herm(xb)
+    for j, k in enumerate(lp_index):
+        cert[k] = np.full((1, 1), xlp_best[j], dtype=program.blocks[k][0].dtype)
 
-    if status != STATUS_INFEASIBLE:
-        result = best
-    else:
-        result = _pack(y, xs, xlp, np.inf, np.nan)
-
-    y_out = dvec * result["y"]
+    y_out = dvec * y_best
     pobj = float(program.objective @ y_out)
     return SdpSolution(
         y_star=y_out,
         objective_value=pobj,
-        dual_certificate=result["cert"],
-        duality_gap=float(result["gap"]),
+        dual_certificate=cert,
+        duality_gap=float(gap_best),
         status=status,
         iterations=it,
         info={
             "history": history,
-            "dual_objective": result["dual_objective"],
+            "dual_objective": dobj_best,
             # weak duality holds for exact iterates; roundoff in a residual
             # parked above feas_tol can push the primal above the dual
-            "weak_duality_violation": float(
-                np.maximum(0.0, pobj - result["dual_objective"])
-            ),
+            "weak_duality_violation": float(np.maximum(0.0, pobj - dobj_best)),
             "detail": detail,
             "ridge_retries": ridge_retries,
         },

@@ -109,9 +109,11 @@ def test_build_measurements_ordering():
 
 
 def test_build_measurements_unknown_outcome_raises():
-    det = toy_detector()
-    with pytest.raises(ValueError):
-        build_measurements(det, det, outcomes=(0, 1, 2, 99), signal_cutoff=2)
+    # a 2-bin detector has no outcome 3 among DEFAULT_OUTCOMES
+    tmd = TmdConfig(bins=2, efficiency=0.1)
+    det = DetectorConfig(lo_amplitude=1.0, lo_phase=0.0, reflectivity=0.5, tmd_c=tmd, tmd_d=tmd)
+    with pytest.raises(ValueError, match="outcome 3"):
+        build_measurements(det, det, signal_cutoff=2)
 
 
 def test_measurement_set_validation():
@@ -429,9 +431,9 @@ def test_witness_directions_capped_at_operator_dimension(monkeypatch):
     # first rung used to end infeasible ("objective diverges").  With 16
     # directions the first rung is optimal and the ladder keeps it.
     ms = _criterion_8_first_measurements()
-    _, sig = bound._gram_rotation(np.array([op.matrix for op in ms.operators]))
+    _, sig = bound._gram_rotation(ms.matrices)
     assert np.count_nonzero(sig > bound.GRAM_NULL_CUT * sig.max()) == 17
-    _, _, _, rot = bound._witness_program(ms, 0.0)
+    _, _, _, rot = bound._witness_program(ms, 0.0, bound.GRAM_NULL_CUT)
     assert rot.shape[1] == 16
     statuses = []
     original = sdp.solve

@@ -1,6 +1,8 @@
 """Command-line harness: config resolution, determinism, schemas, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -67,6 +69,50 @@ def test_axis_from_config_file(tmp_path):
     assert cfg.sweep_axis == "transmission"
     assert cfg.sweep_values == (0.8, 0.9)
     assert cfg.apd_efficiency == 0.15
+
+
+def test_unknown_config_keys_rejected(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"state": {"transmision": 0.8}, "detectr": {"bins": 4}}))
+    args = cli.build_parser().parse_args(["bound", "--config", str(conf)])
+    with pytest.raises(SystemExit, match="state.transmision, detectr"):
+        cli.resolve_config(args)
+    for malformed in ({"state": 5}, [1]):
+        conf.write_text(json.dumps(malformed))
+        with pytest.raises(SystemExit, match="JSON object of section objects"):
+            cli.resolve_config(args)
+
+
+def test_config_values_cast_by_annotation(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(
+        json.dumps({"state": {"lam": 0}, "detector": {"phases": [0, 1]}, "noise": {"seed": 4.0}})
+    )
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["bound", "--config", str(conf)]))
+    assert type(cfg.lam) is float and type(cfg.seed) is int and cfg.noise_kind is None
+    assert [type(p) for p in cfg.phases] == [float, float]
+
+
+@pytest.mark.parametrize("axis", [None] + sorted(cli.AXIS_DEFAULTS))
+def test_document_round_trips(axis):
+    argv = ["sweep", "--out", "x.csv"] + ([] if axis is None else ["--axis", axis])
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert cli._config_from_document(cfg.document()) == cfg
+
+
+def test_each_field_has_one_key_and_one_flag():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert sorted(f.name for f in cli._FIELDS.values()) == sorted(names)
+    assert set(names) <= dests
+    doc = cli.ExperimentConfig().document()
+    assert sum(len(keys) for keys in doc.values()) == len(names)
+    # each sweep axis and each of its study defaults is a document key
+    assert set(cli.AXIS_DEFAULTS) <= set(cli._FIELDS)
+    for study in cli.AXIS_DEFAULTS.values():
+        assert all(set(entries) <= set(doc[section]) for section, entries in study.items())
 
 
 # ---------------------------------------------------------------------------

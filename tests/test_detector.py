@@ -323,8 +323,9 @@ def test_wigner_identity_flat_in_cesaro_sense():
     # pointwise the truncated kernel sum oscillates; the average of two
     # consecutive cutoffs settles near the flat value 1/(2 pi)
     pts = [(0.3, 0.2), (0.7, 0.3), (1.0, -0.8), (2.0, 0.0)]
-    w20 = detector.wigner_of_operator(_op([1.0] * 21))
-    w21 = detector.wigner_of_operator(_op([1.0] * 22))
+    grid = np.linspace(-5.0, 5.0, 201)
+    w20 = detector.wigner_of_operator(_op([1.0] * 21), grid, grid)
+    w21 = detector.wigner_of_operator(_op([1.0] * 22), grid, grid)
     for x, p in pts:
         a = detector.wigner_of_operator(_op([1.0] * 21), np.array([x]), np.array([p]))[0, 0]
         b = detector.wigner_of_operator(_op([1.0] * 22), np.array([x]), np.array([p]))[0, 0]

@@ -418,7 +418,7 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
         bound.reconcile_expectations(ms)
     else:
         epsilon = 1e-2 if program == "witness-robust" else 0.0
-        sdp.solve(bound._witness_program(ms, epsilon)[0], max_iter=1)
+        sdp.solve(bound._witness_program(ms, epsilon, bound.GRAM_NULL_CUT)[0], max_iter=1)
     # the four class blocks of the witness program's block A (the reconcile
     # fit's state block), the pair-pair blocks of I -+ H and the diagonal
     # cone's block, which the robust program and the fit have
