@@ -16,11 +16,18 @@ a pure LO being one component; the element is linear in the LO state, so
 
     Pi_{beta,gamma} = sum_k w_k Tr_LO[ (|alpha_k><alpha_k| (x) 1) U† (Pi_c (x) Pi_d) U ]
 
-and all components are contracted in one pass on one LO cutoff chosen for
-the largest |alpha_k|.  In the unbalanced configuration the LO-arm detector
-efficiency is set to zero and outcomes carry the live detector's click count
-only (bins + 1 outcomes per setting).  Wigner functions of POVM elements are evaluated from the
-Fock-basis displacement kernel (associated Laguerre polynomials).
+on one LO cutoff chosen for the largest |alpha_k|.  A mixture is contracted
+through the LO density matrix sigma = sum_k w_k |alpha_k><alpha_k|: each
+output photon pair (na, nb) carries the signal operator U_r† sigma U_r, and
+the elements are click-weighted sums of those, so the contraction costs the
+same for any component count.  A one-component LO is contracted through its
+amplitudes instead, which gives the same elements to roundoff; it keeps that
+path because the robust witness rows are sensitive to roundoff in the
+operators (see homodyne_povm).  In the unbalanced configuration the LO-arm
+detector efficiency is set to zero and outcomes carry the live detector's
+click count only (bins + 1 outcomes per setting).  Wigner functions of POVM
+elements are evaluated from the Fock-basis displacement kernel (associated
+Laguerre polynomials).
 """
 
 from __future__ import annotations
@@ -214,12 +221,21 @@ def homodyne_povm(
 
     The LO is a list of coherent components, given as (weight, complex
     amplitude) pairs with nonnegative weights summing to 1; None means the
-    pure LO [(1.0, det.lo_alpha)].  Each element is linear in the LO state,
-    so a mixture gives Pi_beta = sum_k w_k Pi_beta(alpha_k), contracted over
-    the components in one pass.  One LO cutoff, chosen by adaptive_lo_cutoff
-    for the largest amplitude, keeps every component's tail mass below
-    TAIL_TOL.  PovmSet raises when the POVM misses completeness by more than
-    TOL_COMPLETE.
+    pure LO [(1.0, det.lo_alpha)].  One LO cutoff, chosen by
+    adaptive_lo_cutoff for the largest amplitude, keeps every component's
+    tail mass below TAIL_TOL.  PovmSet raises when the POVM misses
+    completeness by more than TOL_COMPLETE.
+
+    Each element is linear in the LO state, so a mixture gives
+    Pi_beta = sum_k w_k Pi_beta(alpha_k).  The path follows the component
+    count:
+    - more than one component (a phase-averaged LO): through the LO
+      density matrix, with one batched matmul for the operators of all
+      output photon pairs and one product over all outcomes;
+    - one component (the pure LO, a static phase error, every table and
+      model build): one einsum per outcome over the output amplitudes.
+      The density-matrix path would move these elements by ~1e-16, and
+      that roundoff alone turns robust table rows from optimal to stalled.
     """
     if lo_components is None:
         lo_components = [(1.0, det.lo_alpha)]
@@ -237,10 +253,12 @@ def homodyne_povm(
     u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
     vecs = np.array([coherent_amplitudes(a, lo_cutoff)[0] for _, a in lo_components])
-    # wv[k, na, nb, b]: component k, na photons on the LO-aligned arm, nb on the
-    # signal-aligned arm; the weights ride on the conjugate factor
-    wv = np.einsum("rab,ka->krb", u_r, vecs).reshape(len(weights), d_pad, d_pad, d_sig)
-    wv_conj = wv.conj() * weights[:, None, None, None]
+    # one path can serve both once ROADMAP items 1, 2 and 4 make the robust
+    # rows insensitive to roundoff in the operators
+    if len(weights) > 1:
+        ops = _mixed_lo_ops(u_r, vecs, weights, d_live, d_lo)
+    else:
+        ops = _pure_lo_ops(u_r, vecs, d_live, d_lo)
 
     if det.unbalanced:
         outcomes = list(range(det.tmd_c.bins + 1))
@@ -248,18 +266,46 @@ def homodyne_povm(
         outcomes = [
             (bc, bd) for bc in range(det.tmd_c.bins + 1) for bd in range(det.tmd_d.bins + 1)
         ]
+    space = HilbertSpec((signal_cutoff,))
     elements = []
-    for outc in outcomes:
-        if det.unbalanced:
-            op = np.einsum("kabi,b,kabj->ij", wv_conj, d_live[outc], wv, optimize=True)
-        else:
-            bc, bd = outc
-            op = np.einsum(
-                "kabi,a,b,kabj->ij", wv_conj, d_lo[bd], d_live[bc], wv, optimize=True
-            )
+    for outc, op in zip(outcomes, ops):
         op = 0.5 * (op + op.conj().T)
-        elements.append(PovmElement(outc, det, FockOperator(HilbertSpec((signal_cutoff,)), op)))
+        elements.append(PovmElement(outc, det, FockOperator(space, op)))
     return PovmSet(tuple(elements))
+
+
+def _pure_lo_ops(u_r, vecs, d_live, d_lo):
+    """Unsymmetrised elements of a one-component LO, one einsum per outcome
+    over the amplitudes wv[na, nb, b] of the output state given signal |b>
+    (na photons on the LO-aligned arm, nb on the signal-aligned arm).  An
+    unbalanced detector has no LO-arm click matrix d_lo."""
+    d_pad, d_sig = d_live.shape[1], u_r.shape[2]
+    wv = np.einsum("rab,ka->krb", u_r, vecs).reshape(1, d_pad, d_pad, d_sig)
+    wv_conj = wv.conj()
+    if d_lo is None:
+        return [np.einsum("kabi,b,kabj->ij", wv_conj, row, wv, optimize=True) for row in d_live]
+    return [
+        np.einsum("kabi,a,b,kabj->ij", wv_conj, d_lo[bd], d_live[bc], wv, optimize=True)
+        for bc in range(d_live.shape[0])
+        for bd in range(d_lo.shape[0])
+    ]
+
+
+def _mixed_lo_ops(u_r, vecs, weights, d_live, d_lo):
+    """Unsymmetrised elements of a mixed LO through its density matrix.
+
+    s = sum_k w_k conj(v_k) v_k^T is the LO density matrix (transposed);
+    q[na, nb] = U_r^H s U_r, with U_r the (LO, signal) -> output columns of
+    output pair r = (na, nb), is the signal operator that output pair
+    carries, and each element is a click-weighted sum of the q blocks.
+    """
+    d_pad, d_sig = d_live.shape[1], u_r.shape[2]
+    s = (vecs.conj().T * weights) @ vecs
+    q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
+    if d_lo is None:
+        return (d_live @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
+    ops = np.einsum("xa,yb,abij->yxij", d_lo, d_live, q, optimize=True)
+    return ops.reshape(-1, d_sig, d_sig)
 
 
 # ---------------------------------------------------------------------------

@@ -239,21 +239,30 @@ def test_homodyne_phase_covariance():
 
 @pytest.mark.parametrize("unbalanced", [True, False])
 def test_homodyne_mixed_lo_components(unbalanced):
-    # a mixture is the weighted sum of the pure-LO POVMs of its components;
-    # both amplitudes get the minimum LO cutoff, so all POVMs share one truncation
-    comps = [(0.5, 1.0), (0.3, 1.0 * np.exp(1j * 0.5)), (0.2, 0.6 * np.exp(1j * 0.1))]
-    det = _det(unbalanced=unbalanced)
-    mixed = detector.homodyne_povm(det, 3, lo_components=comps)
-    pures = [
-        detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a), unbalanced=unbalanced), 3)
-        for _, a in comps
+    # a mixture is the weighted sum of the pure-LO POVMs of its components.
+    # Each pure POVM takes the LO cutoff of its own amplitude; the 1.0 and 0.6
+    # components share the minimum cutoff, and next to the 2.5 component only
+    # amplitudes of at most 0.5 appear, whose tails beyond that minimum are
+    # below 1e-17, so all POVMs agree on one truncation to roundoff
+    assert fock.adaptive_lo_cutoff(2.5) > fock.adaptive_lo_cutoff(1.0) == 12
+    mixtures = [
+        [(0.5, 1.0), (0.3, 1.0 * np.exp(1j * 0.5)), (0.2, 0.6 * np.exp(1j * 0.1))],
+        [(0.6, 0.5 * np.exp(1j * 0.4)), (0.4, 0.0)],
+        [(0.25, 2.5 * np.exp(1j * 0.2)), (0.5, 0.5 * np.exp(-1j * 0.7)), (0.25, 0.3)],
     ]
-    assert len(mixed.elements) == (9 if unbalanced else 81)
-    for i, m in enumerate(mixed.elements):
-        expect = sum(w * p.elements[i].operator.matrix for (w, _), p in zip(comps, pures))
-        assert all(p.elements[i].outcome == m.outcome for p in pures)
-        assert np.max(np.abs(m.operator.matrix - expect)) < 1e-12
-    assert mixed.completeness_deficit() < 1e-6
+    det = _det(unbalanced=unbalanced)
+    for comps in mixtures:
+        mixed = detector.homodyne_povm(det, 3, lo_components=comps)
+        pures = [
+            detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a), unbalanced=unbalanced), 3)
+            for _, a in comps
+        ]
+        assert len(mixed.elements) == (9 if unbalanced else 81)
+        for i, m in enumerate(mixed.elements):
+            expect = sum(w * p.elements[i].operator.matrix for (w, _), p in zip(comps, pures))
+            assert all(p.elements[i].outcome == m.outcome for p in pures)
+            assert np.max(np.abs(m.operator.matrix - expect)) < 1e-12
+        assert mixed.completeness_deficit() < 1e-6
 
 
 @pytest.mark.parametrize("setting", [0.0, np.pi / 2])
@@ -265,6 +274,11 @@ def test_homodyne_one_component_list_is_the_shifted_pure_lo(setting, error):
     one = detector.homodyne_povm(nominal, 3, lo_components=[(1.0, shifted.lo_alpha)])
     pure = detector.homodyne_povm(shifted, 3)
     for a, b in zip(one.elements, pure.elements):
+        assert a.outcome == b.outcome
+        assert np.array_equal(a.operator.matrix, b.operator.matrix)
+    # None is the one-component list of the setting's own LO, bit for bit
+    listed = detector.homodyne_povm(shifted, 3, lo_components=[(1.0, shifted.lo_alpha)])
+    for a, b in zip(listed.elements, pure.elements):
         assert a.outcome == b.outcome
         assert np.array_equal(a.operator.matrix, b.operator.matrix)
 
