@@ -39,20 +39,32 @@ columns, and each Newton direction takes one refinement pass against that
 operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
 assembled matrix.
 
-The iteration keeps to numpy's BLAS runtime.  The numpy and scipy wheels
-each bundle their own OpenBLAS, each with worker threads that spin while
-they wait for work, so a loop that alternates between the two keeps both
-pools spinning on the same cores.  The Schur complement is therefore
-factored by np.linalg.cholesky, and its dense products are numpy matmuls
-G G^T and G^T G, which numpy hands to syrk and returns symmetric bit for
-bit.  Only the triangular solves are scipy's: each is one LAPACK dpotrs
-call on a Fortran-order copy of the factor, made once per iteration, and
-with one right-hand side it runs on the calling thread and wakes no worker.
+Each solve runs on one BLAS thread.  The numpy and scipy wheels each bundle
+their own OpenBLAS.  At its default thread count, the core count, a worker
+thread spins through the whole solve, and the multithreaded kernels split
+sums differently from the one-thread ones, so the returned iterate, and with
+it the status, would depend on the machine's core count.  solve therefore
+sets both runtimes to one thread through their ctypes handles, looked up on
+the first solve, and restores the caller's counts when it returns; where no
+handle is found it runs at the caller's counts.  The Schur complement is
+factored by scipy's LAPACK dpotrf, which takes the symmetric matrix through
+its transpose, a Fortran-order view, and factors a copy, so a failed
+factorization is retried on the intact matrix plus a ridge; the factor goes
+to the dpotrs triangular solves as it is.  The dense products are numpy
+matmuls G G^T and G^T G, which numpy hands to syrk and returns symmetric bit
+for bit.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg.lapack
 
 TOL_SYM = 1e-10
@@ -210,6 +222,53 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
 
 # W (x) W entries below which pair columns are always tabulated (1 MB)
 _PAIR_TABLE_FLOOR = 2**16
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS runtimes bundled
+    with numpy and scipy, one pair for each runtime found."""
+    controls = []
+    for module in (np, scipy):
+        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in glob.glob(str(libs / "*openblas*.so*")):
+            lib = ctypes.CDLL(path)
+            for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed code with every OpenBLAS found at one thread, and
+    restore the caller's counts on the way out."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
+def _cho_factor(schur: np.ndarray):
+    """Upper Cholesky factor U, U^T U = schur, of the symmetric schur, in
+    the Fortran order dpotrs reads; None when schur is not positive
+    definite.  schur itself is left as it was."""
+    # schur.T is schur laid out in Fortran order, so dpotrf takes it without
+    # a transposing copy; it factors into a fresh array, not into schur
+    factor, info = scipy.linalg.lapack.dpotrf(schur.T, lower=0)
+    if info < 0:
+        raise _NumericalProblem(f"dpotrf failed with info {info}")
+    return factor if info == 0 else None
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -407,8 +466,17 @@ def solve(
     ``weak_duality_violation``, max(0, primal - dual), and
     ``ridge_retries``, the number of Cholesky factorizations of the Schur
     complement that failed over the solve, each retried with a larger
-    diagonal ridge.
+    diagonal ridge.  The solve runs with numpy's and scipy's OpenBLAS at
+    one thread each, so its result does not depend on the caller's thread
+    counts, which are restored on return.
     """
+    with _one_blas_thread():
+        return _interior_point(program, gap_tol, max_iter, feas_tol)
+
+
+def _interior_point(
+    program: ConicProgram, gap_tol: float, max_iter: int, feas_tol: float
+) -> SdpSolution:
     m = program.objective.size
 
     # matrix cones, and the 1x1 blocks grouped into one diagonal cone
@@ -564,17 +632,13 @@ def solve(
             factor = None
             ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
             for attempt in range(4):
-                try:
-                    factor = np.linalg.cholesky(schur, upper=True)
+                factor = _cho_factor(schur)
+                if factor is not None:
                     break
-                except np.linalg.LinAlgError:
-                    ridge_retries += 1
-                    schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
+                ridge_retries += 1
+                schur[np.diag_indices_from(schur)] += ridge * 10.0**attempt
             if factor is None:
                 raise _NumericalProblem("Schur complement not positive definite")
-            # dpotrs reads a Fortran-order factor in place; one copy serves
-            # the iteration's four solves
-            factor = np.asfortranarray(factor)
 
             def _schur_apply(v):
                 # Re tr(Fi W (sum_j v_j Fj) W) summed over the cones

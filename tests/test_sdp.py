@@ -429,18 +429,112 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
 
 @pytest.mark.parametrize("m", [50, 300])
 def test_cho_solve_matches_scipy(m):
-    # one dpotrs call on the Fortran-order factor gives scipy's cho_solve
-    # bit for bit; a non-finite right-hand side ends the solve as a
-    # numerical problem, where cho_solve raises ValueError
+    # the dpotrf factor, in Fortran order, goes to one dpotrs call that
+    # gives scipy's cho_solve bit for bit; factoring leaves the matrix as it
+    # was and returns None for one that is not positive definite; a
+    # non-finite right-hand side ends the solve as a numerical problem,
+    # where cho_solve raises ValueError
     rng = np.random.default_rng(89)
     a = rng.normal(size=(m, m))
-    u = np.linalg.cholesky(a @ a.T + m * np.eye(m), upper=True)
-    factor = np.asfortranarray(u)
+    spd = a @ a.T + m * np.eye(m)
+    kept = spd.copy()
+    factor = sdp._cho_factor(spd)
+    assert np.array_equal(spd, kept)
+    assert factor.flags.f_contiguous and np.array_equal(factor, np.triu(factor))
+    assert np.max(np.abs(factor.T @ factor - spd)) <= 1e-12 * np.max(np.abs(spd))
     b = rng.normal(size=m)
-    assert np.array_equal(sdp._cho_solve(factor, b), scipy.linalg.cho_solve((u, False), b))
+    assert np.array_equal(sdp._cho_solve(factor, b), scipy.linalg.cho_solve((factor, False), b))
     b[m // 2] = np.nan
     with pytest.raises(sdp._NumericalProblem):
         sdp._cho_solve(factor, b)
+    assert sdp._cho_factor(spd - 2 * m * np.eye(m)) is None
+
+
+def test_ridge_retry_factors_the_assembled_matrix(monkeypatch):
+    # two identical F columns make every Schur complement singular; each
+    # failed factorization is retried on the assembled matrix plus a ridge
+    # on its diagonal, which a factor written into the matrix would spoil
+    fs = np.array([np.diag([1.0, -1.0])] * 2)
+    prog = sdp.ConicProgram([1.0, 1.0], [(np.eye(2), fs)])
+    calls = []
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def record(a, **kwargs):
+        calls.append(a.copy())
+        out = dpotrf(a, **kwargs)
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", record)
+    sol = sdp.solve(prog, gap_tol=1e-9)
+    assert sol.info["ridge_retries"] >= 1
+    assert np.all(np.isfinite(sol.y_star))
+    assert abs(sol.objective_value - 1.0) < 1e-7
+    mats, infos = calls[::2], calls[1::2]
+    assert sum(info > 0 for info in infos) == sol.info["ridge_retries"]
+    first = next(i for i, info in enumerate(infos) if info > 0)
+    expected = mats[first].copy()
+    expected[np.diag_indices_from(expected)] += 1e-14 * (1.0 + np.max(np.diag(expected)))
+    assert np.array_equal(mats[first + 1], expected)
+
+
+def _table_witness_program():
+    cfg = cli.ExperimentConfig()
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    return bound._witness_program(ms, 0.0, bound.GRAM_NULL_CUT)[0]
+
+
+def test_solve_ignores_and_restores_caller_blas_threads(monkeypatch):
+    # multithreaded OpenBLAS kernels round the Schur products differently
+    # from one thread, so a solve left at the caller's thread count returns
+    # another iterate on another machine; solve pins every OpenBLAS to one
+    # thread and hands the caller's count back, also after a failure
+    controls = sdp._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+
+    def counts():
+        return [get() for get, _ in controls]
+
+    program = _table_witness_program()
+    assert program.n_vars >= 300
+    saved = counts()
+    try:
+        sols = []
+        for threads in (1, 2):
+            for _, put in controls:
+                put(threads)
+            sols.append(sdp.solve(program, gap_tol=bound._WITNESS_GAP_TOL))
+            assert counts() == [threads] * len(controls)
+        one, two = sols
+        assert one.status == two.status == "optimal"
+        assert one.iterations == two.iterations
+        assert np.array_equal(one.y_star, two.y_star)
+
+        inside = []
+
+        def fail(error):
+            def cho_solve(factor, rhs):
+                inside.append(counts())
+                raise error
+
+            return cho_solve
+
+        # a numerical problem ends the solve with a status; any other error
+        # propagates, and the counts come back either way
+        monkeypatch.setattr(sdp, "_cho_solve", fail(sdp._NumericalProblem("injected")))
+        assert sdp.solve(program).status == "numerical_failure"
+        monkeypatch.setattr(sdp, "_cho_solve", fail(RuntimeError("injected")))
+        with pytest.raises(RuntimeError):
+            sdp.solve(program)
+        assert inside == [[1] * len(controls)] * 2
+        assert counts() == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
