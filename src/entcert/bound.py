@@ -389,12 +389,14 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     mats = measurements.matrices
     mvec = measurements.expectations
 
-    h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
-    h = 0.5 * (h + h.conj().T)
-    nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
-    h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
-
-    linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
+    # on one BLAS thread, as in the solve, so that the certified bound does
+    # not depend on the caller's thread count
+    with sdp.one_blas_thread():
+        h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+        h = 0.5 * (h + h.conj().T)
+        nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
+        h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
+        linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
@@ -571,13 +573,16 @@ def reconcile_expectations(measurements: MeasurementSet):
     program = sdp.ConicProgram(c, blocks)
     sol = sdp.solve(program, gap_tol=1e-8)
 
-    rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
-    rho = 0.5 * (rho + rho.conj().T)
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    rho /= np.trace(rho).real
-    fitted = np.real(np.einsum("iab,ba->i", mats, rho))
+    # on one BLAS thread, as in the solve, so that the fitted moments do not
+    # depend on the caller's thread count
+    with sdp.one_blas_thread():
+        rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
+        rho = 0.5 * (rho + rho.conj().T)
+        w, v = np.linalg.eigh(rho)
+        w = np.clip(w, 0.0, None)
+        rho = (v * w) @ v.conj().T
+        rho /= np.trace(rho).real
+        fitted = np.real(np.einsum("iab,ba->i", mats, rho))
     fitted[measurements.identity_index] = 1.0
     info = {
         "fit_residual": float(-sol.objective_value),

@@ -175,13 +175,11 @@ def make_states(cfg: ExperimentConfig):
 
 
 def make_detector(cfg: ExperimentConfig) -> detector_mod.DetectorConfig:
-    tmd = detector_mod.TmdConfig(bins=cfg.bins, efficiency=cfg.efficiency)
     return detector_mod.DetectorConfig(
         lo_amplitude=cfg.lo_amplitude,
         lo_phase=0.0,
         reflectivity=cfg.reflectivity,
-        tmd_c=tmd,
-        tmd_d=tmd,
+        tmd=detector_mod.TmdConfig(bins=cfg.bins, efficiency=cfg.efficiency),
     )
 
 
@@ -388,6 +386,8 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if cfg.sweep_axis is None:
         raise SystemExit("sweep requires --axis or a sweep.axis config entry")
+    if not cfg.sweep_values:
+        raise SystemExit("sweep requires --values or a non-empty sweep.values config entry")
     if _FIELDS[cfg.sweep_axis].metadata["section"] == "noise" and cfg.seed is None:
         raise SystemExit("--seed is required for noise runs")
     rows, failed = run_sweep(cfg)

@@ -1,33 +1,32 @@
 """Time-multiplexed click detector and weak-homodyne POVM model.
 
-A time-multiplexed detector (TMD) splits a pulse over `bins` modes read by
-binary avalanche photodiodes; the click-count statistics are k = C L r with
-L a binomial loss matrix and C the bin-occupancy convolution matrix.  A weak
-homodyne detector interferes the signal with a coherent local oscillator
-(LO) on a beam splitter of reflectivity R and reads the two output arms with
-TMDs.  The signal-mode POVM element for click outcome beta at setting gamma
-is
+A time-multiplexed detector (TMD) splits a pulse evenly over `bins` modes
+read by binary avalanche photodiodes; the click-count statistics are
+k = C L r with L a binomial loss matrix and C the bin-occupancy convolution
+matrix.  A weak homodyne detector interferes the signal with a coherent
+local oscillator (LO) on a beam splitter of reflectivity R and reads the
+signal-aligned output arm with one TMD; the LO arm is not read.  The
+signal-mode POVM element for click count k at setting gamma is
 
-    Pi_{beta,gamma} = Tr_LO[ (|alpha><alpha| (x) 1) U† (Pi_c (x) Pi_d) U ]
+    Pi_{k,gamma} = Tr_LO[ (|alpha><alpha| (x) 1) U† (1 (x) Pi_k) U ]
 
-which reproduces Tr(rho Pi_{beta,gamma}) for every signal state rho.  The LO
-is always a list of coherent components (w_k, alpha_k) with sum_k w_k = 1,
-a pure LO being one component; the element is linear in the LO state, so
+which reproduces Tr(rho Pi_{k,gamma}) for every signal state rho, with
+bins + 1 outcomes per setting.  The LO is always a list of coherent
+components (w_j, alpha_j) with sum_j w_j = 1, a pure LO being one
+component; the element is linear in the LO state, so
 
-    Pi_{beta,gamma} = sum_k w_k Tr_LO[ (|alpha_k><alpha_k| (x) 1) U† (Pi_c (x) Pi_d) U ]
+    Pi_{k,gamma} = sum_j w_j Tr_LO[ (|alpha_j><alpha_j| (x) 1) U† (1 (x) Pi_k) U ]
 
-on one LO cutoff chosen for the largest |alpha_k|.  A mixture is contracted
-through the LO density matrix sigma = sum_k w_k |alpha_k><alpha_k|: each
+on one LO cutoff chosen for the largest |alpha_j|.  A mixture is contracted
+through the LO density matrix sigma = sum_j w_j |alpha_j><alpha_j|: each
 output photon pair (na, nb) carries the signal operator U_r† sigma U_r, and
 the elements are click-weighted sums of those, so the contraction costs the
 same for any component count.  A one-component LO is contracted through its
 amplitudes instead, which gives the same elements to roundoff; it keeps that
 path because the robust witness rows are sensitive to roundoff in the
-operators (see homodyne_povm).  In the unbalanced configuration the LO-arm
-detector efficiency is set to zero and outcomes carry the live detector's
-click count only (bins + 1 outcomes per setting).  Wigner functions of POVM
-elements are evaluated from the Fock-basis displacement kernel (associated
-Laguerre polynomials).
+operators (see homodyne_povm).  Wigner functions of POVM elements are
+evaluated from the Fock-basis displacement kernel (associated Laguerre
+polynomials).
 """
 
 from __future__ import annotations
@@ -52,49 +51,30 @@ TOL_COMPLETE = 1e-6
 
 @dataclass(frozen=True)
 class TmdConfig:
-    """Bin count, detection efficiency and optional per-bin splitting probabilities."""
+    """Bin count and detection efficiency; the bins are equally likely."""
 
     bins: int = 8
     efficiency: float = 1.0
-    bin_probabilities: tuple | None = None
 
     def __post_init__(self):
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.bin_probabilities is not None:
-            q = tuple(float(x) for x in self.bin_probabilities)
-            if len(q) != self.bins:
-                raise ValueError("bin_probabilities length must equal bins")
-            if any(x < 0 for x in q):
-                raise ValueError("bin_probabilities must be nonnegative")
-            if abs(sum(q) - 1.0) > 1e-12:
-                raise ValueError("bin_probabilities must sum to 1")
-            object.__setattr__(self, "bin_probabilities", q)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        if self.bin_probabilities is None:
-            return np.full(self.bins, 1.0 / self.bins)
-        return np.asarray(self.bin_probabilities)
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """One weak-homodyne setting: LO amplitude/phase, BS reflectivity, two TMDs.
+    """One weak-homodyne setting: LO amplitude/phase, BS reflectivity and
+    the TMD on the signal-aligned arm.
 
-    R is the fraction of signal intensity reaching the live (tmd_c) detector
-    arm.  With `unbalanced` set, the LO-arm detector (tmd_d) is treated as
-    having zero efficiency and outcomes are single click counts.
+    R is the fraction of signal intensity reaching that arm.
     """
 
     lo_amplitude: float
     lo_phase: float
     reflectivity: float
-    tmd_c: TmdConfig
-    tmd_d: TmdConfig
-    unbalanced: bool = True
+    tmd: TmdConfig
 
     def __post_init__(self):
         if self.lo_amplitude < 0:
@@ -110,9 +90,9 @@ class DetectorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PovmElement:
-    """One detector outcome: PSD operator with spectrum in [0, 1] on the signal mode."""
+    """One click count: PSD operator with spectrum in [0, 1] on the signal mode."""
 
-    outcome: object
+    outcome: int
     setting: object
     operator: FockOperator
 
@@ -163,13 +143,13 @@ def loss_matrix(n_in: int, efficiency: float) -> np.ndarray:
 
 
 def convolution_matrix(config: TmdConfig, n_max_photons: int) -> np.ndarray:
-    """C[k][n] = P(n photons, thrown independently over the bins, occupy
-    exactly k distinct bins).
+    """C[k][n] = P(n photons, thrown independently over the B equally
+    likely bins, occupy exactly k distinct bins).
 
     C[k][n] is the coefficient of t^k x^n/n! in the generating function
-    prod_b (1 + t (exp(q_b x) - 1)).  Multiplying in one bin at a time adds
-    sum_{m>=1} binom(n, m) q_b^m C[k-1][n-m] to C[k][n], so the cost is
-    O(bins^2 n^2) and every term is nonnegative.
+    (1 + t (exp(x/B) - 1))^B.  Multiplying in one bin adds
+    sum_{m>=1} binom(n, m) B^-m C[k-1][n-m] to C[k][n], the same matrix for
+    every bin, so the cost is O(B^2 n^2) and every term is nonnegative.
     """
     n_dim = n_max_photons + 1
     # Pascal's rule, exact in floating point while the entries stay below 2^53
@@ -178,11 +158,12 @@ def convolution_matrix(config: TmdConfig, n_max_photons: int) -> np.ndarray:
     for n in range(1, n_dim):
         binom[n, 1:] = binom[n - 1, 1:] + binom[n - 1, :-1]
     taken = np.subtract.outer(np.arange(n_dim), np.arange(n_dim))
+    # add[n][j] = binom(n, j) q^(n - j): the new bin takes n - j >= 1 photons
+    q = 1.0 / config.bins
+    add = np.where(taken > 0, binom * q ** np.maximum(taken, 0), 0.0)
     c = np.zeros((config.bins + 1, n_dim))
     c[0, 0] = 1.0
-    for q in config.probabilities:
-        # add[n][j] = binom(n, j) q^(n - j): the new bin takes n - j >= 1 photons
-        add = np.where(taken > 0, binom * q ** np.maximum(taken, 0), 0.0)
+    for _ in range(config.bins):
         c[1:] += c[:-1] @ add.T
     return c
 
@@ -217,7 +198,8 @@ def homodyne_povm(
     signal_cutoff: int,
     lo_components=None,
 ) -> PovmSet:
-    """Signal-mode POVM of one weak-homodyne setting.
+    """Signal-mode POVM of one weak-homodyne setting: one element per
+    click count 0..bins of the TMD on the signal-aligned arm.
 
     The LO is a list of coherent components, given as (weight, complex
     amplitude) pairs with nonnegative weights summing to 1; None means the
@@ -246,9 +228,7 @@ def homodyne_povm(
 
     pad = lo_cutoff + signal_cutoff
     d_pad, d_sig = pad + 1, signal_cutoff + 1
-    d_live = click_matrix(det.tmd_c, pad)
-    # the unbalanced outcomes never read the LO arm, so its matrix is not built
-    d_lo = None if det.unbalanced else click_matrix(det.tmd_d, pad)
+    clicks = click_matrix(det.tmd, pad)
 
     u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
@@ -256,56 +236,41 @@ def homodyne_povm(
     # one path can serve both once ROADMAP items 1, 2 and 4 make the robust
     # rows insensitive to roundoff in the operators
     if len(weights) > 1:
-        ops = _mixed_lo_ops(u_r, vecs, weights, d_live, d_lo)
+        ops = _mixed_lo_ops(u_r, vecs, weights, clicks)
     else:
-        ops = _pure_lo_ops(u_r, vecs, d_live, d_lo)
+        ops = _pure_lo_ops(u_r, vecs, clicks)
 
-    if det.unbalanced:
-        outcomes = list(range(det.tmd_c.bins + 1))
-    else:
-        outcomes = [
-            (bc, bd) for bc in range(det.tmd_c.bins + 1) for bd in range(det.tmd_d.bins + 1)
-        ]
     space = HilbertSpec((signal_cutoff,))
     elements = []
-    for outc, op in zip(outcomes, ops):
+    for outc, op in enumerate(ops):
         op = 0.5 * (op + op.conj().T)
         elements.append(PovmElement(outc, det, FockOperator(space, op)))
     return PovmSet(tuple(elements))
 
 
-def _pure_lo_ops(u_r, vecs, d_live, d_lo):
+def _pure_lo_ops(u_r, vecs, clicks):
     """Unsymmetrised elements of a one-component LO, one einsum per outcome
     over the amplitudes wv[na, nb, b] of the output state given signal |b>
-    (na photons on the LO-aligned arm, nb on the signal-aligned arm).  An
-    unbalanced detector has no LO-arm click matrix d_lo."""
-    d_pad, d_sig = d_live.shape[1], u_r.shape[2]
+    (na photons on the LO-aligned arm, nb on the signal-aligned arm)."""
+    d_pad, d_sig = clicks.shape[1], u_r.shape[2]
     wv = np.einsum("rab,ka->krb", u_r, vecs).reshape(1, d_pad, d_pad, d_sig)
     wv_conj = wv.conj()
-    if d_lo is None:
-        return [np.einsum("kabi,b,kabj->ij", wv_conj, row, wv, optimize=True) for row in d_live]
-    return [
-        np.einsum("kabi,a,b,kabj->ij", wv_conj, d_lo[bd], d_live[bc], wv, optimize=True)
-        for bc in range(d_live.shape[0])
-        for bd in range(d_lo.shape[0])
-    ]
+    return [np.einsum("kabi,b,kabj->ij", wv_conj, row, wv, optimize=True) for row in clicks]
 
 
-def _mixed_lo_ops(u_r, vecs, weights, d_live, d_lo):
+def _mixed_lo_ops(u_r, vecs, weights, clicks):
     """Unsymmetrised elements of a mixed LO through its density matrix.
 
     s = sum_k w_k conj(v_k) v_k^T is the LO density matrix (transposed);
     q[na, nb] = U_r^H s U_r, with U_r the (LO, signal) -> output columns of
     output pair r = (na, nb), is the signal operator that output pair
-    carries, and each element is a click-weighted sum of the q blocks.
+    carries, and each element is a click-weighted sum of the q blocks over
+    the unread LO-arm count na.
     """
-    d_pad, d_sig = d_live.shape[1], u_r.shape[2]
+    d_pad, d_sig = clicks.shape[1], u_r.shape[2]
     s = (vecs.conj().T * weights) @ vecs
     q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
-    if d_lo is None:
-        return (d_live @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
-    ops = np.einsum("xa,yb,abij->yxij", d_lo, d_live, q, optimize=True)
-    return ops.reshape(-1, d_sig, d_sig)
+    return (clicks @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +321,6 @@ def _complex_matrix_to_json(mat: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def _tmd_to_json(t: TmdConfig) -> dict:
-    return {
-        "bins": t.bins,
-        "efficiency": t.efficiency,
-        "bin_probabilities": list(t.bin_probabilities) if t.bin_probabilities else None,
-    }
-
-
 def povm_set_to_json(povm: PovmSet) -> dict:
     """Structured JSON document of a weak-homodyne POVM: the DetectorConfig
     under "kind": "homodyne", and each element's outcome with its row-major
@@ -375,13 +332,11 @@ def povm_set_to_json(povm: PovmSet) -> dict:
             "lo_amplitude": setting.lo_amplitude,
             "lo_phase": setting.lo_phase,
             "reflectivity": setting.reflectivity,
-            "unbalanced": setting.unbalanced,
-            "tmd_c": _tmd_to_json(setting.tmd_c),
-            "tmd_d": _tmd_to_json(setting.tmd_d),
+            "tmd": {"bins": setting.tmd.bins, "efficiency": setting.tmd.efficiency},
         },
         "elements": [
             {
-                "outcome": list(e.outcome) if isinstance(e.outcome, tuple) else e.outcome,
+                "outcome": e.outcome,
                 "matrix": _complex_matrix_to_json(e.operator.matrix),
             }
             for e in povm.elements

@@ -220,10 +220,6 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-# W (x) W entries below which pair columns are always tabulated (1 MB)
-_PAIR_TABLE_FLOOR = 2**16
-
-
 @functools.cache
 def _blas_thread_controls() -> tuple:
     """(get, set) thread-count functions of the OpenBLAS runtimes bundled
@@ -245,7 +241,7 @@ def _blas_thread_controls() -> tuple:
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the enclosed code with every OpenBLAS found at one thread, and
     restore the caller's counts on the way out."""
     controls = _blas_thread_controls()
@@ -362,10 +358,6 @@ class _MatrixCone:
         v = fs[np.arange(m), r, c]
         is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
         is_pair &= (v.real == 0.0) | (v.imag == 0.0)
-        # W (x) W has n^4 entries; where that dwarfs the pair block (few
-        # pairs on a large block) the pairs are cheaper as dense columns
-        if n**4 > max(4 * np.count_nonzero(is_pair) ** 2, _PAIR_TABLE_FLOOR):
-            is_pair[:] = False
         self.cols = np.flatnonzero(count)
         # real view of the nonzero columns, (len(cols), n*n*[1 or 2])
         self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(f0).size)
@@ -470,7 +462,7 @@ def solve(
     one thread each, so its result does not depend on the caller's thread
     counts, which are restored on return.
     """
-    with _one_blas_thread():
+    with one_blas_thread():
         return _interior_point(program, gap_tol, max_iter, feas_tol)
 
 

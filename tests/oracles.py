@@ -70,28 +70,12 @@ def pure_state_log_negativity(coeffs) -> float:
 # detector oracles
 
 
-def click_distribution_bruteforce(n_photons: int, bin_probs) -> np.ndarray:
-    """P(exactly k bins occupied | n photons thrown independently), by
-    exhaustive enumeration of all bins**n assignments."""
-    q = np.asarray(bin_probs, dtype=float)
-    bins = len(q)
-    out = np.zeros(bins + 1)
-    if n_photons == 0:
-        out[0] = 1.0
-        return out
-    for assign in itertools.product(range(bins), repeat=n_photons):
-        p = np.prod(q[list(assign)])
-        out[len(set(assign))] += p
-    return out
-
-
-def convolution_matrix_inclusion_exclusion(bin_probs, n_max_photons: int) -> np.ndarray:
-    """C[k][n] = P(n photons occupy exactly k bins), by inclusion-exclusion
-    over bin subsets: sum over k-subsets S and their subsets T of
-    (-1)^(k-|T|) (sum_{b in T} q_b)^n.  O(3^bins) numpy calls; the
-    alternating sum cancels to ~1e-13 at 10 bins."""
-    q = np.asarray(bin_probs, dtype=float)
-    bins = len(q)
+def convolution_matrix_inclusion_exclusion(bins: int, n_max_photons: int) -> np.ndarray:
+    """C[k][n] = P(n photons occupy exactly k of `bins` equally likely bins),
+    by inclusion-exclusion over bin subsets: sum over k-subsets S and their
+    subsets T of (-1)^(k-|T|) (sum_{b in T} q_b)^n, q_b = 1/bins.
+    O(3^bins) numpy calls; the alternating sum cancels to ~1e-13 at 10 bins."""
+    q = np.full(bins, 1.0 / bins)
     c = np.zeros((bins + 1, n_max_photons + 1))
     c[0, 0] = 1.0
     for k in range(1, bins + 1):
@@ -154,12 +138,9 @@ def wigner_displaced_parity(op: np.ndarray, x: float, p: float, pad: int = 30) -
 def povm_from_json(doc: dict):
     """(setting, outcomes, matrices) of one POVM document as written by
     entcert.detector.povm_set_to_json: the setting dict as stored, the
-    outcomes with JSON lists turned back into tuples, and the element
-    matrices stacked from their [re, im] pairs."""
-    outcomes = [
-        tuple(e["outcome"]) if isinstance(e["outcome"], list) else e["outcome"]
-        for e in doc["elements"]
-    ]
+    click-count outcomes, and the element matrices stacked from their
+    [re, im] pairs."""
+    outcomes = [e["outcome"] for e in doc["elements"]]
     mats = np.array(
         [[[complex(re, im) for re, im in row] for row in e["matrix"]] for e in doc["elements"]]
     )

@@ -32,7 +32,7 @@ def _verdict(capsys, num, ok, detail):
 @lru_cache(maxsize=None)
 def _operators(alpha, reflectivity, eta, phases, cutoff):
     tmd = detector.TmdConfig(8, eta)
-    det = detector.DetectorConfig(alpha, 0.0, reflectivity, tmd, tmd)
+    det = detector.DetectorConfig(alpha, 0.0, reflectivity, tmd)
     return tuple(bound.build_measurements(det, det, phases=phases, signal_cutoff=cutoff))
 
 
@@ -187,7 +187,7 @@ def test_criterion_6_phase_noise_windows(capsys):
     _, sub = _subtracted(0.2, 0.9, 0.15)
     exact = negativity.exact_log_negativity(sub).log_negativity
     tmd = detector.TmdConfig(8, 0.1)
-    det = detector.DetectorConfig(1.0, 0.0, 0.5, tmd, tmd)
+    det = detector.DetectorConfig(1.0, 0.0, 0.5, tmd)
     cases = [
         ("static eps=0.1", bound.PhaseNoiseModel("static_calibration", epsilon=0.1, seed=20), 1.0),
         ("averaged dtheta=0.4", bound.PhaseNoiseModel("phase_averaged", width=0.4, seed=21), 10.0),
@@ -253,7 +253,7 @@ def test_criterion_8_soundness_suite(capsys):
         second = math.pi / 2.0 if idx % 3 else rng.uniform(0.8, 2.3)
         phases = (0.0, second)
         tmd = detector.TmdConfig(8, eta)
-        det = detector.DetectorConfig(alpha, 0.0, refl, tmd, tmd)
+        det = detector.DetectorConfig(alpha, 0.0, refl, tmd)
         for phase in phases:
             povm = detector.homodyne_povm(replace(det, lo_phase=phase), n_max)
             worst_deficit = max(worst_deficit, povm.completeness_deficit())

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +35,7 @@ import oracles
 
 def toy_detector(eta=0.1, amplitude=1.0):
     tmd = TmdConfig(bins=8, efficiency=eta)
-    return DetectorConfig(
-        lo_amplitude=amplitude, lo_phase=0.0, reflectivity=0.5, tmd_c=tmd, tmd_d=tmd
-    )
+    return DetectorConfig(lo_amplitude=amplitude, lo_phase=0.0, reflectivity=0.5, tmd=tmd)
 
 
 def table_point_state(transmission, n_max=3, lam=0.2, apd=0.2):
@@ -95,8 +97,7 @@ def test_build_measurements_ordering():
                 lo_amplitude=det.lo_amplitude,
                 lo_phase=phase,
                 reflectivity=det.reflectivity,
-                tmd_c=det.tmd_c,
-                tmd_d=det.tmd_d,
+                tmd=det.tmd,
             ),
             2,
         )
@@ -111,7 +112,7 @@ def test_build_measurements_ordering():
 def test_build_measurements_unknown_outcome_raises():
     # a 2-bin detector has no outcome 3 among DEFAULT_OUTCOMES
     tmd = TmdConfig(bins=2, efficiency=0.1)
-    det = DetectorConfig(lo_amplitude=1.0, lo_phase=0.0, reflectivity=0.5, tmd_c=tmd, tmd_d=tmd)
+    det = DetectorConfig(lo_amplitude=1.0, lo_phase=0.0, reflectivity=0.5, tmd=tmd)
     with pytest.raises(ValueError, match="outcome 3"):
         build_measurements(det, det, signal_cutoff=2)
 
@@ -418,7 +419,7 @@ def _criterion_8_first_measurements():
     alpha, refl, eta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 0.9), rng.uniform(0.05, 0.3)
     phases = (0.0, rng.uniform(0.8, 2.3))
     tmd = TmdConfig(8, eta)
-    det = DetectorConfig(alpha, 0.0, refl, tmd, tmd)
+    det = DetectorConfig(alpha, 0.0, refl, tmd)
     ops = build_measurements(det, det, phases=phases, signal_cutoff=1)
     return MeasurementSet(ops, simulate_expectations(state, ops))
 
@@ -573,8 +574,7 @@ def test_static_noise_phase_values():
         lo_amplitude=1.0,
         lo_phase=math.pi / 2.0,
         reflectivity=0.5,
-        tmd_c=det0.tmd_c,
-        tmd_d=det0.tmd_d,
+        tmd=det0.tmd,
     )
     model = PhaseNoiseModel(kind="static_calibration", epsilon=0.1)
     rng = np.random.default_rng(2)
@@ -638,6 +638,34 @@ def test_noise_trials_deterministic():
     c = noise_trials(st, det, det, model, trials=2)
     d = noise_trials(st, det, det, other, trials=2)
     assert [r.lower_bound for r in c] != [r.lower_bound for r in d]
+
+
+# one static trial of test_noise_trials_deterministic's other model: the
+# reconcile fit's moments and the certificate after each solve round
+# differently at one and two BLAS threads unless they are pinned to one
+_THREAD_TRIAL = """
+from entcert import bound, detector, fock
+tmsv = fock.two_mode_squeezed(fock.SqueezedParams(0.2, 2))
+st, _ = fock.photon_subtracted_conditional(tmsv, fock.SubtractionParams(0.9, 0.2))
+tmd = detector.TmdConfig(bins=8, efficiency=0.1)
+det = detector.DetectorConfig(1.0, 0.0, 0.5, tmd)
+model = bound.PhaseNoiseModel("static_calibration", 0.1, seed=6)
+(res,) = bound.noise_trials(st, det, det, model, trials=1)
+print(res.lower_bound.hex(), res.multipliers.tobytes().hex(), res.witness_H.tobytes().hex())
+"""
+
+
+def test_noise_trial_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_TRIAL], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

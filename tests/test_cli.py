@@ -259,6 +259,16 @@ def test_sweep_noise_requires_seed(tmp_path):
                   "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("values", [None, []])
+def test_sweep_without_values_rejected(tmp_path, values):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"sweep": {"axis": "lam", "values": values}}))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="sweep.values"):
+        cli.main(["sweep", "--config", str(conf), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_sweep_bad_row_sets_exit_code(tmp_path):
     out = tmp_path / "bad.csv"
     # lambda = 2 is rejected by the state family; the row errors, others survive

@@ -12,18 +12,12 @@ from entcert.detector import DetectorConfig, TmdConfig
 import oracles
 
 
-def _tc(eta, bins=8, probs=None):
-    return TmdConfig(bins=bins, efficiency=eta, bin_probabilities=probs)
+def _tc(eta, bins=8):
+    return TmdConfig(bins=bins, efficiency=eta)
 
 
-def _random_probs(rng, bins):
-    q = rng.dirichlet(np.ones(bins))
-    return tuple(q / q.sum())
-
-
-def _det(amp=1.0, phase=0.0, r=0.5, eta=0.1, unbalanced=True, bins=8):
-    t = _tc(eta, bins)
-    return DetectorConfig(amp, phase, r, t, t, unbalanced=unbalanced)
+def _det(amp=1.0, phase=0.0, r=0.5, eta=0.1, bins=8):
+    return DetectorConfig(amp, phase, r, _tc(eta, bins))
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +29,6 @@ def test_tmd_config_validation():
         TmdConfig(bins=0, efficiency=0.5)
     with pytest.raises(ValueError):
         TmdConfig(bins=8, efficiency=1.5)
-    with pytest.raises(ValueError):
-        TmdConfig(bins=2, efficiency=0.5, bin_probabilities=(0.7, 0.7))
-    with pytest.raises(ValueError):
-        TmdConfig(bins=3, efficiency=0.5, bin_probabilities=(0.5, 0.5))
 
 
 def test_loss_matrix_identity_and_total_loss():
@@ -75,15 +65,6 @@ def test_convolution_two_photons_uniform():
     assert abs(c[2, 2] - 7.0 / 8.0) < 1e-12
 
 
-def test_convolution_vs_bruteforce_nonuniform():
-    rng = np.random.default_rng(7)
-    for probs in ((0.4, 0.3, 0.2, 0.1), _random_probs(rng, 3), _random_probs(rng, 5)):
-        c = detector.convolution_matrix(_tc(1.0, bins=len(probs), probs=probs), 6)
-        for n in range(7):
-            ref = oracles.click_distribution_bruteforce(n, probs)
-            assert np.max(np.abs(c[:, n] - ref)) < 1e-12
-
-
 def test_convolution_column_stochastic():
     c = detector.convolution_matrix(_tc(1.0), 12)
     assert np.max(np.abs(c.sum(axis=0) - 1.0)) < 1e-12
@@ -91,28 +72,21 @@ def test_convolution_column_stochastic():
 
 @pytest.mark.parametrize("bins", [1, 2, 3, 5, 8, 10])
 def test_convolution_dp_matches_inclusion_exclusion(bins):
-    rng = np.random.default_rng(bins)
-    for probs in (None, _random_probs(rng, bins)):
-        cfg = _tc(1.0, bins=bins, probs=probs)
-        c = detector.convolution_matrix(cfg, 20)
-        ref = oracles.convolution_matrix_inclusion_exclusion(cfg.probabilities, 20)
-        assert np.max(np.abs(c - ref)) < 1e-12
+    c = detector.convolution_matrix(_tc(1.0, bins=bins), 20)
+    ref = oracles.convolution_matrix_inclusion_exclusion(bins, 20)
+    assert np.max(np.abs(c - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("bins", [32, 64])
 def test_convolution_many_bins(bins):
     n_max = 40
-    uniform = detector.convolution_matrix(_tc(1.0, bins=bins), n_max)
-    skewed = detector.convolution_matrix(
-        _tc(1.0, bins=bins, probs=_random_probs(np.random.default_rng(bins), bins)), n_max
-    )
-    for c in (uniform, skewed):
-        assert c.shape == (bins + 1, n_max + 1)
-        assert np.min(c) >= 0.0
-        assert np.max(np.abs(c.sum(axis=0) - 1.0)) < 1e-12
+    c = detector.convolution_matrix(_tc(1.0, bins=bins), n_max)
+    assert c.shape == (bins + 1, n_max + 1)
+    assert np.min(c) >= 0.0
+    assert np.max(np.abs(c.sum(axis=0) - 1.0)) < 1e-12
     for n in range(n_max + 1):
         ref = oracles.click_distribution_stirling(n, bins)
-        assert np.max(np.abs(uniform[:, n] - ref)) < 1e-12
+        assert np.max(np.abs(c[:, n] - ref)) < 1e-12
 
 
 # the bare TMD's click POVM on one mode is diagonal: element k is
@@ -132,7 +106,7 @@ def test_tmd_povm_single_photon_perfect_eta():
 
 def test_tmd_povm_matches_click_matrix():
     cfg = _tc(0.1)
-    ref = oracles.convolution_matrix_inclusion_exclusion(cfg.probabilities, 6)
+    ref = oracles.convolution_matrix_inclusion_exclusion(cfg.bins, 6)
     ref = ref @ oracles.loss_matrix_bruteforce(6, 0.1)
     assert np.max(np.abs(detector.click_matrix(cfg, 6) - ref)) < 1e-12
 
@@ -158,24 +132,8 @@ def test_homodyne_no_lo_no_mixing_reduces_to_tmd():
         assert np.max(np.abs(e.operator.matrix - np.diag(bare[k]))) < 1e-12
 
 
-def test_homodyne_balanced_has_81_outcomes():
-    povm = detector.homodyne_povm(_det(unbalanced=False), 3)
-    assert len(povm.elements) == 81
-    assert povm.completeness_deficit() < 1e-6
-
-
-def test_homodyne_both_dead_detectors_trivial():
-    t0 = _tc(0.0)
-    povm = detector.homodyne_povm(DetectorConfig(1.0, 0.0, 0.5, t0, t0, unbalanced=False), 3)
-    for e in povm.elements:
-        if e.outcome == (0, 0):
-            assert np.max(np.abs(e.operator.matrix - np.eye(4))) < 1e-12
-        else:
-            assert np.max(np.abs(e.operator.matrix)) < 1e-12
-
-
-@pytest.mark.parametrize("unbalanced, calls", [(True, 1), (False, 2)])
-def test_homodyne_builds_lo_arm_click_matrix_only_when_read(monkeypatch, unbalanced, calls):
+def test_homodyne_builds_one_click_matrix(monkeypatch):
+    # the LO arm is not read, so only the signal-aligned arm's TMD is built
     seen = []
     original = detector.click_matrix
 
@@ -184,20 +142,8 @@ def test_homodyne_builds_lo_arm_click_matrix_only_when_read(monkeypatch, unbalan
         return original(config, cutoff)
 
     monkeypatch.setattr(detector, "click_matrix", counting)
-    detector.homodyne_povm(_det(unbalanced=unbalanced), 2)
-    assert len(seen) == calls
-
-
-def test_homodyne_unbalanced_equals_balanced_marginal():
-    # summing the dead-arm label of the balanced set with eta_d = 0
-    # must reproduce the unbalanced element for each live click count
-    t_live = _tc(0.1)
-    t_dead = _tc(0.0)
-    unb = detector.homodyne_povm(DetectorConfig(1.0, 0.3, 0.5, t_live, t_dead, True), 3)
-    bal = detector.homodyne_povm(DetectorConfig(1.0, 0.3, 0.5, t_live, t_dead, False), 3)
-    for e in unb.elements:
-        marg = sum(b.operator.matrix for b in bal.elements if b.outcome[0] == e.outcome)
-        assert np.max(np.abs(marg - e.operator.matrix)) < 1e-10
+    detector.homodyne_povm(_det(), 2)
+    assert seen == [_tc(0.1)]
 
 
 def test_homodyne_two_path_probability_consistency():
@@ -207,7 +153,7 @@ def test_homodyne_two_path_probability_consistency():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     cfg = _tc(0.23)
-    det = DetectorConfig(1.0, 0.9, 0.37, cfg, cfg, unbalanced=True)
+    det = DetectorConfig(1.0, 0.9, 0.37, cfg)
     povm = detector.homodyne_povm(det, 3)
 
     lo_cut = fock.adaptive_lo_cutoff(1.0)
@@ -237,8 +183,7 @@ def test_homodyne_phase_covariance():
         assert np.max(np.abs(b.operator.matrix - expect)) < 1e-8
 
 
-@pytest.mark.parametrize("unbalanced", [True, False])
-def test_homodyne_mixed_lo_components(unbalanced):
+def test_homodyne_mixed_lo_components():
     # a mixture is the weighted sum of the pure-LO POVMs of its components.
     # Each pure POVM takes the LO cutoff of its own amplitude; the 1.0 and 0.6
     # components share the minimum cutoff, and next to the 2.5 component only
@@ -250,14 +195,11 @@ def test_homodyne_mixed_lo_components(unbalanced):
         [(0.6, 0.5 * np.exp(1j * 0.4)), (0.4, 0.0)],
         [(0.25, 2.5 * np.exp(1j * 0.2)), (0.5, 0.5 * np.exp(-1j * 0.7)), (0.25, 0.3)],
     ]
-    det = _det(unbalanced=unbalanced)
+    det = _det()
     for comps in mixtures:
         mixed = detector.homodyne_povm(det, 3, lo_components=comps)
-        pures = [
-            detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a), unbalanced=unbalanced), 3)
-            for _, a in comps
-        ]
-        assert len(mixed.elements) == (9 if unbalanced else 81)
+        pures = [detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a)), 3) for _, a in comps]
+        assert len(mixed.elements) == 9
         for i, m in enumerate(mixed.elements):
             expect = sum(w * p.elements[i].operator.matrix for (w, _), p in zip(comps, pures))
             assert all(p.elements[i].outcome == m.outcome for p in pures)
@@ -387,11 +329,4 @@ def test_povm_json_round_trip():
         assert np.max(np.abs(e.operator.matrix - mat)) < 1e-15
     assert setting["kind"] == "homodyne"
     assert setting["reflectivity"] == 0.5
-
-
-def test_povm_json_round_trip_balanced_outcomes():
-    povm = detector.homodyne_povm(_det(unbalanced=False), 2)
-    doc = json.loads(json.dumps(detector.povm_set_to_json(povm)))
-    _, outcomes, _ = oracles.povm_from_json(doc)
-    assert outcomes[10] == povm.elements[10].outcome
-    assert isinstance(outcomes[10], tuple)
+    assert setting["tmd"] == {"bins": 8, "efficiency": 0.1}

@@ -414,6 +414,14 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "_slot", record)
+    cones = []
+
+    class Recorded(sdp._MatrixCone):
+        def __init__(self, *args):
+            super().__init__(*args)
+            cones.append(self)
+
+    monkeypatch.setattr(sdp, "_MatrixCone", Recorded)
     if program == "reconcile":
         bound.reconcile_expectations(ms)
     else:
@@ -425,6 +433,18 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
     assert len(slots) == {"witness": 6, "witness-robust": 7, "reconcile": 5}[program]
     for out in slots:
         assert all(isinstance(s, slice) for s in out), out
+    # every n x n cone takes each Hermitian basis direction as a pair column:
+    # the n^2 of H in the witness blocks, the n^2 - n off-diagonal ones of
+    # the fit's unit-trace basis (its n - 1 diagonal directions are dense).
+    # So the pair-pair tables, 4 npairs^2 entries, are never much smaller
+    # than W (x) W, n^4 entries, and the pairs never pay to go dense
+    n = ms.space.dim
+    if program == "reconcile":
+        assert [list(cone.pairs) for cone in cones] == [list(range(n - 1, n * n - 1))]
+    else:
+        assert len(cones) == 3
+        for cone in cones:
+            assert np.isin(np.arange(n * n), cone.pairs).all()
 
 
 @pytest.mark.parametrize("m", [50, 300])
@@ -587,25 +607,6 @@ def test_pair_tables_match_oracle(program, hermitian):
         # I + H and I - H carry the same pairs with opposite signs
         assert cones[2].pp_index is cones[1].pp_index and cones[2].pp_coef is cones[1].pp_coef
         assert cones[0].pp_index is not cones[1].pp_index
-
-
-def test_few_pairs_on_a_large_block_are_dense():
-    # n single diagonal entries on an n x n block: W (x) W would have n^4
-    # entries against n^2 in the pair block, so the columns go dense
-    n = 20
-    fs = np.zeros((n, n, n))
-    fs[np.arange(n), np.arange(n), np.arange(n)] = np.arange(1.0, n + 1)
-    cone = sdp._MatrixCone(0, np.eye(n), fs, {})
-    assert cone.pairs.size == 0 and np.array_equal(cone.dense, np.arange(n))
-    rng = np.random.default_rng(83)
-    a = rng.normal(size=(n, n))
-    lam, u = np.linalg.eigh(a @ a.T + 0.1 * np.eye(n))
-    w = (u * lam) @ u.T
-    schur = np.zeros((n, n))
-    cone.add_schur(schur, w, (u * np.sqrt(lam)) @ u.T)
-    d = np.arange(1.0, n + 1)
-    ref = np.outer(d, d) * w * w
-    assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_structured_schur_lp_rows_use_touched_columns():

@@ -1,8 +1,11 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package has a caller,
+and every defaulted parameter or dataclass field is passed by some call.
 
 A definition that nothing in src/entcert or perfbench references is
 library surface that no pipeline runs; it goes, together with the tests
-that exercise it, unless the tests compare against it as a reference.
+that exercise it, unless the tests compare against it as a reference.  The
+same holds for a default that no call overrides: the branch it selects
+runs in no pipeline.
 """
 
 import ast
@@ -16,6 +19,19 @@ TEST_REFERENCES = {
     "verify_solution": "tests re-check the solver's certificates with it",
     "photon_subtracted_ideal": "tests compare the conditional state and its LN to it",
 }
+
+# defaulted parameters passed only from tests
+TEST_ARGUMENTS = {
+    "sdp.solve.max_iter": "tests reach the max_iterations status through it",
+    "sdp.solve.feas_tol": "tests reach the solver's residual-tolerance branches through it",
+    "cli.main.argv": "tests drive the command line through it",
+}
+
+
+def _trees() -> dict:
+    paths = sorted((ROOT / "src" / "entcert").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
 def _names(tree) -> Counter:
@@ -32,9 +48,7 @@ def _names(tree) -> Counter:
 
 
 def test_every_definition_has_a_caller():
-    paths = sorted((ROOT / "src" / "entcert").glob("*.py"))
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    trees = _trees()
     used = sum((_names(tree) for tree in trees.values()), Counter())
     defined, uncalled = set(), []
     for path, tree in trees.items():
@@ -49,3 +63,80 @@ def test_every_definition_has_a_caller():
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert uncalled == []
     assert set(TEST_REFERENCES) <= defined
+
+
+def _callee(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted_parameters(fn, skip_self: bool):
+    """(name, positional index or None) of each parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if skip_self:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _defaults(path, tree):
+    """(label, callee name, parameter, positional index, is a dataclass
+    field) of each default defined at module level or in a class body."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg, i in _defaulted_parameters(node, False):
+                yield f"{path.stem}.{node.name}.{arg}", node.name, arg, i, False
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [_callee(getattr(d, "func", d)) for d in node.decorator_list]
+        if "dataclass" in decorators:
+            fields = [
+                s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+            for i, s in enumerate(fields):
+                if s.value is not None:
+                    yield f"{path.stem}.{node.name}.{s.target.id}", node.name, s.target.id, i, True
+        for method in node.body:
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = node.name if method.name == "__init__" else method.name
+                for arg, i in _defaulted_parameters(method, True):
+                    yield f"{path.stem}.{node.name}.{method.name}.{arg}", callee, arg, i, False
+
+
+def _passes(call, callee, arg, index, is_field) -> bool:
+    """Whether call can pass arg: by name, by position, through * or **
+    expansion, or, for a dataclass field, through dataclasses.replace."""
+    name = _callee(call.func)
+    keywords = {k.arg for k in call.keywords}
+    if is_field and name == "replace" and arg in keywords:
+        return True
+    if name != callee:
+        return False
+    if arg in keywords or None in keywords:
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_overridden_somewhere():
+    trees = _trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    labels, unpassed = set(), []
+    for path, tree in trees.items():
+        if path.parent.name != "entcert":
+            continue
+        for label, callee, arg, index, is_field in _defaults(path, tree):
+            labels.add(label)
+            if label in TEST_ARGUMENTS:
+                continue
+            if not any(_passes(call, callee, arg, index, is_field) for call in calls):
+                unpassed.append(label)
+    assert unpassed == []
+    assert set(TEST_ARGUMENTS) <= labels
