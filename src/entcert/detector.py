@@ -26,7 +26,9 @@ amplitudes instead, which gives the same elements to roundoff; it keeps that
 path because the robust witness rows are sensitive to roundoff in the
 operators (see homodyne_povm).  Wigner functions of POVM elements are
 evaluated from the Fock-basis displacement kernel (associated Laguerre
-polynomials).
+polynomials).  Every binomial coefficient, in the loss and convolution
+matrices and in the Laguerre polynomials, comes from one exact Pascal
+table, and log n! from fock.log_factorials, so no scipy module is imported.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import comb, eval_genlaguerre, gammaln
 
 from .fock import (
     TOL_PSD,
@@ -44,6 +45,7 @@ from .fock import (
     adaptive_lo_cutoff,
     beam_splitter_unitary,
     coherent_amplitudes,
+    log_factorials,
 )
 
 TOL_COMPLETE = 1e-6
@@ -131,6 +133,20 @@ class PovmSet:
 # click statistics
 
 
+@lru_cache(maxsize=64)
+def _binomials(n_max: int) -> np.ndarray:
+    """binom[n][j] = Binom(n, j) for n, j <= n_max, zero for j > n, read-only.
+
+    Pascal's rule adds integers, so every entry is exact while it stays
+    below 2^53 (n_max <= 56)."""
+    binom = np.zeros((n_max + 1, n_max + 1))
+    binom[:, 0] = 1.0
+    for n in range(1, n_max + 1):
+        binom[n, 1:] = binom[n - 1, 1:] + binom[n - 1, :-1]
+    binom.setflags(write=False)
+    return binom
+
+
 def loss_matrix(n_in: int, efficiency: float) -> np.ndarray:
     """L[m][n] = Binom(n, m) eta^m (1 - eta)^(n - m); columns sum to 1."""
     if not (0.0 <= efficiency <= 1.0):
@@ -138,7 +154,7 @@ def loss_matrix(n_in: int, efficiency: float) -> np.ndarray:
     n = np.arange(n_in + 1)
     m = n[:, None]
     surv = np.where(m <= n[None, :], n[None, :] - m, 0)
-    mat = comb(n[None, :], m) * efficiency**m * (1.0 - efficiency) ** surv
+    mat = _binomials(n_in).T * efficiency**m * (1.0 - efficiency) ** surv
     return np.where(m <= n[None, :], mat, 0.0)
 
 
@@ -152,11 +168,7 @@ def convolution_matrix(config: TmdConfig, n_max_photons: int) -> np.ndarray:
     every bin, so the cost is O(B^2 n^2) and every term is nonnegative.
     """
     n_dim = n_max_photons + 1
-    # Pascal's rule, exact in floating point while the entries stay below 2^53
-    binom = np.zeros((n_dim, n_dim))
-    binom[:, 0] = 1.0
-    for n in range(1, n_dim):
-        binom[n, 1:] = binom[n - 1, 1:] + binom[n - 1, :-1]
+    binom = _binomials(n_max_photons)
     taken = np.subtract.outer(np.arange(n_dim), np.arange(n_dim))
     # add[n][j] = binom(n, j) q^(n - j): the new bin takes n - j >= 1 photons
     q = 1.0 / config.bins
@@ -277,16 +289,34 @@ def _mixed_lo_ops(u_r, vecs, weights, clicks):
 # Wigner functions
 
 
+def _genlaguerre(n: int, k: int, x: np.ndarray) -> np.ndarray:
+    """Associated Laguerre polynomial L_n^(k)(x) for integers n, k >= 0,
+    by the three-term recurrence that scipy's eval_genlaguerre runs for an
+    integer degree, in the same order of operations.  The binomial
+    Binom(n + k, n) is exact here, and equal to scipy's for n + k <= 30."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + k + 1.0
+    d = -x / (k + 1.0)
+    p = d + 1.0
+    for j in range(1, n):
+        d = -x / (j + k + 1.0) * p + (j / (j + k + 1.0)) * d
+        p = d + p
+    return _binomials(n + k)[n + k, n] * p
+
+
 def _disp_element(n_row: int, m_col: int, beta: np.ndarray, abs2: np.ndarray) -> np.ndarray:
     """<n|D(beta)|m> on arrays of beta, via the associated Laguerre form."""
+    log_fact = log_factorials(max(n_row, m_col))
     if n_row >= m_col:
         k = n_row - m_col
-        pref = np.exp(0.5 * (gammaln(m_col + 1) - gammaln(n_row + 1)))
-        lag = eval_genlaguerre(m_col, k, abs2)
+        pref = np.exp(0.5 * (log_fact[m_col] - log_fact[n_row]))
+        lag = _genlaguerre(m_col, k, abs2)
         return pref * beta**k * np.exp(-0.5 * abs2) * lag
     k = m_col - n_row
-    pref = np.exp(0.5 * (gammaln(n_row + 1) - gammaln(m_col + 1)))
-    lag = eval_genlaguerre(n_row, k, abs2)
+    pref = np.exp(0.5 * (log_fact[n_row] - log_fact[m_col]))
+    lag = _genlaguerre(n_row, k, abs2)
     return pref * (-np.conj(beta)) ** k * np.exp(-0.5 * abs2) * lag
 
 

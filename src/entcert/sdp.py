@@ -44,28 +44,30 @@ their own OpenBLAS.  At its default thread count, the core count, a worker
 thread spins through the whole solve, and the multithreaded kernels split
 sums differently from the one-thread ones, so the returned iterate, and with
 it the status, would depend on the machine's core count.  solve therefore
-sets both runtimes to one thread through their ctypes handles, looked up on
-the first solve, and restores the caller's counts when it returns; where no
-handle is found it runs at the caller's counts.  The Schur complement is
-factored by scipy's LAPACK dpotrf, which takes the symmetric matrix through
-its transpose, a Fortran-order view, and factors a copy, so a failed
-factorization is retried on the intact matrix plus a ridge; the factor goes
-to the dpotrs triangular solves as it is.  The dense products are numpy
-matmuls G G^T and G^T G, which numpy hands to syrk and returns symmetric bit
-for bit.
+sets both runtimes to one thread through their ctypes handles and restores
+the caller's counts when it returns; where no handle is found it runs at the
+caller's counts.  The Schur complement is factored by LAPACK's dpotrf and
+solved by dpotrs, the routines in scipy's bundled OpenBLAS that
+scipy.linalg.lapack wraps, called through ctypes so that no scipy module is
+imported.  One search of the wheels' library directories finds the thread
+controls and both routines, once, when this module is imported.  dpotrf
+takes the symmetric matrix through its transpose, a Fortran-order view, and
+factors a copy, so a failed factorization is retried on the intact matrix
+plus a ridge; the factor goes to the dpotrs triangular solves as it is.  The
+dense products are numpy matmuls G G^T and G^T G, which numpy hands to syrk
+and returns symmetric bit for bit.
 """
 
 import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.linalg.lapack
 
 TOL_SYM = 1e-10
 TOL_PSD = 1e-9
@@ -220,51 +222,108 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS runtimes bundled
-    with numpy and scipy, one pair for each runtime found."""
+def _bundled_openblas(package: str) -> list:
+    """The OpenBLAS libraries that package's wheel bundles in its
+    <package>.libs directory, found without importing the package."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    libs = Path(spec.origin).resolve().parent.parent / f"{package}.libs"
+    return [ctypes.CDLL(path) for path in sorted(glob.glob(str(libs / "*openblas*.so*")))]
+
+
+def _thread_controls(libs) -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS runtimes in libs,
+    one pair for each runtime that exports them."""
     controls = []
-    for module in (np, scipy):
-        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
-        for path in glob.glob(str(libs / "*openblas*.so*")):
-            lib = ctypes.CDLL(path)
-            for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    controls.append((get, put))
-                    break
+    for lib in libs:
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
     return tuple(controls)
+
+
+# the LP64 Fortran interfaces of dpotrf(uplo, n, a, lda, info) and
+# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_POTRF = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)
+_POTRS = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P
+)
+
+
+def _lapack(libs) -> tuple:
+    """(dpotrf, dpotrs) of the first library in libs that exports both,
+    under the scipy_ prefix of current scipy wheels or unprefixed as on
+    older ones.  A scipy built against a system LAPACK bundles none; there
+    the same routines come from the function pointers that
+    scipy.linalg.cython_lapack exports, at the cost of importing it."""
+    for lib, prefix in itertools.product(libs, ("scipy_", "")):
+        found = [getattr(lib, f"{prefix}{routine}_", None) for routine in ("dpotrf", "dpotrs")]
+        if None not in found:
+            addresses = [ctypes.cast(fn, ctypes.c_void_p).value for fn in found]
+            break
+    else:
+        from scipy.linalg import cython_lapack
+
+        api = ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api)
+        )
+        capsules = [cython_lapack.__pyx_capi__[routine] for routine in ("dpotrf", "dpotrs")]
+        addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
+    return _POTRF(addresses[0]), _POTRS(addresses[1])
+
+
+# looked up once, at import, so that no solve pays for the search
+_SCIPY_OPENBLAS = _bundled_openblas("scipy")
+_THREAD_CONTROLS = _thread_controls(_bundled_openblas("numpy") + _SCIPY_OPENBLAS)
+_DPOTRF, _DPOTRS = _lapack(_SCIPY_OPENBLAS)
 
 
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the enclosed code with every OpenBLAS found at one thread, and
     restore the caller's counts on the way out."""
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
+    saved = [get() for get, _ in _THREAD_CONTROLS]
     try:
-        for _, put in controls:
+        for _, put in _THREAD_CONTROLS:
             put(1)
         yield
     finally:
-        for (_, put), count in zip(controls, saved):
+        for (_, put), count in zip(_THREAD_CONTROLS, saved):
             put(count)
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_lower(n: int) -> np.ndarray:
+    """Mask of the strict lower triangle of an n x n Fortran-order array."""
+    mask = np.asfortranarray(np.tril(np.ones((n, n), dtype=bool), -1))
+    mask.setflags(write=False)
+    return mask
 
 
 def _cho_factor(schur: np.ndarray):
     """Upper Cholesky factor U, U^T U = schur, of the symmetric schur, in
-    the Fortran order dpotrs reads; None when schur is not positive
-    definite.  schur itself is left as it was."""
-    # schur.T is schur laid out in Fortran order, so dpotrf takes it without
-    # a transposing copy; it factors into a fresh array, not into schur
-    factor, info = scipy.linalg.lapack.dpotrf(schur.T, lower=0)
-    if info < 0:
-        raise _NumericalProblem(f"dpotrf failed with info {info}")
-    return factor if info == 0 else None
+    the Fortran order dpotrs reads, with its strict lower triangle zero;
+    None when schur is not positive definite.  schur itself is left as it
+    was."""
+    # schur.T is schur laid out in Fortran order; dpotrf factors a copy of it
+    factor = np.array(schur.T, order="F")
+    n, info = ctypes.c_int(factor.shape[0]), ctypes.c_int()
+    _DPOTRF(b"U", n, factor.ctypes.data, n, info)
+    if info.value < 0:
+        raise _NumericalProblem(f"dpotrf failed with info {info.value}")
+    if info.value > 0:
+        return None
+    np.copyto(factor, 0.0, where=_strict_lower(n.value))
+    return factor
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -272,9 +331,11 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Fortran order so LAPACK's dpotrs reads it without a copy."""
     if not np.all(np.isfinite(rhs)):
         raise _NumericalProblem("non-finite Newton right-hand side")
-    x, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=0)
-    if info != 0:
-        raise _NumericalProblem(f"dpotrs failed with info {info}")
+    x = np.array(rhs, dtype=np.float64)
+    n, one, info = ctypes.c_int(factor.shape[0]), ctypes.c_int(1), ctypes.c_int()
+    _DPOTRS(b"U", n, one, factor.ctypes.data, n, x.ctypes.data, n, info)
+    if info.value != 0:
+        raise _NumericalProblem(f"dpotrs failed with info {info.value}")
     return x
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import comb, eval_genlaguerre
 
 from entcert import detector, fock
 from entcert.detector import DetectorConfig, TmdConfig
@@ -46,6 +47,19 @@ def test_loss_matrix_binomial_column():
 def test_loss_matrix_vs_bruteforce():
     for eta in (0.23, 0.77):
         assert np.max(np.abs(detector.loss_matrix(5, eta) - oracles.loss_matrix_bruteforce(5, eta))) < 1e-12
+
+
+def test_loss_matrix_matches_scipy_comb_bit_for_bit():
+    # the Pascal binomials equal scipy's comb exactly up to n = 30; from 31
+    # comb's multiplicative formula rounds and Pascal's rule does not
+    for n_in in range(31):
+        n = np.arange(n_in + 1)
+        m = n[:, None]
+        surv = np.where(m <= n[None, :], n[None, :] - m, 0)
+        for eta in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+            mat = comb(n[None, :], m) * eta**m * (1.0 - eta) ** surv
+            ref = np.where(m <= n[None, :], mat, 0.0)
+            assert detector.loss_matrix(n_in, eta).tobytes() == ref.tobytes()
 
 
 def test_loss_matrix_column_stochastic():
@@ -244,6 +258,15 @@ def test_povm_set_rejects_incomplete():
 def _op(diag):
     d = len(diag)
     return fock.FockOperator(fock.HilbertSpec((d - 1,)), np.diag(diag).astype(complex))
+
+
+def test_genlaguerre_matches_scipy_bit_for_bit():
+    # the recurrence scipy runs for an integer degree, times the Pascal
+    # binomial, which equals scipy's while n + k <= 30
+    x = np.linspace(0.0, 30.0, 2001)
+    for n in range(31):
+        for k in range(31 - n):
+            assert detector._genlaguerre(n, k, x).tobytes() == eval_genlaguerre(n, k, x).tobytes()
 
 
 def test_wigner_vacuum_and_single_photon_at_origin():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from entcert import fock
 from entcert.fock import (
@@ -34,6 +35,16 @@ def test_truncated_state_invariants():
         TruncatedState(s, np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(ValueError):
         TruncatedState(s, np.eye(3) / 3.0)  # wrong shape
+
+
+def test_log_factorials_match_gammaln_bit_for_bit():
+    # the exact log below 12! and Stirling's series above it give the bits
+    # of scipy's gammaln, which coherent_amplitudes called before
+    table = fock.log_factorials(170)
+    ref = gammaln(np.arange(171) + 1.0)
+    assert table.tobytes() == ref.tobytes()
+    assert not table.flags.writeable
+    assert np.array_equal(fock.log_factorials(12), table[:13])
 
 
 def test_coherent_vacuum():

@@ -1,5 +1,6 @@
 """Unit tests for the interior-point SDP solver."""
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -449,17 +450,20 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
 
 @pytest.mark.parametrize("m", [50, 300])
 def test_cho_solve_matches_scipy(m):
-    # the dpotrf factor, in Fortran order, goes to one dpotrs call that
-    # gives scipy's cho_solve bit for bit; factoring leaves the matrix as it
-    # was and returns None for one that is not positive definite; a
-    # non-finite right-hand side ends the solve as a numerical problem,
-    # where cho_solve raises ValueError
+    # the factor is scipy's dpotrf factor of the transpose bit for bit, in
+    # Fortran order with its strict lower triangle zero; it goes to one
+    # dpotrs call that gives scipy's cho_solve bit for bit; factoring leaves
+    # the matrix as it was and returns None for one that is not positive
+    # definite; a non-finite right-hand side ends the solve as a numerical
+    # problem, where cho_solve raises ValueError
     rng = np.random.default_rng(89)
     a = rng.normal(size=(m, m))
     spd = a @ a.T + m * np.eye(m)
     kept = spd.copy()
     factor = sdp._cho_factor(spd)
     assert np.array_equal(spd, kept)
+    ref, info = scipy.linalg.lapack.dpotrf(spd.T, lower=0)
+    assert info == 0 and factor.tobytes(order="F") == ref.tobytes(order="F")
     assert factor.flags.f_contiguous and np.array_equal(factor, np.triu(factor))
     assert np.max(np.abs(factor.T @ factor - spd)) <= 1e-12 * np.max(np.abs(spd))
     b = rng.normal(size=m)
@@ -470,6 +474,25 @@ def test_cho_solve_matches_scipy(m):
     assert sdp._cho_factor(spd - 2 * m * np.eye(m)) is None
 
 
+def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
+    # a scipy built against a system LAPACK bundles no OpenBLAS; the lookup
+    # then takes dpotrf and dpotrs from scipy.linalg.cython_lapack, which
+    # here point at the same routines
+    rng = np.random.default_rng(90)
+    a = rng.normal(size=(120, 120))
+    spd = a @ a.T + 120 * np.eye(120)
+    b = rng.normal(size=120)
+    factor = sdp._cho_factor(spd)
+    x = sdp._cho_solve(factor, b)
+    dpotrf, dpotrs = sdp._lapack([])
+    monkeypatch.setattr(sdp, "_DPOTRF", dpotrf)
+    monkeypatch.setattr(sdp, "_DPOTRS", dpotrs)
+    fallback = sdp._cho_factor(spd)
+    assert fallback.tobytes(order="F") == factor.tobytes(order="F")
+    assert sdp._cho_solve(fallback, b).tobytes() == x.tobytes()
+    assert sdp._cho_factor(-spd) is None
+
+
 def test_ridge_retry_factors_the_assembled_matrix(monkeypatch):
     # two identical F columns make every Schur complement singular; each
     # failed factorization is retried on the assembled matrix plus a ridge
@@ -477,15 +500,16 @@ def test_ridge_retry_factors_the_assembled_matrix(monkeypatch):
     fs = np.array([np.diag([1.0, -1.0])] * 2)
     prog = sdp.ConicProgram([1.0, 1.0], [(np.eye(2), fs)])
     calls = []
-    dpotrf = scipy.linalg.lapack.dpotrf
+    dpotrf = sdp._DPOTRF
 
-    def record(a, **kwargs):
-        calls.append(a.copy())
-        out = dpotrf(a, **kwargs)
-        calls.append(out[1])
-        return out
+    def record(uplo, n, a, lda, info):
+        # a is the address of the Fortran-order matrix dpotrf factors
+        data = ctypes.cast(a, ctypes.POINTER(ctypes.c_double))
+        calls.append(np.ctypeslib.as_array(data, (n.value, n.value)).T.copy())
+        dpotrf(uplo, n, a, lda, info)
+        calls.append(info.value)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", record)
+    monkeypatch.setattr(sdp, "_DPOTRF", record)
     sol = sdp.solve(prog, gap_tol=1e-9)
     assert sol.info["ridge_retries"] >= 1
     assert np.all(np.isfinite(sol.y_star))
@@ -512,7 +536,7 @@ def test_solve_ignores_and_restores_caller_blas_threads(monkeypatch):
     # from one thread, so a solve left at the caller's thread count returns
     # another iterate on another machine; solve pins every OpenBLAS to one
     # thread and hands the caller's count back, also after a failure
-    controls = sdp._blas_thread_controls()
+    controls = sdp._THREAD_CONTROLS
     if not controls:
         pytest.skip("no OpenBLAS thread control found")
 

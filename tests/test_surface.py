@@ -6,9 +6,15 @@ library surface that no pipeline runs; it goes, together with the tests
 that exercise it, unless the tests compare against it as a reference.  The
 same holds for a default that no call overrides: the branch it selects
 runs in no pipeline.
+
+The pipeline also imports no scipy module: scipy's Python layer costs more
+to import than the package, and the pipeline needs only the LAPACK library
+that scipy's wheel bundles.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -140,3 +146,19 @@ def test_every_default_is_overridden_somewhere():
                 unpassed.append(label)
     assert unpassed == []
     assert set(TEST_ARGUMENTS) <= labels
+
+
+def test_pipeline_imports_no_scipy_module():
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+            "from entcert import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['bound', '--n-max', '2']) == 0",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ]
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
