@@ -8,10 +8,11 @@ H^{T1} >= sum_i nu_i M_i proves
 
 so log2 of the optimized linear objective lower-bounds the logarithmic
 negativity of every state consistent with the data.  This module assembles
-the measurement operators from two weak-homodyne detector models, builds
-the witness search as a block SDP over (H, nu), adds the box-error variant
-that guards against relative errors on the data, and implements the two
-local-oscillator phase-noise models used in the robustness studies.
+the measurement operators from the weak-homodyne detector model, one
+detector on each mode, builds the witness search as a block SDP over
+(H, nu), adds the box-error variant that guards against relative errors on
+the data, and implements the two local-oscillator phase-noise models used
+in the robustness studies.
 """
 
 import math

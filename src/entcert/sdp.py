@@ -39,31 +39,28 @@ columns, and each Newton direction takes one refinement pass against that
 operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
 assembled matrix.
 
-Each solve runs on one BLAS thread.  The numpy and scipy wheels each bundle
-their own OpenBLAS.  At its default thread count, the core count, a worker
-thread spins through the whole solve, and the multithreaded kernels split
-sums differently from the one-thread ones, so the returned iterate, and with
-it the status, would depend on the machine's core count.  solve therefore
-sets both runtimes to one thread through their ctypes handles and restores
-the caller's counts when it returns; where no handle is found it runs at the
-caller's counts.  The Schur complement is factored by LAPACK's dpotrf and
-solved by dpotrs, the routines in scipy's bundled OpenBLAS that
-scipy.linalg.lapack wraps, called through ctypes so that no scipy module is
-imported.  One search of the wheels' library directories finds the thread
-controls and both routines, once, when this module is imported.  dpotrf
-takes the symmetric matrix through its transpose, a Fortran-order view, and
-factors a copy, so a failed factorization is retried on the intact matrix
-plus a ridge; the factor goes to the dpotrs triangular solves as it is.  The
-dense products are numpy matmuls G G^T and G^T G, which numpy hands to syrk
-and returns symmetric bit for bit.
+Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
+bundles, the one runtime every matmul, eigh and Cholesky of the solve
+calls.  At its default thread count, the core count, a worker thread spins
+through the whole solve, and the multithreaded kernels split sums
+differently from the one-thread ones, so the returned iterate, and with it
+the status, would depend on the machine's core count.  solve therefore sets
+the runtime to one thread through its ctypes handle and restores the
+caller's count when it returns; where no handle is found it runs at the
+caller's count.  The Schur complement is factored by LAPACK's dpotrf and
+solved by dpotrs from the same library, called through ctypes with its
+64-bit Fortran integers; the handles are looked up once, when this module
+is imported.  Where numpy bundles no OpenBLAS, the two routines come from
+scipy.linalg.cython_lapack instead.  dpotrf takes the symmetric matrix through its transpose, a
+Fortran-order view, and factors a copy, so a failed factorization is
+retried on the intact matrix plus a ridge; the factor goes to the dpotrs
+triangular solves as it is, its strict lower triangle unread.  The dense
+products are numpy matmuls G G^T and G^T G, which numpy hands to syrk and
+returns symmetric bit for bit.
 """
 
 import contextlib
 import ctypes
-import functools
-import glob
-import importlib.util
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,52 +219,36 @@ def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(-x[neg] / dx[neg]))
 
 
-def _bundled_openblas(package: str) -> list:
-    """The OpenBLAS libraries that package's wheel bundles in its
-    <package>.libs directory, found without importing the package."""
-    spec = importlib.util.find_spec(package)
-    if spec is None or spec.origin is None:
-        return []
-    libs = Path(spec.origin).resolve().parent.parent / f"{package}.libs"
-    return [ctypes.CDLL(path) for path in sorted(glob.glob(str(libs / "*openblas*.so*")))]
+def _bundled_openblas():
+    """The OpenBLAS that numpy's wheel bundles in numpy.libs, as its Linux
+    wheels lay it out; None where there is none."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*.so*"))
+    return ctypes.CDLL(str(libs[0])) if libs else None
 
 
-def _thread_controls(libs) -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS runtimes in libs,
-    one pair for each runtime that exports them."""
-    controls = []
-    for lib in libs:
-        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return tuple(controls)
+def _thread_controls(lib) -> tuple:
+    """The (get, set) thread-count functions of the OpenBLAS lib, as a
+    tuple of one pair, or of none when lib is None or lacks them."""
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return ((get, put),)
 
 
-# the LP64 Fortran interfaces of dpotrf(uplo, n, a, lda, info) and
-# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
-_INT_P = ctypes.POINTER(ctypes.c_int)
-_POTRF = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)
-_POTRS = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P
-)
-
-
-def _lapack(libs) -> tuple:
-    """(dpotrf, dpotrs) of the first library in libs that exports both,
-    under the scipy_ prefix of current scipy wheels or unprefixed as on
-    older ones.  A scipy built against a system LAPACK bundles none; there
-    the same routines come from the function pointers that
-    scipy.linalg.cython_lapack exports, at the cost of importing it."""
-    for lib, prefix in itertools.product(libs, ("scipy_", "")):
-        found = [getattr(lib, f"{prefix}{routine}_", None) for routine in ("dpotrf", "dpotrs")]
-        if None not in found:
-            addresses = [ctypes.cast(fn, ctypes.c_void_p).value for fn in found]
-            break
+def _lapack(lib) -> tuple:
+    """(dpotrf, dpotrs, Fortran integer type) of the OpenBLAS lib, whose
+    ILP64 build exports them as scipy_dpotrf_64_ and scipy_dpotrs_64_.
+    Where numpy bundles no such library (its macOS and Windows wheels, or a
+    build against a system LAPACK), the routines come from the function
+    pointers that scipy.linalg.cython_lapack exports, with 32-bit integers,
+    at the cost of importing it."""
+    found = [getattr(lib, f"scipy_{routine}_64_", None) for routine in ("dpotrf", "dpotrs")]
+    if None not in found:
+        addresses = [ctypes.cast(fn, ctypes.c_void_p).value for fn in found]
+        fint = ctypes.c_int64
     else:
         from scipy.linalg import cython_lapack
 
@@ -278,19 +259,24 @@ def _lapack(libs) -> tuple:
         )
         capsules = [cython_lapack.__pyx_capi__[routine] for routine in ("dpotrf", "dpotrs")]
         addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
-    return _POTRF(addresses[0]), _POTRS(addresses[1])
+        fint = ctypes.c_int
+    # dpotrf(uplo, n, a, lda, info) and dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+    i = ctypes.POINTER(fint)
+    potrf = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, ctypes.c_void_p, i, i)
+    potrs = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, ctypes.c_void_p, i, ctypes.c_void_p, i, i)
+    return potrf(addresses[0]), potrs(addresses[1]), fint
 
 
 # looked up once, at import, so that no solve pays for the search
-_SCIPY_OPENBLAS = _bundled_openblas("scipy")
-_THREAD_CONTROLS = _thread_controls(_bundled_openblas("numpy") + _SCIPY_OPENBLAS)
-_DPOTRF, _DPOTRS = _lapack(_SCIPY_OPENBLAS)
+_OPENBLAS = _bundled_openblas()
+_THREAD_CONTROLS = _thread_controls(_OPENBLAS)
+_DPOTRF, _DPOTRS, _FORTRAN_INT = _lapack(_OPENBLAS)
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the enclosed code with every OpenBLAS found at one thread, and
-    restore the caller's counts on the way out."""
+    """Run the enclosed code with numpy's OpenBLAS, where found, at one
+    thread, and restore the caller's count on the way out."""
     saved = [get() for get, _ in _THREAD_CONTROLS]
     try:
         for _, put in _THREAD_CONTROLS:
@@ -301,28 +287,20 @@ def one_blas_thread():
             put(count)
 
 
-@functools.lru_cache(maxsize=8)
-def _strict_lower(n: int) -> np.ndarray:
-    """Mask of the strict lower triangle of an n x n Fortran-order array."""
-    mask = np.asfortranarray(np.tril(np.ones((n, n), dtype=bool), -1))
-    mask.setflags(write=False)
-    return mask
-
-
 def _cho_factor(schur: np.ndarray):
     """Upper Cholesky factor U, U^T U = schur, of the symmetric schur, in
-    the Fortran order dpotrs reads, with its strict lower triangle zero;
-    None when schur is not positive definite.  schur itself is left as it
-    was."""
+    the upper triangle of a Fortran-order array that dpotrs reads as it
+    is; its strict lower triangle keeps schur's entries, which dpotrs does
+    not read.  None when schur is not positive definite.  schur itself is
+    left as it was."""
     # schur.T is schur laid out in Fortran order; dpotrf factors a copy of it
     factor = np.array(schur.T, order="F")
-    n, info = ctypes.c_int(factor.shape[0]), ctypes.c_int()
+    n, info = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT()
     _DPOTRF(b"U", n, factor.ctypes.data, n, info)
     if info.value < 0:
         raise _NumericalProblem(f"dpotrf failed with info {info.value}")
     if info.value > 0:
         return None
-    np.copyto(factor, 0.0, where=_strict_lower(n.value))
     return factor
 
 
@@ -332,7 +310,7 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise _NumericalProblem("non-finite Newton right-hand side")
     x = np.array(rhs, dtype=np.float64)
-    n, one, info = ctypes.c_int(factor.shape[0]), ctypes.c_int(1), ctypes.c_int()
+    n, one, info = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT(1), _FORTRAN_INT()
     _DPOTRS(b"U", n, one, factor.ctypes.data, n, x.ctypes.data, n, info)
     if info.value != 0:
         raise _NumericalProblem(f"dpotrs failed with info {info.value}")
@@ -519,9 +497,9 @@ def solve(
     ``weak_duality_violation``, max(0, primal - dual), and
     ``ridge_retries``, the number of Cholesky factorizations of the Schur
     complement that failed over the solve, each retried with a larger
-    diagonal ridge.  The solve runs with numpy's and scipy's OpenBLAS at
-    one thread each, so its result does not depend on the caller's thread
-    counts, which are restored on return.
+    diagonal ridge.  The solve runs with numpy's OpenBLAS at one thread, so
+    its result does not depend on the caller's thread count, which is
+    restored on return.
     """
     with one_blas_thread():
         return _interior_point(program, gap_tol, max_iter, feas_tol)

@@ -450,22 +450,26 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
 
 @pytest.mark.parametrize("m", [50, 300])
 def test_cho_solve_matches_scipy(m):
-    # the factor is scipy's dpotrf factor of the transpose bit for bit, in
-    # Fortran order with its strict lower triangle zero; it goes to one
-    # dpotrs call that gives scipy's cho_solve bit for bit; factoring leaves
-    # the matrix as it was and returns None for one that is not positive
-    # definite; a non-finite right-hand side ends the solve as a numerical
-    # problem, where cho_solve raises ValueError
+    # the factor's upper triangle, in Fortran order, is scipy's dpotrf
+    # factor of the transpose bit for bit, and numpy's own upper Cholesky
+    # factor, the same dpotrf in the same runtime; its strict lower
+    # triangle is not read.  It goes to one dpotrs call that gives scipy's
+    # cho_solve bit for bit; factoring leaves the matrix as it was and
+    # returns None for one that is not positive definite; a non-finite
+    # right-hand side ends the solve as a numerical problem, where cho_solve
+    # raises ValueError
     rng = np.random.default_rng(89)
     a = rng.normal(size=(m, m))
     spd = a @ a.T + m * np.eye(m)
     kept = spd.copy()
     factor = sdp._cho_factor(spd)
     assert np.array_equal(spd, kept)
+    upper = np.triu(factor)
     ref, info = scipy.linalg.lapack.dpotrf(spd.T, lower=0)
-    assert info == 0 and factor.tobytes(order="F") == ref.tobytes(order="F")
-    assert factor.flags.f_contiguous and np.array_equal(factor, np.triu(factor))
-    assert np.max(np.abs(factor.T @ factor - spd)) <= 1e-12 * np.max(np.abs(spd))
+    assert info == 0 and upper.tobytes(order="F") == ref.tobytes(order="F")
+    assert upper.tobytes() == np.linalg.cholesky(spd, upper=True).tobytes()
+    assert factor.flags.f_contiguous
+    assert np.max(np.abs(upper.T @ upper - spd)) <= 1e-12 * np.max(np.abs(spd))
     b = rng.normal(size=m)
     assert np.array_equal(sdp._cho_solve(factor, b), scipy.linalg.cho_solve((factor, False), b))
     b[m // 2] = np.nan
@@ -475,18 +479,20 @@ def test_cho_solve_matches_scipy(m):
 
 
 def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
-    # a scipy built against a system LAPACK bundles no OpenBLAS; the lookup
-    # then takes dpotrf and dpotrs from scipy.linalg.cython_lapack, which
-    # here point at the same routines
+    # where numpy bundles no OpenBLAS, the lookup takes dpotrf and dpotrs
+    # from scipy.linalg.cython_lapack, with 32-bit Fortran integers; here
+    # they give the bits of numpy's ILP64 routines
     rng = np.random.default_rng(90)
     a = rng.normal(size=(120, 120))
     spd = a @ a.T + 120 * np.eye(120)
     b = rng.normal(size=120)
     factor = sdp._cho_factor(spd)
     x = sdp._cho_solve(factor, b)
-    dpotrf, dpotrs = sdp._lapack([])
+    dpotrf, dpotrs, fint = sdp._lapack(None)
+    assert fint is ctypes.c_int
     monkeypatch.setattr(sdp, "_DPOTRF", dpotrf)
     monkeypatch.setattr(sdp, "_DPOTRS", dpotrs)
+    monkeypatch.setattr(sdp, "_FORTRAN_INT", fint)
     fallback = sdp._cho_factor(spd)
     assert fallback.tobytes(order="F") == factor.tobytes(order="F")
     assert sdp._cho_solve(fallback, b).tobytes() == x.tobytes()
@@ -534,25 +540,23 @@ def _table_witness_program():
 def test_solve_ignores_and_restores_caller_blas_threads(monkeypatch):
     # multithreaded OpenBLAS kernels round the Schur products differently
     # from one thread, so a solve left at the caller's thread count returns
-    # another iterate on another machine; solve pins every OpenBLAS to one
-    # thread and hands the caller's count back, also after a failure
-    controls = sdp._THREAD_CONTROLS
-    if not controls:
-        pytest.skip("no OpenBLAS thread control found")
-
-    def counts():
-        return [get() for get, _ in controls]
+    # another iterate on another machine; solve pins numpy's OpenBLAS, the
+    # process's one runtime, to one thread and hands the caller's count
+    # back, also after a failure
+    if sdp._OPENBLAS is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert len(sdp._THREAD_CONTROLS) == 1
+    ((get, put),) = sdp._THREAD_CONTROLS
 
     program = _table_witness_program()
     assert program.n_vars >= 300
-    saved = counts()
+    saved = get()
     try:
         sols = []
         for threads in (1, 2):
-            for _, put in controls:
-                put(threads)
+            put(threads)
             sols.append(sdp.solve(program, gap_tol=bound._WITNESS_GAP_TOL))
-            assert counts() == [threads] * len(controls)
+            assert get() == threads
         one, two = sols
         assert one.status == two.status == "optimal"
         assert one.iterations == two.iterations
@@ -562,23 +566,22 @@ def test_solve_ignores_and_restores_caller_blas_threads(monkeypatch):
 
         def fail(error):
             def cho_solve(factor, rhs):
-                inside.append(counts())
+                inside.append(get())
                 raise error
 
             return cho_solve
 
         # a numerical problem ends the solve with a status; any other error
-        # propagates, and the counts come back either way
+        # propagates, and the count comes back either way
         monkeypatch.setattr(sdp, "_cho_solve", fail(sdp._NumericalProblem("injected")))
         assert sdp.solve(program).status == "numerical_failure"
         monkeypatch.setattr(sdp, "_cho_solve", fail(RuntimeError("injected")))
         with pytest.raises(RuntimeError):
             sdp.solve(program)
-        assert inside == [[1] * len(controls)] * 2
-        assert counts() == [2] * len(controls)
+        assert inside == [1, 1]
+        assert get() == 2
     finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
+        put(saved)
 
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])

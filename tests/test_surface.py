@@ -7,16 +7,21 @@ that exercise it, unless the tests compare against it as a reference.  The
 same holds for a default that no call overrides: the branch it selects
 runs in no pipeline.
 
-The pipeline also imports no scipy module: scipy's Python layer costs more
-to import than the package, and the pipeline needs only the LAPACK library
-that scipy's wheel bundles.
+The pipeline also imports no scipy module and loads no scipy library:
+scipy's Python layer costs more to import than the package, and every BLAS
+and LAPACK call of a bound runs in the one OpenBLAS that numpy's wheel
+bundles, so the process holds one runtime and one thread control.
 """
 
 import ast
+import functools
+import json
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,17 +153,47 @@ def test_every_default_is_overridden_somewhere():
     assert set(TEST_ARGUMENTS) <= labels
 
 
-def test_pipeline_imports_no_scipy_module():
+@functools.lru_cache(maxsize=1)
+def _fresh_bound() -> dict:
+    """What a fresh interpreter holds after one n_max=2 bound: its scipy
+    modules, the files it maps (None without /proc) and the number of
+    OpenBLAS thread controls sdp found."""
     code = "\n".join(
         [
-            "import contextlib, io, sys",
+            "import contextlib, io, json, os, sys",
             f"sys.path.insert(0, {str(ROOT / 'src')!r})",
-            "from entcert import cli",
+            "from entcert import cli, sdp",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['bound', '--n-max', '2']) == 0",
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            "maps = None",
+            "if os.path.exists('/proc/self/maps'):",
+            "    with open('/proc/self/maps') as f:",
+            "        fields = [line.split(maxsplit=5) for line in f]",
+            "    maps = sorted({entry[5].strip() for entry in fields if len(entry) == 6})",
+            "print(json.dumps({",
+            "    'modules': sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),",
+            "    'maps': maps,",
+            "    'thread_controls': len(sdp._THREAD_CONTROLS),",
+            "}))",
         ]
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_pipeline_imports_no_scipy_module():
+    assert _fresh_bound()["modules"] == []
+
+
+def test_pipeline_loads_one_blas_runtime():
+    # scipy's wheel bundles a second OpenBLAS under scipy.libs; a bound
+    # maps none of its files and pins the one runtime numpy bundles
+    import scipy
+
+    found = _fresh_bound()
+    if found["maps"] is None:
+        pytest.skip("no /proc/self/maps")
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    assert [path for path in found["maps"] if Path(path).parent == libs] == []
+    assert found["thread_controls"] == 1
