@@ -88,6 +88,9 @@ class MeasurementSet:
         return self.operators[0].space
 
 
+NOISE_KINDS = ("static_calibration", "phase_averaged")
+
+
 @dataclass(frozen=True)
 class PhaseNoiseModel:
     """Local-oscillator phase noise used when generating data.
@@ -110,7 +113,7 @@ class PhaseNoiseModel:
     width_is_std: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("static_calibration", "phase_averaged"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError("unknown noise kind")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
@@ -489,7 +492,10 @@ def lower_bound_negativity_robust(measurements: MeasurementSet, epsilon: float) 
 
 
 def verify_bound(measurements: MeasurementSet, result: BoundResult):
-    """Re-check the witness inequalities and objective from scratch."""
+    """Re-check the witness inequalities and objective from scratch.
+
+    "verified" is the verdict every caller reports: the witness is feasible
+    and its recomputed objective matches the bound."""
     d1, d2 = (c + 1 for c in measurements.space.cutoffs)
     h = result.witness_H
     nu = result.multipliers
@@ -498,13 +504,16 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult):
     linear, recomputed = _certified_objective(
         nu, measurements.expectations, result.error_budget, _boxed(measurements)
     )
+    feasible = g_min > -TOL_PSD and h_norm <= 1.0 + TOL_PSD
+    bound_matches = abs(recomputed - result.lower_bound) < 1e-8
     return {
         "matrix_ineq_min_eig": g_min,
         "h_norm": h_norm,
-        "feasible": g_min > -TOL_PSD and h_norm <= 1.0 + TOL_PSD,
+        "feasible": feasible,
         "linear_objective": linear,
         "recomputed_bound": recomputed,
-        "bound_matches": abs(recomputed - result.lower_bound) < 1e-8,
+        "bound_matches": bound_matches,
+        "verified": bool(feasible and bound_matches),
     }
 
 
@@ -667,7 +676,7 @@ def noisy_bound(
     result.info["noise_kind"] = model.kind
     result.info["noise_seed"] = model.seed
     result.info["reconciliation"] = fit_info
-    result.info["verified"] = bool(check["feasible"] and check["bound_matches"])
+    result.info["verified"] = check["verified"]
     return result
 
 
@@ -682,6 +691,8 @@ def noise_trials(
     robust_epsilon: float = 0.0,
 ):
     """Repeated noise draws sharing one seeded stream; deterministic."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(model.seed)
     cutoff = state.space.cutoffs[0]
     nominal_ops = build_measurements(det1, det2, phases=phases, signal_cutoff=cutoff)

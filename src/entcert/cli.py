@@ -3,14 +3,15 @@
 Configuration is a single JSON document with sections state / detector /
 noise / sweep; every field has a default chosen so that an empty
 configuration reproduces the headline error-budget table.  Each
-ExperimentConfig field names its section, and that one entry gives its
-document key, its flag's dest and, for a sweep axis, the field the axis
-sets.  Resolution order: built-in defaults, then per-axis sweep defaults,
-then the config file, whose unknown sections and keys are rejected, then
-command-line flags.  All CSV output uses a header row, fixed
-column order, 10 significant digits, '.' decimals and LF line endings, and
-is byte-identical for identical configuration and seed (wall-clock timing
-is only added with --timing).
+ExperimentConfig field names its section, help text and any allowed values,
+and that one entry gives its document key, its flag (name, type, help and
+choices) and, for a sweep axis, the field the axis sets.  Resolution
+order: built-in defaults, then per-axis sweep defaults, then the config
+file, whose unknown keys and values that fail the flag's type or choices
+are rejected, then command-line flags.  All CSV output uses a header row,
+fixed column order, 10 significant digits, '.' decimals and LF line
+endings, and is byte-identical for identical configuration and seed
+(wall-clock timing is only added with --timing).
 """
 
 import argparse
@@ -58,34 +59,47 @@ AXIS_DEFAULTS = {
 }
 
 
-def _setting(section: str, default):
+def _setting(section: str, default, help: str, **flag):
     """A config field stored in `section` of the document, under its name
-    less any `section_` prefix."""
-    return field(default=default, metadata={"section": section})
+    less any `section_` prefix.  `help` and `flag` describe its command-line
+    flag: `choices` lists its allowed values and `flag` overrides its name."""
+    return field(default=default, metadata={"section": section, "help": help, **flag})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat view of the JSON configuration document."""
 
-    lam: float = _setting("state", 0.2)
-    n_max: int = _setting("state", 3)
-    transmission: float = _setting("state", 0.95)
-    apd_efficiency: float = _setting("state", 0.20)
-    lo_amplitude: float = _setting("detector", 1.0)
-    phases: tuple = _setting("detector", (0.0, math.pi / 2.0))
-    reflectivity: float = _setting("detector", 0.5)
-    efficiency: float = _setting("detector", 0.1)
-    bins: int = _setting("detector", 8)
-    noise_kind: str | None = _setting("noise", None)
-    noise_epsilon: float = _setting("noise", 0.0)
-    noise_width: float = _setting("noise", 0.0)
-    noise_samples: int = _setting("noise", 100)
-    width_is_std: bool = _setting("noise", False)
-    trials: int = _setting("noise", 20)
-    seed: int | None = _setting("noise", None)
-    sweep_axis: str | None = _setting("sweep", None)
-    sweep_values: tuple | None = _setting("sweep", None)
+    lam: float = _setting("state", 0.2, "squeezing parameter")
+    n_max: int = _setting(
+        "state",
+        3,
+        "per-mode Fock cutoff; a bound's memory grows like (n_max+1)^8: "
+        "about 0.5 GB at 5 and 1.4 GB at 6, while 8 needs about 6 GB for the "
+        "witness program alone",
+    )
+    transmission: float = _setting("state", 0.95, "subtraction BS transmission")
+    apd_efficiency: float = _setting("state", 0.20, "subtraction APD efficiency")
+    lo_amplitude: float = _setting("detector", 1.0, "LO amplitude")
+    reflectivity: float = _setting("detector", 0.5, "homodyne BS reflectivity")
+    efficiency: float = _setting("detector", 0.1, "TMD detector efficiency")
+    bins: int = _setting("detector", 8, "TMD bin count")
+    phases: tuple = _setting(
+        "detector", (0.0, math.pi / 2.0), "comma-separated LO phases in radians"
+    )
+    noise_kind: str | None = _setting(
+        "noise", None, "noise model", choices=bound_mod.NOISE_KINDS, flag="--noise"
+    )
+    noise_epsilon: float = _setting("noise", 0.0, "static calibration error scale")
+    noise_width: float = _setting("noise", 0.0, "phase averaging width (radians)")
+    noise_samples: int = _setting("noise", 100, "coherent components per averaged LO")
+    width_is_std: bool = _setting("noise", False, "interpret width as a standard deviation")
+    trials: int = _setting("noise", 20, "noise trials per point")
+    seed: int | None = _setting("noise", None, "noise seed (required for noise runs)")
+    sweep_axis: str | None = _setting(
+        "sweep", None, "sweep axis", choices=tuple(sorted(AXIS_DEFAULTS))
+    )
+    sweep_values: tuple | None = _setting("sweep", None, "comma-separated sweep values")
 
     def document(self) -> dict:
         doc = {}
@@ -103,22 +117,23 @@ _FIELDS = {
 }
 
 
-def _cast(annotation, val):
-    """val as the annotated type; None stays None where the annotation allows
-    it, and tuples hold floats."""
-    types = typing.get_args(annotation) or (annotation,)
+def _cast(f, val):
+    """val as f's annotated type, and one of f's choices where it has them;
+    None stays None where the annotation allows it, and tuples hold floats."""
+    types = typing.get_args(f.type) or (f.type,)
     if val is None and type(None) in types:
         return None
-    if types[0] is tuple:
-        return tuple(float(v) for v in val)
-    return types[0](val)
+    val = tuple(float(v) for v in val) if types[0] is tuple else types[0](val)
+    if val not in f.metadata.get("choices", (val,)):
+        raise ValueError(f"{val!r} is not one of {f.metadata['choices']}")
+    return val
 
 
 def _config_from_document(doc: dict) -> ExperimentConfig:
     """Typed config from a complete document (every key present, as
     resolve_config guarantees by starting from ExperimentConfig().document())."""
     return ExperimentConfig(
-        **{f.name: _cast(f.type, doc[f.metadata["section"]][key]) for key, f in _FIELDS.items()}
+        **{f.name: _cast(f, doc[f.metadata["section"]][key]) for key, f in _FIELDS.items()}
     )
 
 
@@ -136,20 +151,27 @@ def resolve_config(args) -> ExperimentConfig:
             file_doc = json.load(fh)
     if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
         raise SystemExit("the config file must be a JSON object of section objects")
-    unknown = []
+    unknown, bad = [], []
     for section, entries in file_doc.items():
         if section not in doc:
             unknown.append(section)
-        else:
-            unknown += [f"{section}.{key}" for key in entries if key not in doc[section]]
+            continue
+        for key, val in entries.items():
+            if key not in doc[section]:
+                unknown.append(f"{section}.{key}")
+                continue
+            try:
+                _cast(_FIELDS[key], val)
+            except (TypeError, ValueError, OverflowError):
+                bad.append(f"{section}.{key}={json.dumps(val)}")
     if unknown:
         raise SystemExit(f"unknown config keys: {', '.join(unknown)}")
+    if bad:
+        raise SystemExit(f"bad config values: {', '.join(bad)}")
     axis = getattr(args, "sweep_axis", None)
     if axis is None:
         axis = file_doc.get("sweep", {}).get("axis")
     if axis is not None:
-        if axis not in AXIS_DEFAULTS:
-            raise SystemExit(f"unknown sweep axis {axis!r}; choose from {sorted(AXIS_DEFAULTS)}")
         _merge(doc, AXIS_DEFAULTS[axis])
         doc["sweep"]["axis"] = axis
     _merge(doc, file_doc)
@@ -313,7 +335,7 @@ def cmd_bound(args) -> int:
             "config": cfg.document(),
             "exact_log_negativity": exact,
             "heralding_probability": p_click,
-            "verified": bool(check["feasible"] and check["bound_matches"]),
+            "verified": check["verified"],
         }
     )
     write_json(args.out, doc)
@@ -359,13 +381,13 @@ def run_sweep(cfg: ExperimentConfig):
                 )
                 verified = all(r.info["verified"] for r in results)
             else:
-                key = (det.lo_amplitude, det.reflectivity, point.phases, point.n_max)
+                key = (det, point.phases, point.n_max)
                 ops = op_cache.get(key)
                 result, check, ops = _bound_for(point, state, det, operators=ops)
                 op_cache[key] = ops
                 lower = result.lower_bound
                 status = result.solver_status
-                verified = bool(check["feasible"] and check["bound_matches"])
+                verified = check["verified"]
             pct_inc = (e_sub - e_ini) / e_ini * 100.0
             pct_err = (e_sub - lower) / e_sub * 100.0
             rows.append(
@@ -388,8 +410,6 @@ def cmd_sweep(args) -> int:
         raise SystemExit("sweep requires --axis or a sweep.axis config entry")
     if not cfg.sweep_values:
         raise SystemExit("sweep requires --values or a non-empty sweep.values config entry")
-    if _FIELDS[cfg.sweep_axis].metadata["section"] == "noise" and cfg.seed is None:
-        raise SystemExit("--seed is required for noise runs")
     rows, failed = run_sweep(cfg)
     header = SWEEP_HEADER + (("wall_time_s",) if args.timing else ())
     out_rows = [r if args.timing else r[:-1] for r in rows]
@@ -412,8 +432,7 @@ def cmd_table(args) -> int:
     for eps in TABLE_EPSILONS:
         try:
             result, check, ops = _bound_for(cfg, state, det, eps, operators=ops)
-            verified = bool(check["feasible"] and check["bound_matches"])
-            rows.append(["bound", eps, result.lower_bound, result.solver_status, verified])
+            rows.append(["bound", eps, result.lower_bound, result.solver_status, check["verified"]])
             if result.solver_status == "numerical_failure":
                 failed = True
         except Exception as exc:
@@ -427,69 +446,23 @@ def cmd_table(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--lam", type=float, help="squeezing parameter")
-    p.add_argument(
-        "--n-max",
-        dest="n_max",
-        type=int,
-        help="per-mode Fock cutoff; a bound's memory grows like (n_max+1)^8: "
-        "about 0.5 GB at 5 and 1.4 GB at 6, while 8 needs about 6 GB for the "
-        "witness program alone",
-    )
-    p.add_argument("--transmission", type=float, help="subtraction BS transmission")
-    p.add_argument(
-        "--apd-efficiency", dest="apd_efficiency", type=float, help="subtraction APD efficiency"
-    )
-    p.add_argument("--lo-amplitude", dest="lo_amplitude", type=float, help="LO amplitude")
-    p.add_argument("--reflectivity", type=float, help="homodyne BS reflectivity")
-    p.add_argument("--efficiency", type=float, help="TMD detector efficiency")
-    p.add_argument("--bins", type=int, help="TMD bin count")
-    p.add_argument(
-        "--phases",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-        help="comma-separated LO phases in radians",
-    )
-
-
-def _add_noise(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--noise",
-        dest="noise_kind",
-        choices=("static_calibration", "phase_averaged"),
-        help="noise model",
-    )
-    p.add_argument(
-        "--epsilon",
-        dest="noise_epsilon",
-        metavar="EPSILON",
-        type=float,
-        help="static calibration error scale",
-    )
-    p.add_argument(
-        "--width",
-        dest="noise_width",
-        metavar="WIDTH",
-        type=float,
-        help="phase averaging width (radians)",
-    )
-    p.add_argument(
-        "--samples",
-        dest="noise_samples",
-        metavar="SAMPLES",
-        type=int,
-        help="coherent components per averaged LO",
-    )
-    p.add_argument(
-        "--width-is-std",
-        dest="width_is_std",
-        action="store_true",
-        default=None,
-        help="interpret width as a standard deviation",
-    )
-    p.add_argument("--trials", type=int, help="noise trials per point")
-    p.add_argument("--seed", type=int, help="noise seed (required for noise runs)")
+def _add_settings(parser: argparse.ArgumentParser, *sections: str):
+    """--config, then one flag per ExperimentConfig field of `sections` in
+    field order: --KEY with dashes unless the field names its flag, typed by
+    the field's annotation and limited to its choices."""
+    parser.add_argument("--config", help="JSON configuration file")
+    for key, f in _FIELDS.items():
+        flag = dict(f.metadata)
+        if flag.pop("section") not in sections:
+            continue
+        kind = (typing.get_args(f.type) or (f.type,))[0]
+        if kind is bool:
+            flag.update(action="store_true", default=None)
+        elif kind is tuple:
+            flag.update(metavar=key.upper(), type=lambda s: tuple(float(x) for x in s.split(",")))
+        elif "choices" not in flag:
+            flag.update(metavar=key.upper(), type=kind)
+        parser.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), dest=f.name, **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,12 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("povm", help="serialize the homodyne POVM settings to JSON")
-    _add_common(p)
+    _add_settings(p, "state", "detector")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_povm)
 
     p = sub.add_parser("wigner", help="emit Wigner-function CSV grids of POVM elements")
-    _add_common(p)
+    _add_settings(p, "state", "detector")
     p.add_argument("--outcomes", default="1,2,3", help="comma-separated click counts")
     p.add_argument("--grid-points", dest="grid_points", default=201, type=int)
     p.add_argument("--extent", default=5.0, type=float, help="grid half-width in x and p")
@@ -514,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("bound", help="certify one bound from simulated data")
-    _add_common(p)
-    _add_noise(p)
+    _add_settings(p, "state", "detector", "noise")
     p.add_argument(
         "--robust-epsilon",
         dest="robust_epsilon",
@@ -527,24 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sweep", help="sweep one axis and emit a CSV table")
-    _add_common(p)
-    _add_noise(p)
-    p.add_argument(
-        "--axis", dest="sweep_axis", choices=sorted(AXIS_DEFAULTS), help="sweep axis"
-    )
-    p.add_argument(
-        "--values",
-        dest="sweep_values",
-        metavar="VALUES",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-        help="comma-separated sweep values",
-    )
+    _add_settings(p, "state", "detector", "noise", "sweep")
     p.add_argument("--timing", action="store_true", help="append a wall_time_s column")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table", help="error-budget table with exact reference rows")
-    _add_common(p)
+    _add_settings(p, "state", "detector")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(func=cmd_table)
 

@@ -640,6 +640,15 @@ def test_noise_trials_deterministic():
     assert [r.lower_bound for r in c] != [r.lower_bound for r in d]
 
 
+def test_noise_trials_need_at_least_one_trial():
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    model = PhaseNoiseModel(kind="phase_averaged", width=0.4, seed=1)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            noise_trials(st, det, det, model, trials=trials)
+
+
 # one static trial of test_noise_trials_deterministic's other model: the
 # reconcile fit's moments and the certificate after each solve round
 # differently at one and two BLAS threads unless they are pinned to one

@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -81,6 +83,22 @@ def test_unknown_config_keys_rejected(tmp_path):
         conf.write_text(json.dumps(malformed))
         with pytest.raises(SystemExit, match="JSON object of section objects"):
             cli.resolve_config(args)
+    # a value that does not cast by its field's annotation, or lies outside
+    # the field's choices, is refused the way the flag would refuse it
+    for bad, named in [
+        ({"state": {"n_max": "three"}}, 'state.n_max="three"'),
+        ({"detector": {"phases": 0.5}}, "detector.phases=0.5"),
+        ({"noise": {"kind": "gaussian"}}, 'noise.kind="gaussian"'),
+        ({"sweep": {"axis": "nope"}}, 'sweep.axis="nope"'),
+        ({"state": {"n_max": float("inf")}}, "state.n_max=Infinity"),
+        (
+            {"state": {"lam": [1], "n_max": 2}, "noise": {"seed": "x"}},
+            'state.lam=[1], noise.seed="x"',
+        ),
+    ]:
+        conf.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit, match=f"bad config values: {re.escape(named)}$"):
+            cli.resolve_config(args)
 
 
 def test_config_values_cast_by_annotation(tmp_path):
@@ -113,6 +131,33 @@ def test_each_field_has_one_key_and_one_flag():
     assert set(cli.AXIS_DEFAULTS) <= set(cli._FIELDS)
     for study in cli.AXIS_DEFAULTS.values():
         assert all(set(entries) <= set(doc[section]) for section, entries in study.items())
+
+
+@pytest.mark.parametrize("key", list(cli._FIELDS))
+def test_every_setting_works_through_its_flag(key):
+    f = cli._FIELDS[key]
+    kind = (typing.get_args(f.type) or (f.type,))[0]
+    choices = f.metadata.get("choices")
+    if choices:
+        value = next(c for c in choices if c != f.default)
+        words = [value]
+    elif kind is bool:
+        value, words = True, []
+    elif kind is tuple:
+        value, words = (0.25, 1.5), ["0.25,1.5"]
+    else:
+        value = (f.default or 0) + (1 if kind is int else 0.125)
+        words = [repr(value)]
+    assert value != f.default
+    command = ["sweep", "--out", "x.csv"] if f.metadata["section"] == "sweep" else ["bound"]
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (flag,) = [a for a in subparsers.choices[command[0]]._actions if a.dest == f.name]
+    cfg = cli.resolve_config(parser.parse_args(command + [flag.option_strings[0]] + words))
+    got = getattr(cfg, f.name)
+    assert got == value and type(got) is kind
+    if kind is tuple:
+        assert all(type(v) is float for v in got)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +333,7 @@ def test_noise_sweep_reports_verify_bound_verdict(tmp_path, monkeypatch):
     # the verified column of a noise sweep is verify_bound's verdict on the
     # certified trials, not a finiteness check of the bounds
     def reject(measurements, result):
-        return {"feasible": False, "bound_matches": True}
+        return {"feasible": False, "bound_matches": True, "verified": False}
 
     monkeypatch.setattr(bound_mod, "verify_bound", reject)
     out = tmp_path / "width.csv"
