@@ -35,6 +35,18 @@ DEFAULT_OUTCOMES = (0, 1, 2, 3)
 GRAM_NULL_CUT = 1e-10
 
 
+# smallest error budget whose robust program takes its multipliers in the
+# data's own coordinates; below it the charge is too weak to hold them off
+# the near-null operator combinations, and the program is solved in Gram
+# coordinates as the exact one is.  Measured at eps = 1e-9 .. 1e-4 on the
+# table point at n_max = 2 and 3 and on a full-information 2 x 2 toy: from
+# 1e-5 up the data coordinates end optimal and at or above the Gram bound
+# in every case; at 1e-6 the n_max = 2 solve stalls after 53 iterations
+# (Gram: optimal in 17), and at 1e-9 the n_max = 3 bound is 0.7232837
+# against 0.7251399
+DATA_COORDINATES_MIN_EPSILON = 1e-5
+
+
 # ---------------------------------------------------------------------------
 # measurement data containers
 
@@ -254,11 +266,11 @@ def _gram_rotation(mats: np.ndarray):
     return vecs, sig
 
 
-def _boxed(measurements: MeasurementSet) -> list:
+def _boxed(measurements: MeasurementSet) -> np.ndarray:
     """Indices of the data that carry an error box: every nonzero datum
     except the identity's, which is exact."""
-    mvec = measurements.expectations
-    return [i for i in range(len(mvec)) if i != measurements.identity_index and mvec[i] > 0.0]
+    boxed = np.flatnonzero(measurements.expectations > 0.0)
+    return boxed[boxed != measurements.identity_index]
 
 
 def _min_slack(h, nu, mats, d1, d2) -> float:
@@ -280,7 +292,7 @@ def _certified_objective(nu, mvec, epsilon, boxed):
     return linear, 0.0 if linear <= 0.0 else max(0.0, math.log2(linear))
 
 
-def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: float):
+def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: float | None):
     """Assemble the block SDP over y = (H parameters, z, [t aux]).
 
     Blocks: H^{T1} - sum nu_i M_i >= 0, I - H >= 0, I + H >= 0, all n x n
@@ -289,15 +301,24 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     objective charges -epsilon per unit t~_i, which totals the worst-case
     loss epsilon sum_i n_i |nu_i| over the error box.
 
-    The multipliers are optimized in rotated coordinates nu = R z, where R
-    spans the non-null eigenvectors of the Gram matrix tr(M_i M_j).  Click
-    operator sets are close to linearly dependent (outcome sums nearly
-    resolve the identity), and the optimal witness pushes hard along those
-    near-null combinations; per-column scaling inside the solver cannot see
-    them, but in the Gram eigenbasis they become ordinary well-scaled
-    directions.  Exactly dependent combinations carry no constraint at all
-    and are dropped so they cannot wander, and at most n^2 directions are
-    kept, the real dimension of the n x n Hermitian operators.
+    The multipliers are written nu = R z, and R is returned, None for the
+    identity.  With null_cut None, R = I: z is nu itself, over every
+    operator, and each box row has two entries.  Robust programs take this
+    form down to DATA_COORDINATES_MIN_EPSILON, because their charge lives in
+    the data's own coordinates and is not rotation-invariant: a combination
+    with sum_i a_i M_i = 0 leaves block A unchanged and may still lower the
+    charge, so a rotation that drops it solves over a subspace.
+
+    Otherwise R spans the eigenvectors of the Gram matrix tr(M_i M_j) whose
+    combinations exceed null_cut relative to the largest, as the exact
+    program (epsilon = 0) takes it.  Click operator sets are close to
+    linearly dependent (outcome sums nearly resolve the identity), and the
+    optimal witness pushes hard along those near-null combinations;
+    per-column scaling inside the solver cannot see them, but in the Gram
+    eigenbasis they become ordinary well-scaled directions.  Exactly
+    dependent combinations carry no constraint at all and are dropped so
+    they cannot wander, and at most n^2 directions are kept, the real
+    dimension of the n x n Hermitian operators.
     """
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
@@ -309,22 +330,25 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     basis = _hermitian_basis(n)
     basis_pt = fock.partial_transpose_array(basis, d1, d2)
 
-    vecs, sig = _gram_rotation(mats)
-    keep = sig > null_cut * sig.max()
-    # mutually orthogonal combinations past the nh largest are roundoff,
-    # whatever their measured norm; one kept would make block A's columns
-    # dependent and leave the objective along the dependence to roundoff
-    if np.count_nonzero(keep) > nh:
-        keep &= sig >= np.sort(sig)[-nh]
-    rot = vecs[:, keep]
-    nk = rot.shape[1]
-
-    t_for = _boxed(measurements) if epsilon > 0.0 else []
-    nt = len(t_for)
+    if null_cut is None:
+        rot, nk = None, len(mats)
+    else:
+        vecs, sig = _gram_rotation(mats)
+        keep = sig > null_cut * sig.max()
+        # mutually orthogonal combinations past the nh largest are roundoff,
+        # whatever their measured norm; one kept would make block A's
+        # columns dependent and leave the objective along the dependence to
+        # roundoff
+        if np.count_nonzero(keep) > nh:
+            keep &= sig >= np.sort(sig)[-nh]
+        rot = vecs[:, keep]
+        nk = rot.shape[1]
+    t_for = _boxed(measurements) if epsilon > 0.0 else np.zeros(0, dtype=np.intp)
+    nt = t_for.size
     nvar = nh + nk + nt
 
     c = np.zeros(nvar)
-    c[nh : nh + nk] = rot.T @ mvec
+    c[nh : nh + nk] = mvec if rot is None else rot.T @ mvec
     # aux variables are data-weighted, t~_i = n_i t_i, so they stay O(1)
     # even where the multipliers are huge and the data tiny
     c[nh + nk : nvar] = -epsilon
@@ -332,7 +356,7 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     # block A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0
     fs_a = np.zeros((nvar, n, n), dtype=complex)
     fs_a[:nh] = -basis_pt
-    fs_a[nh : nh + nk] = np.einsum("ik,iab->kab", rot, mats)
+    fs_a[nh : nh + nk] = mats if rot is None else np.einsum("ik,iab->kab", rot, mats)
     blocks = [(np.zeros((n, n)), fs_a)]
 
     # blocks B, C: I -+ H >= 0
@@ -341,13 +365,18 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
         fs[:nh] = sign * basis
         blocks.append((np.eye(n), fs))
 
-    # scalar boxes t~_i >= +-n_i nu_i with nu_i = rot[i, :] @ z
-    for pos, i in enumerate(t_for):
-        for sign in (1.0, -1.0):
-            frow = np.zeros((nvar, 1, 1))
-            frow[nh + nk + pos, 0, 0] = -1.0
-            frow[nh : nh + nk, 0, 0] = sign * mvec[i] * rot[i, :]
-            blocks.append((np.zeros((1, 1)), frow))
+    # scalar boxes t~_i >= +-n_i nu_i with nu_i = R[i] z: per boxed datum
+    # the F rows of the 1 x 1 blocks t~_i - n_i nu_i and t~_i + n_i nu_i
+    rows = np.zeros((nt, 2, nvar))
+    pos = np.arange(nt)
+    rows[pos, :, nh + nk + pos] = -1.0
+    if rot is None:
+        rows[pos, 0, nh + t_for] = mvec[t_for]
+    else:
+        rows[:, 0, nh : nh + nk] = mvec[t_for, None] * rot[t_for]
+    rows[:, 1, nh : nh + nk] = -rows[:, 0, nh : nh + nk]
+    zero = np.zeros((1, 1))
+    blocks.extend((zero, row[:, None, None]) for row in rows.reshape(2 * nt, nvar))
 
     return sdp.ConicProgram(c, blocks), basis, t_for, rot
 
@@ -398,7 +427,10 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     with sdp.one_blas_thread():
         h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
         h = 0.5 * (h + h.conj().T)
-        nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
+        if rot is None:
+            nu = sol.y_star[nh : nh + len(mats)]
+        else:
+            nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
         h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
         linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
@@ -419,23 +451,25 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     )
 
 
-# Stricter fallback cuts for the Gram rotation.  When the kept directions
-# include numerically-null combinations (degenerate operator sets at small
-# cutoffs, or very low detector efficiency), the solver can park enormous
-# multipliers on them: the pre-combined rotated operators are tiny, so the
-# program barely notices, but re-certifying the witness from (H, nu) in the
-# original operator basis then loses the objective to cancellation noise.
-# Raising the cut prunes those directions and restores conditioning at a
-# small cost in expressiveness, so the laddered solve keeps whichever rung
-# certifies the largest objective.  A rung ends the ladder when its
-# certificate keeps the solver's objective: within _CERT_LOSS_TOL for an
-# optimal solve, and within the solve's own gap_tol for a stalled one (gap
-# converged, residual parked above tolerance).  A stricter cut can only
-# lower the program's optimum, so it has nothing to recover from a rung
-# whose certificate loses nothing; a stalled rung that loses more than
-# gap_tol to polishing may still be beaten by the next cut.  A rung that
-# hit the iteration cap or failed moves on to the next cut, its polished
-# witness still in the running.
+# Stricter fallback cuts for the Gram rotation, used only below
+# DATA_COORDINATES_MIN_EPSILON (the exact program, epsilon = 0, and tiny
+# budgets): a robust program above it has no rotation and is solved once.
+# When the kept directions include numerically-null combinations
+# (degenerate operator sets at small cutoffs, or very low detector
+# efficiency), the solver can park enormous multipliers on them: the
+# pre-combined rotated operators are tiny, so the program barely notices,
+# but re-certifying the witness from (H, nu) in the original operator basis
+# then loses the objective to cancellation noise.  Raising the cut prunes
+# those directions and restores conditioning at a small cost in
+# expressiveness, so the laddered solve keeps whichever rung certifies the
+# largest objective.  A rung ends the ladder when its certificate keeps the
+# solver's objective: within _CERT_LOSS_TOL for an optimal solve, and within
+# the solve's own gap_tol for a stalled one (gap converged, residual parked
+# above tolerance).  A stricter cut can only lower the program's optimum, so
+# it has nothing to recover from a rung whose certificate loses nothing; a
+# stalled rung that loses more than gap_tol to polishing may still be beaten
+# by the next cut.  A rung that hit the iteration cap or failed moves on to
+# the next cut, its polished witness still in the running.
 _CUT_LADDER = (GRAM_NULL_CUT, 1e-8, 1e-6)
 
 # relative slack allowed between an optimal solve's objective and the
@@ -448,6 +482,10 @@ _WITNESS_GAP_TOL = 1e-7
 
 
 def _solve_witness(measurements, epsilon) -> BoundResult:
+    if epsilon >= DATA_COORDINATES_MIN_EPSILON:
+        program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
+        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+        return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
     best = None
     for cut in _CUT_LADDER:
         program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
@@ -483,6 +521,12 @@ def lower_bound_negativity_robust(measurements: MeasurementSet, epsilon: float) 
     Maximizes sum_i nu_i n_i - epsilon sum_i |nu_i| n_i, valid for any true
     values m_i in [(1-eps) n_i, (1+eps) n_i], including adversarially
     correlated errors.  The identity entry is exact and carries no box.
+    From DATA_COORDINATES_MIN_EPSILON up the multipliers range over all
+    operators and the bound is one solve, with no null_cut in info.  Below
+    it double precision does not resolve the near-null operator
+    combinations that so small a charge leaves nearly free, and the program
+    is solved as the exact one is, over the Gram directions above the null
+    cut; the maximum is then taken over that subspace only.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")

@@ -117,13 +117,37 @@ _FIELDS = {
 }
 
 
+def _number(val) -> float:
+    """val as a float where it is an int or a float, and not a bool."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"{val!r} is not a number")
+    return float(val)
+
+
 def _cast(f, val):
-    """val as f's annotated type, and one of f's choices where it has them;
-    None stays None where the annotation allows it, and tuples hold floats."""
+    """val as f's annotated type, and one of f's choices where it has them.
+
+    The conversion loses nothing: a bool takes only a boolean, an int an
+    integer or an integral float, a float a number, a tuple a list of
+    numbers (held as floats) and a str a string; None stays None where the
+    annotation allows it."""
     types = typing.get_args(f.type) or (f.type,)
     if val is None and type(None) in types:
         return None
-    val = tuple(float(v) for v in val) if types[0] is tuple else types[0](val)
+    kind = types[0]
+    if kind is tuple:
+        if not isinstance(val, (list, tuple)):
+            raise TypeError(f"{val!r} is not a list")
+        val = tuple(_number(v) for v in val)
+    elif kind is float:
+        val = _number(val)
+    elif kind is int:
+        integral = isinstance(val, float) and val.is_integer()
+        if isinstance(val, bool) or not (isinstance(val, int) or integral):
+            raise ValueError(f"{val!r} is not an integer")
+        val = int(val)
+    elif not isinstance(val, kind):
+        raise TypeError(f"{val!r} is not a {kind.__name__}")
     if val not in f.metadata.get("choices", (val,)):
         raise ValueError(f"{val!r} is not one of {f.metadata['choices']}")
     return val
@@ -513,8 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ValueError from the library, a setting it
+    cannot take, ends it with one line on stderr and exit code 2, the code
+    of a refused flag."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"entcert {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

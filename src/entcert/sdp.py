@@ -35,9 +35,12 @@ touch.  Each class block is added to the Schur complement in place, through
 basic slices when its rows and its columns are contiguous runs, as they are
 in every program the bound pipeline builds, and through np.ix_ otherwise.
 Every sum_j y_j Fj is one real product with the real view of the nonzero
-columns, and each Newton direction takes one refinement pass against that
-operator, dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the
-assembled matrix.
+columns, or, in a cone of pairs alone whose nonzeros fill distinct slots of
+that view (I - H and I + H), a scatter of y_j times each nonzero, which has
+the product's bits since each slot gets one term.  Each Newton direction
+takes one refinement pass against that operator,
+dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the assembled
+matrix.
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, eigh and Cholesky of the solve
@@ -114,7 +117,11 @@ class ConicProgram:
     """Block-diagonal SDP data in the maximization form documented above.
 
     blocks is a sequence of (F0, Fs) pairs with F0 shaped (n, n) and Fs
-    shaped (m, n, n), real symmetric or complex Hermitian.
+    shaped (m, n, n), real symmetric or complex Hermitian.  Data within
+    TOL_SYM of Hermitian is stored as its Hermitian part; exactly Hermitian
+    arrays of the block's dtype are stored as given, without a copy, so
+    the caller should not modify them afterwards.  The solver never writes
+    to program data.
     """
 
     def __init__(self, objective, blocks):
@@ -132,11 +139,16 @@ class ConicProgram:
             n = f0.shape[0]
             if fs.shape != (m, n, n):
                 raise ValueError(f"block {k}: Fs must have shape (m, n, n)")
-            if np.max(np.abs(f0 - f0.conj().T)) > TOL_SYM:
+            dev0 = np.max(np.abs(f0 - f0.conj().T))
+            devs = np.max(np.abs(fs - np.swapaxes(fs, 1, 2).conj()))
+            if dev0 > TOL_SYM:
                 raise ValueError(f"block {k}: F0 not Hermitian")
-            if np.max(np.abs(fs - np.swapaxes(fs, 1, 2).conj())) > TOL_SYM:
+            if devs > TOL_SYM:
                 raise ValueError(f"block {k}: some Fj not Hermitian")
-            self.blocks.append((_herm(f0), _herm(fs)))
+            # _herm is the identity on exactly Hermitian data, kept as given
+            self.blocks.append(
+                (f0 if dev0 == 0.0 else _herm(f0), fs if devs == 0.0 else _herm(fs))
+            )
         if not self.blocks:
             raise ValueError("program needs at least one block")
 
@@ -406,6 +418,13 @@ class _MatrixCone:
         self.v = np.where(self.r == self.c, 0.5 * v[self.pairs], v[self.pairs])
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
         self.fs_dense = fs[self.dense]
+        # with pairs alone, and no two nonzeros on one real-view slot,
+        # sum_j y_j Fj is a scatter of y_j times each nonzero: every slot
+        # gets one term, so the sum has the bits of the product with flat
+        self.scatter = None
+        rows, slots = np.nonzero(self.flat)
+        if not self.dense.size and np.unique(slots).size == slots.size:
+            self.scatter = (self.cols[rows], slots, self.flat[rows, slots])
         if self.pairs.size:
             self.pp_index, self.pp_coef = _pair_tables(n, self.r, self.c, self.v, tables)
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
@@ -416,9 +435,15 @@ class _MatrixCone:
         self.dp_slot = _slot(self.dense, self.pairs)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """sum_j y_j Fj, one real product on the real view."""
+        """sum_j y_j Fj on the real view: one real product, or the scatter
+        of a cone of pairs."""
         n = self.f0.shape[0]
-        return (y[self.cols] @ self.flat).view(self.f0.dtype).reshape(n, n)
+        if self.scatter is None:
+            flat = y[self.cols] @ self.flat
+        else:
+            cols, slots, vals = self.scatter
+            flat = np.bincount(slots, weights=y[cols] * vals, minlength=self.flat.shape[1])
+        return flat.view(self.f0.dtype).reshape(n, n)
 
     def moments(self, x: np.ndarray) -> np.ndarray:
         """Re tr(Fj X) for the nonzero columns."""

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -302,30 +304,35 @@ def _table_point_measurements():
     return st, ops, MeasurementSet(ops, simulate_expectations(st, ops))
 
 
-def test_robust_table_solves_stop_stalled(monkeypatch):
-    # the first null-cut rung may park the moment residual just above
-    # feas_tol once the gap has converged (whether it does is set by
-    # roundoff); the solve must then say so instead of running to its
-    # iteration cap, and since its polished certificate keeps the objective,
-    # the ladder ends there
-    _, _, ms = _table_point_measurements()
-    solutions = []
+def _recorded_solves(monkeypatch):
+    """Every sdp.solve call from here on, as (program, solution) pairs."""
+    solves = []
     original = sdp.solve
 
-    def recording(*args, **kwargs):
-        solutions.append(original(*args, **kwargs))
-        return solutions[-1]
+    def recording(program, *args, **kwargs):
+        solves.append((program, original(program, *args, **kwargs)))
+        return solves[-1][1]
 
     monkeypatch.setattr(sdp, "solve", recording)
-    for eps in (1e-3, 1e-2):
+    return solves
+
+
+def test_robust_table_rows_solve_once_optimal(monkeypatch):
+    # a robust program takes its multipliers in the data's own coordinates,
+    # where the box charge lives: no Gram rotation, no null cut, one solve,
+    # and at the table point each row converges with no ridge retry
+    _, _, ms = _table_point_measurements()
+    solves = _recorded_solves(monkeypatch)
+    for eps in (1e-3, 1e-2, 0.1):
         res = bound.lower_bound_negativity_robust(ms, eps)
-        sol = solutions.pop()
-        assert not solutions
-        assert sol.status in (sdp.STATUS_STALLED, sdp.STATUS_OPTIMAL)
-        assert sol.iterations <= 40
-        assert sol.info["history"][-1]["rel_gap"] < 1e-7
-        assert bool(sol.info["detail"]) == (sol.status == sdp.STATUS_STALLED)
-        assert res.info["null_cut"] == bound.GRAM_NULL_CUT
+        ((program, sol),) = solves
+        solves.clear()
+        assert program.n_vars == ms.space.dim**2 + len(ms) + bound._boxed(ms).size
+        assert sol.status == res.solver_status == sdp.STATUS_OPTIMAL
+        assert sol.info["ridge_retries"] == 0
+        assert sol.info["detail"] == ""
+        assert sol.info["history"][-1]["rel_gap"] < bound._WITNESS_GAP_TOL
+        assert "null_cut" not in res.info
         violation = max(0.0, sol.objective_value - sol.info["dual_objective"])
         assert res.info["weak_duality_violation"] == sol.info["weak_duality_violation"] == violation
 
@@ -355,56 +362,51 @@ def _replayed_stop(history, gap_tol=1e-7, feas_tol=1e-8):
     return len(history), None
 
 
-def test_stall_rule_replays_from_history(monkeypatch):
+def test_stall_rule_replays_from_history():
     # after the gap converges, the gap keeps shrinking ~10% per iteration
     # while the moment residual stays parked; the solve stops on the
-    # residuals alone, where a gauge that counted the gap would run on
-    _, _, ms = _table_point_measurements()
-    solutions = []
-    original = sdp.solve
-
-    def recording(*args, **kwargs):
-        solutions.append(original(*args, **kwargs))
-        return solutions[-1]
-
-    monkeypatch.setattr(sdp, "solve", recording)
-    for eps in (1e-3, 1e-2):
-        bound.lower_bound_negativity_robust(ms, eps)
-    assert any(sol.status == sdp.STATUS_STALLED for sol in solutions)
+    # residuals alone, where a gauge that counted the gap would run on.  In
+    # the data's own coordinates at n_max = 2, eps = 1e-6 (below
+    # DATA_COORDINATES_MIN_EPSILON, for this reason) is too small a charge
+    # to resolve the near-null operator combinations, and the solve stalls
+    # (53 iterations on an AVX-512 machine) where eps = 1e-3 converges
+    cfg = replace(cli.ExperimentConfig(), n_max=2)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = MeasurementSet(ops, simulate_expectations(state, ops))
+    solutions = [
+        sdp.solve(bound._witness_program(ms, eps, None)[0], gap_tol=bound._WITNESS_GAP_TOL)
+        for eps in (1e-6, 1e-3)
+    ]
+    assert [sol.status for sol in solutions] == [sdp.STATUS_STALLED, sdp.STATUS_OPTIMAL]
     for sol in solutions:
         history = sol.info["history"]
-        assert len(history) == sol.iterations
+        assert len(history) == sol.iterations < 200
         assert _replayed_stop(history) == (sol.iterations, sol.status)
+        assert bool(sol.info["detail"]) == (sol.status == sdp.STATUS_STALLED)
         if sol.status == sdp.STATUS_STALLED:
             window = [rec["rel_gap"] for rec in history[-sdp._STALL_WINDOW - 1 :]]
             assert window[-1] < (1.0 - sdp._STALL_GAIN) * min(window[:-1])
 
 
 def test_weak_duality_violation_reported_at_cli_table_point(monkeypatch):
-    # at the CLI's default point the eps=1e-3 row either converges or parks
-    # a moment residual of ~2e-8 that may let the primal objective exceed
-    # the dual, as roundoff decides; the reported violation is
-    # max(0, primal - dual) of the returned iterate, with the dual objective
-    # recomputed from the returned certificate (a positive violation is
-    # pinned exactly by tests/test_sdp.py::test_weak_duality_violation_first_iterate)
+    # at the CLI's default point the eps=1e-3 row is one solve; the reported
+    # violation is max(0, primal - dual) of the returned iterate, with the
+    # dual objective recomputed from the returned certificate (a positive
+    # violation is pinned exactly by
+    # tests/test_sdp.py::test_weak_duality_violation_first_iterate)
     cfg = cli.ExperimentConfig()
     _, state, _ = cli.make_states(cfg)
     det = cli.make_detector(cfg)
     ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
     ms = MeasurementSet(ops, simulate_expectations(state, ops))
-    solves = []
-    original = sdp.solve
-
-    def recording(program, *args, **kwargs):
-        solves.append((program, original(program, *args, **kwargs)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(sdp, "solve", recording)
+    solves = _recorded_solves(monkeypatch)
     res = bound.lower_bound_negativity_robust(ms, 1e-3)
     assert res.solver_status in (sdp.STATUS_STALLED, sdp.STATUS_OPTIMAL)
     violation = res.info["weak_duality_violation"]
     assert violation < 5e-4
-    program, sol = solves[bound._CUT_LADDER.index(res.info["null_cut"])]
+    ((program, sol),) = solves
     report = sdp.verify_solution(program, sol)
     expected = max(0.0, report["primal_objective"] - report["dual_objective"])
     assert violation == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -675,6 +677,57 @@ def test_noise_trial_independent_of_blas_threads():
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+# the table's three robust rows, each as its bound in hex and its status
+_ROBUST_ROWS = """
+from entcert import bound, cli
+cfg = cli.ExperimentConfig()
+_, state, _ = cli.make_states(cfg)
+det = cli.make_detector(cfg)
+ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+for eps in cli.TABLE_EPSILONS[1:]:
+    res = bound.lower_bound_negativity_robust(ms, eps)
+    print(res.lower_bound.hex(), res.solver_status)
+"""
+
+
+def _x86_with_avx2() -> bool:
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return re.search(r"^flags\s*:.*\bavx2\b", cpuinfo, re.MULTILINE) is not None
+
+
+@pytest.mark.skipif(not _x86_with_avx2(), reason="needs an x86-64 host with AVX2")
+def test_robust_rows_same_on_every_openblas_kernel():
+    # kernels for different instruction sets round the Schur products
+    # differently; in the data's own coordinates the robust rows converge
+    # far enough from the roundoff floor that the kernel moves no bound by
+    # more than 1e-9 and no status
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    rows = {}
+    for kernel in ("native", "Haswell", "Sandybridge"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel != "native":
+            env["OPENBLAS_CORETYPE"] = kernel
+        run = subprocess.run(
+            [sys.executable, "-c", _ROBUST_ROWS], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        rows[kernel] = [line.split() for line in run.stdout.splitlines()]
+    native = rows.pop("native")
+    assert len(native) == 3
+    for kernel, got in rows.items():
+        assert len(got) == 3, kernel
+        for (b0, s0), (b1, s1) in zip(native, got):
+            assert s0 == s1 == sdp.STATUS_OPTIMAL, kernel
+            assert abs(float.fromhex(b0) - float.fromhex(b1)) <= 1e-9, kernel
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,39 @@ def test_config_values_cast_by_annotation(tmp_path):
     assert [type(p) for p in cfg.phases] == [float, float]
 
 
+def test_config_values_convert_without_loss(tmp_path):
+    # a value is taken only where its field's type holds it unchanged: a
+    # string is no boolean, 3.7 is no count and "12" is no list of values
+    conf = tmp_path / "conf.json"
+    args = cli.build_parser().parse_args(["bound", "--config", str(conf)])
+    for bad, named in [
+        ({"noise": {"width_is_std": "false"}}, 'noise.width_is_std="false"'),
+        ({"state": {"n_max": 3.7}}, "state.n_max=3.7"),
+        ({"sweep": {"values": "12"}}, 'sweep.values="12"'),
+        ({"state": {"n_max": True}}, "state.n_max=true"),
+        ({"detector": {"phases": [0, "1"]}}, 'detector.phases=[0, "1"]'),
+    ]:
+        conf.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit, match=f"bad config values: {re.escape(named)}$"):
+            cli.resolve_config(args)
+    conf.write_text(json.dumps({"state": {"n_max": 2.0}, "noise": {"width_is_std": True}}))
+    cfg = cli.resolve_config(args)
+    assert type(cfg.n_max) is int and cfg.n_max == 2 and cfg.width_is_std is True
+
+
+def test_library_value_errors_end_in_one_line(capsys):
+    # a setting the library refuses ends the command with one line on
+    # stderr and exit code 2, as a refused flag does, not with a traceback
+    for extra, message in [
+        (["--noise", "phase_averaged", "--seed", "1", "--trials", "0"], "trials must be >= 1"),
+        (["--noise", "phase_averaged", "--seed", "1", "--samples", "0"], "samples must be >= 1"),
+        (["--lam", "5"], "lambda must lie in [0, 1)"),
+    ]:
+        assert cli.main(["bound", "--n-max", "2"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"entcert bound: error: {message}\n"
+
+
 @pytest.mark.parametrize("axis", [None] + sorted(cli.AXIS_DEFAULTS))
 def test_document_round_trips(axis):
     argv = ["sweep", "--out", "x.csv"] + ([] if axis is None else ["--axis", axis])

@@ -426,8 +426,10 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
     if program == "reconcile":
         bound.reconcile_expectations(ms)
     else:
-        epsilon = 1e-2 if program == "witness-robust" else 0.0
-        sdp.solve(bound._witness_program(ms, epsilon, bound.GRAM_NULL_CUT)[0], max_iter=1)
+        # the robust program in the data's own coordinates, as the pipeline
+        # builds it at this budget
+        epsilon, cut = (1e-2, None) if program == "witness-robust" else (0.0, bound.GRAM_NULL_CUT)
+        sdp.solve(bound._witness_program(ms, epsilon, cut)[0], max_iter=1)
     # the four class blocks of the witness program's block A (the reconcile
     # fit's state block), the pair-pair blocks of I -+ H and the diagonal
     # cone's block, which the robust program and the fit have
@@ -670,3 +672,75 @@ def test_constant_block_leaves_solution_unchanged(size):
     assert abs(sol.objective_value - ref.objective_value) < 1e-6
     report = sdp.verify_solution(prog, sol)
     assert report["psd_ok"] and report["weak_duality_ok"]
+
+
+def _random_pair_columns(rng, n, hermitian):
+    """A zero column, then one pair column with a random value per entry
+    (r, c), r <= c, in random order; complex data adds an imaginary pair on
+    each off-diagonal entry, so a real and an imaginary pair share it."""
+    entries = [(r, c, 1.0) for r in range(n) for c in range(r, n)]
+    if hermitian:
+        entries += [(r, c, 1j) for r in range(n) for c in range(r + 1, n)]
+    fs = np.zeros((len(entries) + 1, n, n), dtype=complex if hermitian else float)
+    for j, k in enumerate(rng.permutation(len(entries)), start=1):
+        r, c, unit = entries[k]
+        v = rng.normal() * unit
+        fs[j, r, c] = v
+        fs[j, c, r] = np.conj(v)
+    return fs
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_pair_scatter_gives_the_product_bits(hermitian):
+    # a cone of pairs forms sum_j y_j Fj by scatter; each real-view slot
+    # gets one term, so the sum has the bits of the product with flat, on
+    # the witness program's I -+ H cones (as given and Jacobi-scaled) and
+    # on random pair cones
+    rng = np.random.default_rng(83)
+    cones = []
+    if hermitian:
+        cfg = replace(cli.ExperimentConfig(), n_max=2)
+        _, state, _ = cli.make_states(cfg)
+        det = cli.make_detector(cfg)
+        ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+        ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+        for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
+            program = bound._witness_program(ms, epsilon, cut)[0]
+            f0_a, fs_a = program.blocks[0]
+            assert sdp._MatrixCone(0, f0_a, fs_a, {}).scatter is None
+            dvec = rng.uniform(0.1, 10.0, size=program.n_vars)
+            for k in (1, 2):
+                f0, fs = program.blocks[k]
+                cones.append(sdp._MatrixCone(k, f0, fs, {}))
+                cones.append(sdp._MatrixCone(k, f0, fs * dvec[:, None, None], {}))
+    for n in (3, 6):
+        fs = _random_pair_columns(rng, n, hermitian)
+        cones.append(sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}))
+    for cone in cones:
+        assert cone.scatter is not None
+        m = cone.cols.max() + 1
+        for y in (np.zeros(m), rng.normal(size=m), -rng.exponential(size=m) * 1e8):
+            n = cone.f0.shape[0]
+            ref = (y[cone.cols] @ cone.flat).view(cone.f0.dtype).reshape(n, n)
+            assert np.array_equal(cone.apply(y), ref)
+
+
+def test_solve_leaves_program_data_unchanged():
+    # exactly Hermitian data is kept as given, not copied, and the solver
+    # writes to none of it
+    rng = np.random.default_rng(89)
+    c, blocks, _, _ = _random_program(rng, hermitian=True)
+    prog = sdp.ConicProgram(c, blocks)
+    assert all(f0 is b[0] and fs is b[1] for (f0, fs), b in zip(prog.blocks, blocks))
+    cfg = replace(cli.ExperimentConfig(), n_max=2)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    for program in (prog, bound._witness_program(ms, 1e-2, None)[0]):
+        saved = [(f0.copy(), fs.copy()) for f0, fs in program.blocks]
+        objective = program.objective.copy()
+        sdp.solve(program)
+        assert np.array_equal(program.objective, objective)
+        for (f0, fs), (f0_saved, fs_saved) in zip(program.blocks, saved):
+            assert np.array_equal(f0, f0_saved) and np.array_equal(fs, fs_saved)
