@@ -81,7 +81,7 @@ class MeasurementSet:
                 raise ValueError(f"operator {k} outside [0, I]")
             if np.max(np.abs(mat - eye)) < 1e-10:
                 identity_hits.append(k)
-        if np.min(expectations) < -1e-10 or np.max(expectations) > 1.0 + 1e-10:
+        if not np.all((expectations >= -1e-10) & (expectations <= 1.0 + 1e-10)):
             raise ValueError("expectations outside [0, 1]")
         if len(identity_hits) != 1:
             raise ValueError("identity operator must appear exactly once")
@@ -129,8 +129,8 @@ class PhaseNoiseModel:
             raise ValueError("unknown noise kind")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.width < 0.0:
-            raise ValueError("width must be nonnegative")
+        if not (0.0 <= self.width < math.inf):
+            raise ValueError("width must be finite and nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -528,8 +528,8 @@ def lower_bound_negativity_robust(measurements: MeasurementSet, epsilon: float) 
     is solved as the exact one is, over the Gram directions above the null
     cut; the maximum is then taken over that subspace only.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError("epsilon must be finite and nonnegative")
     if epsilon == 0.0:
         return lower_bound_negativity(measurements)
     return _solve_witness(measurements, epsilon)

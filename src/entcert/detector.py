@@ -17,14 +17,11 @@ component; the element is linear in the LO state, so
 
     Pi_{k,gamma} = sum_j w_j Tr_LO[ (|alpha_j><alpha_j| (x) 1) U† (1 (x) Pi_k) U ]
 
-on one LO cutoff chosen for the largest |alpha_j|.  A mixture is contracted
-through the LO density matrix sigma = sum_j w_j |alpha_j><alpha_j|: each
+on one LO cutoff chosen for the largest |alpha_j|.  Every LO is contracted
+through its density matrix sigma = sum_j w_j |alpha_j><alpha_j|: each
 output photon pair (na, nb) carries the signal operator U_r† sigma U_r, and
 the elements are click-weighted sums of those, so the contraction costs the
-same for any component count.  A one-component LO is contracted through its
-amplitudes instead, which gives the same elements to roundoff; it keeps that
-path because the robust witness rows are sensitive to roundoff in the
-operators (see homodyne_povm).  Wigner functions of POVM elements are
+same for any component count.  Wigner functions of POVM elements are
 evaluated from the Fock-basis displacement kernel (associated Laguerre
 polynomials).  Every binomial coefficient, in the loss and convolution
 matrices and in the Laguerre polynomials, comes from one exact Pascal
@@ -79,8 +76,10 @@ class DetectorConfig:
     tmd: TmdConfig
 
     def __post_init__(self):
-        if self.lo_amplitude < 0:
-            raise ValueError("lo_amplitude must be >= 0")
+        if not (0.0 <= self.lo_amplitude < np.inf):
+            raise ValueError("lo_amplitude must be finite and >= 0")
+        if not np.isfinite(self.lo_phase):
+            raise ValueError("lo_phase must be finite")
         if not (0.0 <= self.reflectivity <= 1.0):
             raise ValueError("reflectivity must lie in [0, 1]")
         object.__setattr__(self, "lo_phase", float(np.mod(self.lo_phase, 2.0 * np.pi)))
@@ -214,29 +213,29 @@ def homodyne_povm(
     click count 0..bins of the TMD on the signal-aligned arm.
 
     The LO is a list of coherent components, given as (weight, complex
-    amplitude) pairs with nonnegative weights summing to 1; None means the
-    pure LO [(1.0, det.lo_alpha)].  One LO cutoff, chosen by
-    adaptive_lo_cutoff for the largest amplitude, keeps every component's
-    tail mass below TAIL_TOL.  PovmSet raises when the POVM misses
-    completeness by more than TOL_COMPLETE.
+    amplitude) pairs with finite nonnegative weights summing to 1 and
+    finite amplitudes; None means the pure LO [(1.0, det.lo_alpha)].  One
+    LO cutoff, chosen by adaptive_lo_cutoff for the largest amplitude,
+    keeps every component's tail mass below TAIL_TOL.  PovmSet raises when
+    the POVM misses completeness by more than TOL_COMPLETE.
 
-    Each element is linear in the LO state, so a mixture gives
-    Pi_beta = sum_k w_k Pi_beta(alpha_k).  The path follows the component
-    count:
-    - more than one component (a phase-averaged LO): through the LO
-      density matrix, with one batched matmul for the operators of all
-      output photon pairs and one product over all outcomes;
-    - one component (the pure LO, a static phase error, every table and
-      model build): one einsum per outcome over the output amplitudes.
-      The density-matrix path would move these elements by ~1e-16, and
-      that roundoff alone turns robust table rows from optimal to stalled.
+    Every LO, pure or mixed, is contracted through its density matrix:
+    s = sum_k w_k conj(v_k) v_k^T (transposed); q[na, nb] = U_r^H s U_r,
+    with U_r the (LO, signal) -> output columns of output pair
+    r = (na, nb), is the signal operator that output pair carries; and each
+    element is a click-weighted sum of the q blocks over the unread LO-arm
+    count na.  One batched matmul covers all output photon pairs and one
+    product all outcomes, whatever the component count.
     """
     if lo_components is None:
         lo_components = [(1.0, det.lo_alpha)]
     weights = np.array([w for w, _ in lo_components], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
+    amps = np.array([a for _, a in lo_components], dtype=complex)
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-10):
         raise ValueError("LO component weights must be nonnegative and sum to 1")
-    lo_cutoff = adaptive_lo_cutoff(max(abs(a) for _, a in lo_components))
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("LO component amplitudes must be finite")
+    lo_cutoff = adaptive_lo_cutoff(np.max(np.abs(amps)))
 
     pad = lo_cutoff + signal_cutoff
     d_pad, d_sig = pad + 1, signal_cutoff + 1
@@ -244,13 +243,14 @@ def homodyne_povm(
 
     u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
-    vecs = np.array([coherent_amplitudes(a, lo_cutoff)[0] for _, a in lo_components])
-    # one path can serve both once ROADMAP items 1, 2 and 4 make the robust
-    # rows insensitive to roundoff in the operators
-    if len(weights) > 1:
-        ops = _mixed_lo_ops(u_r, vecs, weights, clicks)
-    else:
-        ops = _pure_lo_ops(u_r, vecs, clicks)
+    # a zero-weight component is no part of the LO state: dropping it keeps
+    # the shape of the product below, and with it OpenBLAS's choice of
+    # kernel, the same as for the LO without it
+    kept = weights > 0
+    vecs = np.array([coherent_amplitudes(a, lo_cutoff)[0] for a in amps[kept]])
+    s = (vecs.conj().T * weights[kept]) @ vecs
+    q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
+    ops = (clicks @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
 
     space = HilbertSpec((signal_cutoff,))
     elements = []
@@ -258,31 +258,6 @@ def homodyne_povm(
         op = 0.5 * (op + op.conj().T)
         elements.append(PovmElement(outc, det, FockOperator(space, op)))
     return PovmSet(tuple(elements))
-
-
-def _pure_lo_ops(u_r, vecs, clicks):
-    """Unsymmetrised elements of a one-component LO, one einsum per outcome
-    over the amplitudes wv[na, nb, b] of the output state given signal |b>
-    (na photons on the LO-aligned arm, nb on the signal-aligned arm)."""
-    d_pad, d_sig = clicks.shape[1], u_r.shape[2]
-    wv = np.einsum("rab,ka->krb", u_r, vecs).reshape(1, d_pad, d_pad, d_sig)
-    wv_conj = wv.conj()
-    return [np.einsum("kabi,b,kabj->ij", wv_conj, row, wv, optimize=True) for row in clicks]
-
-
-def _mixed_lo_ops(u_r, vecs, weights, clicks):
-    """Unsymmetrised elements of a mixed LO through its density matrix.
-
-    s = sum_k w_k conj(v_k) v_k^T is the LO density matrix (transposed);
-    q[na, nb] = U_r^H s U_r, with U_r the (LO, signal) -> output columns of
-    output pair r = (na, nb), is the signal operator that output pair
-    carries, and each element is a click-weighted sum of the q blocks over
-    the unread LO-arm count na.
-    """
-    d_pad, d_sig = clicks.shape[1], u_r.shape[2]
-    s = (vecs.conj().T * weights) @ vecs
-    q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
-    return (clicks @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ provides the state families used elsewhere in the package (two-mode
 squeezed vacuum, photon-subtracted states), coherent-state amplitudes for
 the local oscillator, beam splitter unitaries built exactly on
 photon-number sectors, and the package's one partial-transpose map (on
-the first mode).  log n! comes from an in-package table that reproduces
-scipy.special.gammaln(n + 1) bit for bit, so no scipy module is imported.
+the first mode).  log n! is the logarithm of the exact integer
+factorial, so no scipy module is imported.
 
 Basis convention: for cutoffs (c1, c2) the flat index of |n1, n2> is
 n1 * (c2 + 1) + n2 (first mode major).  All operations are pure
@@ -169,36 +169,11 @@ class SubtractionParams:
 # state families
 
 
-# Stirling's series for log Gamma(x) as the Cephes library evaluates it, and
-# scipy's gammaln with it, for 13 <= x < 1000: the coefficients A of the
-# correction polynomial in 1/x^2 and log(sqrt(2 pi))
-_STIRLING = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LOG_SQRT_2PI = 0.91893853320467274178
-
-
-def _log_factorial(n: int) -> float:
-    if n <= 11:
-        return math.log(math.factorial(n))
-    x = n + 1.0
-    p = 1.0 / (x * x)
-    poly = 0.0
-    for coef in _STIRLING:
-        poly = poly * p + coef
-    return (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + poly / x
-
-
 @lru_cache(maxsize=64)
 def log_factorials(cutoff: int) -> np.ndarray:
-    """log n! for n = 0..cutoff, read-only.  Below 12! the logarithm of the
-    exact factorial, above it Stirling's series, both bit for bit what
-    scipy.special.gammaln(n + 1) returns for n < 999."""
-    return _freeze(np.array([_log_factorial(n) for n in range(cutoff + 1)]))
+    """log n! for n = 0..cutoff, read-only: the logarithm of the exact
+    integer factorial, correctly rounded through n = 170."""
+    return _freeze(np.array([math.log(math.factorial(n)) for n in range(cutoff + 1)]))
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int):

@@ -130,6 +130,8 @@ def test_measurement_set_validation():
     with pytest.raises(ValueError):
         MeasurementSet([eye, half], [1.0, 1.5])  # expectation above 1
     with pytest.raises(ValueError):
+        MeasurementSet([eye, half], [1.0, float("nan")])  # NaN datum
+    with pytest.raises(ValueError):
         MeasurementSet([eye, half], [0.7, 0.5])  # identity expectation not 1
     with pytest.raises(ValueError):
         MeasurementSet(
@@ -236,8 +238,9 @@ def test_robust_zero_budget_delegates():
     a = lower_bound_negativity(ms)
     b = lower_bound_negativity_robust(ms, 0.0)
     assert a.lower_bound == b.lower_bound
-    with pytest.raises(ValueError):
-        lower_bound_negativity_robust(ms, -0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            lower_bound_negativity_robust(ms, bad)
 
 
 def test_robust_decreases_with_budget():
@@ -625,6 +628,12 @@ def test_phase_averaged_components():
     calm = PhaseNoiseModel(kind="phase_averaged", width=0.0)
     comps = apply_phase_noise(det, calm, np.random.default_rng(calm.seed))
     assert comps == [(1.0, det.lo_alpha)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_phase_noise_width_must_be_finite(bad):
+    with pytest.raises(ValueError, match="width must be finite"):
+        PhaseNoiseModel(kind="phase_averaged", width=bad)
 
 
 def test_noise_trials_deterministic():

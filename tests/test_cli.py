@@ -144,6 +144,26 @@ def test_library_value_errors_end_in_one_line(capsys):
         assert out == "" and err == f"entcert bound: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--robust-epsilon", "nan"], "epsilon must be finite and nonnegative"),
+        (["--robust-epsilon", "inf"], "epsilon must be finite and nonnegative"),
+        (["--noise", "phase_averaged", "--width", "nan", "--seed", "1", "--trials", "1"],
+         "width must be finite and nonnegative"),
+        (["--lo-amplitude", "nan"], "lo_amplitude must be finite and >= 0"),
+        (["--lo-amplitude", "inf"], "lo_amplitude must be finite and >= 0"),
+        (["--phases", "nan,1.5707963"], "lo_phase must be finite"),
+    ],
+)
+def test_non_finite_settings_end_in_one_line(capsys, extra, message):
+    # NaN and infinities fail every range check, so they end as a refused
+    # setting does instead of reaching the solver
+    assert cli.main(["bound", "--n-max", "2"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"entcert bound: error: {message}\n"
+
+
 @pytest.mark.parametrize("axis", [None] + sorted(cli.AXIS_DEFAULTS))
 def test_document_round_trips(axis):
     argv = ["sweep", "--out", "x.csv"] + ([] if axis is None else ["--axis", axis])

@@ -239,6 +239,47 @@ def test_homodyne_one_component_list_is_the_shifted_pure_lo(setting, error):
         assert np.array_equal(a.operator.matrix, b.operator.matrix)
 
 
+@pytest.mark.parametrize("amp", [0.0, 1.0, 2.5])
+def test_homodyne_component_count_selects_no_path(amp):
+    # every LO takes one contraction: zero-weight components (no larger
+    # than the LO, so the LO cutoff stays) change no bit, and four equal
+    # quarters of the LO give the pure LO to roundoff (a separate
+    # one-component path differs from it by up to 3.3e-16)
+    det = _det(amp=amp, phase=0.7)
+    pure = detector.homodyne_povm(det, 3)
+    padded = [(1.0, det.lo_alpha), (0.0, 0.5 * det.lo_alpha), (0.0, 0.3j * amp)]
+    quarters = [(0.25, det.lo_alpha)] * 4
+    for comps, tol in [(padded, 0.0), (quarters, 2e-16)]:
+        povm = detector.homodyne_povm(det, 3, lo_components=comps)
+        for a, b in zip(povm.elements, pure.elements):
+            assert a.outcome == b.outcome
+            assert np.max(np.abs(a.operator.matrix - b.operator.matrix)) <= tol
+
+
+@pytest.mark.parametrize(
+    "comps",
+    [
+        [(float("nan"), 1.0)],
+        [(0.5, 1.0), (float("nan"), 0.5)],
+        [(float("inf"), 1.0)],
+        [(1.0, complex(float("nan"), 0.0))],
+        [(0.5, 1.0), (0.5, float("inf"))],
+    ],
+)
+def test_homodyne_rejects_non_finite_lo_components(comps):
+    with pytest.raises(ValueError, match="LO component"):
+        detector.homodyne_povm(_det(), 3, lo_components=comps)
+
+
+@pytest.mark.parametrize(
+    "amp, phase",
+    [(float("nan"), 0.0), (float("inf"), 0.0), (-1.0, 0.0), (1.0, float("nan")), (1.0, float("inf"))],
+)
+def test_detector_config_rejects_non_finite_lo(amp, phase):
+    with pytest.raises(ValueError, match="lo_"):
+        _det(amp=amp, phase=phase)
+
+
 def test_homodyne_large_amplitude_uses_larger_cutoff():
     det = _det(amp=2.5)
     povm = detector.homodyne_povm(det, 3)
