@@ -188,10 +188,14 @@ def build_measurements(
     element count.  lo_components1 / lo_components2 give, per phase setting,
     the LO of that mode as a list of (weight, amplitude) components (see
     detector.homodyne_povm); a noise-perturbed mode keeps its nominal phase
-    labels and ordering and carries the perturbed LO there.
+    labels and ordering and carries the perturbed LO there.  Two equal
+    detectors with no LO components share one single-mode element list.
     """
     ops1 = _mode_elements(det1, phases, signal_cutoff, lo_components1)
-    ops2 = _mode_elements(det2, phases, signal_cutoff, lo_components2)
+    if det2 == det1 and lo_components1 is None and lo_components2 is None:
+        ops2 = ops1
+    else:
+        ops2 = _mode_elements(det2, phases, signal_cutoff, lo_components2)
     space = HilbertSpec((signal_cutoff, signal_cutoff))
     out = [FockOperator(space, np.eye(space.dim, dtype=complex))]
     for a in ops1:
@@ -422,17 +426,14 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     mats = measurements.matrices
     mvec = measurements.expectations
 
-    # on one BLAS thread, as in the solve, so that the certified bound does
-    # not depend on the caller's thread count
-    with sdp.one_blas_thread():
-        h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
-        h = 0.5 * (h + h.conj().T)
-        if rot is None:
-            nu = sol.y_star[nh : nh + len(mats)]
-        else:
-            nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
-        h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
-        linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
+    h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+    h = 0.5 * (h + h.conj().T)
+    if rot is None:
+        nu = sol.y_star[nh : nh + len(mats)]
+    else:
+        nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
+    h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
+    linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
@@ -482,26 +483,30 @@ _WITNESS_GAP_TOL = 1e-7
 
 
 def _solve_witness(measurements, epsilon) -> BoundResult:
-    if epsilon >= DATA_COORDINATES_MIN_EPSILON:
-        program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
-        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-        return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
-    best = None
-    for cut in _CUT_LADDER:
-        program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
-        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-        res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
-        res.info["null_cut"] = cut
-        if best is None or res.linear_objective > best.linear_objective:
-            best = res
-        loss_tol = {
-            sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: _WITNESS_GAP_TOL
-        }.get(sol.status)
-        if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
-            1.0 + abs(sol.objective_value)
-        ):
-            break
-    return best
+    # the program set-up and the certification run on one BLAS thread, as
+    # the solves do, so that the certified bound does not depend on the
+    # caller's thread count and no idle worker thread spins beside them
+    with sdp.one_blas_thread():
+        if epsilon >= DATA_COORDINATES_MIN_EPSILON:
+            program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
+            sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+            return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+        best = None
+        for cut in _CUT_LADDER:
+            program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
+            sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+            res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+            res.info["null_cut"] = cut
+            if best is None or res.linear_objective > best.linear_objective:
+                best = res
+            loss_tol = {
+                sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: _WITNESS_GAP_TOL
+            }.get(sol.status)
+            if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
+                1.0 + abs(sol.objective_value)
+            ):
+                break
+        return best
 
 
 def lower_bound_negativity(measurements: MeasurementSet) -> BoundResult:
@@ -703,20 +708,23 @@ def noisy_bound(
     cutoff = state.space.cutoffs[0]
     if state.space.cutoffs[1] != cutoff:
         raise ValueError("expected a symmetric bipartite cutoff")
-    comps1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
-    comps2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
-    true_ops = build_measurements(
-        det1,
-        det2,
-        phases=phases,
-        signal_cutoff=cutoff,
-        lo_components1=comps1,
-        lo_components2=comps2,
-    )
-    data = simulate_expectations(state, true_ops)
-    ms, fit_info = reconcile_expectations(MeasurementSet(nominal_ops, data))
-    result = lower_bound_negativity_robust(ms, robust_epsilon)
-    check = verify_bound(ms, result)
+    # the data simulation, the reconcile fit and the witness run on one BLAS
+    # thread, as the solves do, so that no idle worker thread spins beside them
+    with sdp.one_blas_thread():
+        comps1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
+        comps2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
+        true_ops = build_measurements(
+            det1,
+            det2,
+            phases=phases,
+            signal_cutoff=cutoff,
+            lo_components1=comps1,
+            lo_components2=comps2,
+        )
+        data = simulate_expectations(state, true_ops)
+        ms, fit_info = reconcile_expectations(MeasurementSet(nominal_ops, data))
+        result = lower_bound_negativity_robust(ms, robust_epsilon)
+        check = verify_bound(ms, result)
     result.info["noise_kind"] = model.kind
     result.info["noise_seed"] = model.seed
     result.info["reconciliation"] = fit_info

@@ -1,7 +1,9 @@
 """Truncated Fock-space states and operators for few-mode quantum optics.
 
 Everything is an explicit matrix on a tensor product of truncated
-single-mode Fock spaces (per-mode photon-number cutoffs).  The module
+single-mode Fock spaces (per-mode photon-number cutoffs), except that a
+pure state keeps its normalised vector and forms its density matrix only
+when that is first read (TruncatedState.from_vector).  The module
 provides the state families used elsewhere in the package (two-mode
 squeezed vacuum, photon-subtracted states), coherent-state amplitudes for
 the local oscillator, beam splitter unitaries built exactly on
@@ -16,6 +18,7 @@ functions; returned arrays are marked read-only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,21 +71,40 @@ class HilbertSpec:
         return hash(self.cutoffs)
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedState:
     """Density operator on a truncated Fock space.
 
-    Invariants (checked on construction): Hermitian within TOL_HERM,
-    unit trace within TOL_TRACE, eigenvalues >= -TOL_PSD.
+    A state built from a matrix holds that matrix; the constructor checks
+    it: Hermitian within TOL_HERM, unit trace within TOL_TRACE, eigenvalues
+    >= -TOL_PSD.  A pure state (from_vector) holds its normalised vector v
+    as ``vector`` (None for a state built from a matrix) and forms the
+    matrix np.outer(v, v.conj()) only when ``matrix`` is first read.  ``support`` and ``entries`` read the nonzero pattern and
+    any entries from whichever of the two the state holds, so a reader
+    that needs only those never forms the matrix of a pure state.  The
+    state is immutable and every array it holds is read-only.
     """
 
-    space: HilbertSpec
-    matrix: np.ndarray
+    __slots__ = ("space", "vector", "_matrix")
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", _freeze(mat))
+    def __init__(self, space: HilbertSpec, matrix: np.ndarray):
+        self._hold(space, None, _freeze(np.array(matrix, dtype=complex)))
         self.validate()
+
+    def _hold(self, space, vector, matrix):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "_matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The density matrix, read-only; for a pure state formed on first read."""
+        if self._matrix is None:
+            v = self.vector
+            object.__setattr__(self, "_matrix", _freeze(np.outer(v, v.conj())))
+        return self._matrix
 
     def validate(self):
         mat = self.matrix
@@ -99,27 +121,48 @@ class TruncatedState:
         if w[0] < -TOL_PSD:
             raise ValueError(f"negative eigenvalue {w[0]:.3e} below -{TOL_PSD}")
 
+    def support(self):
+        """Row and column indices, in row-major order, of entries that hold
+        every nonzero entry of the matrix: its nonzero entries, or for a
+        pure state every pair of nonzero coordinates of v (a product of two
+        of them that underflows to 0 is listed too)."""
+        if self.vector is None:
+            return np.divmod(np.flatnonzero(self._matrix != 0), self.space.dim)
+        nz = np.flatnonzero(self.vector)
+        return np.repeat(nz, nz.size), np.tile(nz, nz.size)
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Matrix entries at (rows, cols), integer index arrays that
+        broadcast together; a pure state's are v[rows] * v.conj()[cols],
+        the products np.outer writes into its matrix, bit for bit."""
+        if self.vector is None:
+            return self._matrix[rows, cols]
+        return self.vector[rows] * self.vector.conj()[cols]
+
     @classmethod
     def _trusted(cls, space: HilbertSpec, matrix: np.ndarray) -> "TruncatedState":
         # Skip validate() (shape, Hermiticity, trace and eigenvalues) for
         # matrices that are valid states by construction; exact_log_negativity
         # re-checks Hermiticity and finiteness itself.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "matrix", _freeze(np.asarray(matrix, dtype=complex)))
+        obj._hold(space, None, _freeze(np.asarray(matrix, dtype=complex)))
         return obj
 
     @classmethod
     def from_vector(cls, space: HilbertSpec, vec: np.ndarray) -> "TruncatedState":
-        """Pure-state density matrix |v><v| / <v|v>."""
+        """Pure state |v><v| / <v|v>, held as the normalised vector v,
+        read-only.  Raises ValueError for a non-finite or null vector."""
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape[0] != space.dim:
             raise ValueError("vector length does not match space dimension")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vector has a non-finite entry")
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValueError("null vector")
-        v = v / nrm
-        return cls._trusted(space, np.outer(v, v.conj()))
+        obj = object.__new__(cls)
+        obj._hold(space, _freeze(v / nrm), None)
+        return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +224,14 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
 
     Returns (vec, tail) where vec[n] is proportional to alpha^n / sqrt(n!)
     renormalized over n <= cutoff, and tail is the Poisson probability mass
-    above the cutoff before renormalization.
+    above the cutoff before renormalization.  Raises ValueError for a
+    non-finite alpha.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude {alpha} is not finite")
     if alpha == 0:
         vec = np.zeros(cutoff + 1, dtype=complex)
         vec[0] = 1.0
@@ -199,7 +245,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
 
 
 def adaptive_lo_cutoff(amplitude: float) -> int:
-    """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL."""
+    """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL.
+    Raises ValueError for a non-finite amplitude."""
     c = 12
     while True:
         _, tail = coherent_amplitudes(abs(amplitude), c)

@@ -71,27 +71,30 @@ def exact_log_negativity(state: TruncatedState) -> NegativityResult:
     do rho - rho† and the Hermitian part.  The pattern is moved to
     partial-transpose coordinates, and each component's block is gathered
     from rho through the same index map, so no dense copy of rho†, the
-    Hermitian part or the partial transpose is formed.  Raises ValueError
-    for a non-finite entry or a deviation above TOL_HERM.
+    Hermitian part or the partial transpose is formed.  Coordinates and
+    entries come from the state's ``support`` and ``entries``, so a pure
+    state is read from its vector and its density matrix is never formed;
+    the result has the bits of the same state built from its matrix.
+    Raises ValueError for a non-finite entry or a deviation above TOL_HERM.
     """
     if state.space.n_modes != 2:
         raise ValueError("bipartite state expected")
-    mat = state.matrix
+    d = state.space.dim
     d2 = state.space.dims[1]
     # rho's nonzero entries suffice: |x - y| and the Hermitian part's nonzero
     # test take the same values at (r, c) and (c, r), and the component
     # graph is undirected
-    r, c = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
-    x = mat[r, c]
+    r, c = state.support()
+    x = state.entries(r, c)
     if not np.all(np.isfinite(x)):
         raise ValueError("input has a non-finite entry")
-    y = mat[c, r].conj()
+    y = state.entries(c, r).conj()
     herm = np.max(np.abs(x - y), initial=0.0)
     if herm > TOL_HERM:
         raise ValueError(f"input not Hermitian: deviation {herm:.3e}")
     keep = 0.5 * (x + y) != 0
     rows, cols = partial_transpose_index(r[keep], c[keep], d2)
-    labels = _component_labels(rows, cols, mat.shape[0])
+    labels = _component_labels(rows, cols, d)
     # members of each component in ascending order, components by smallest member
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
@@ -100,7 +103,7 @@ def exact_log_negativity(state: TruncatedState) -> NegativityResult:
         # one stacked eigvalsh per block size, gathered from rho
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         hr, hc = partial_transpose_index(idx[:, :, None], idx[:, None, :], d2)
-        block = 0.5 * (mat[hr, hc] + mat[hc, hr].conj())
+        block = 0.5 * (state.entries(hr, hc) + state.entries(hc, hr).conj())
         parts.append(np.linalg.eigvalsh(block).ravel())
     w = np.sort(np.concatenate(parts))
     trace_norm = float(np.sum(np.abs(w)))

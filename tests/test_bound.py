@@ -111,6 +111,28 @@ def test_build_measurements_ordering():
         assert np.allclose(got, np.kron(mode[j - 1], mode[k - 1]), atol=1e-12)
 
 
+def test_equal_detectors_share_one_element_list(monkeypatch):
+    # two equal detectors without LO components build the single-mode
+    # elements once: one homodyne_povm per phase, the operators of two
+    # separate builds bit for bit
+    det = toy_detector()
+    phases = (0.0, math.pi / 2.0)
+    ops1 = bound._mode_elements(det, phases, 2, None)
+    ops2 = bound._mode_elements(replace(det), phases, 2, None)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].lo_phase)
+        return homodyne_povm(*args, **kwargs)
+
+    monkeypatch.setattr(bound, "homodyne_povm", counting)
+    ops = build_measurements(det, replace(det), phases=phases, signal_cutoff=2)
+    assert calls == list(phases)
+    expected = [np.eye(9)] + [np.kron(a, b) for a in ops1 for b in ops2]
+    assert len(ops) == len(expected)
+    assert all(np.array_equal(op.matrix, e) for op, e in zip(ops, expected))
+
+
 def test_build_measurements_unknown_outcome_raises():
     # a 2-bin detector has no outcome 3 among DEFAULT_OUTCOMES
     tmd = TmdConfig(bins=2, efficiency=0.1)

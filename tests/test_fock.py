@@ -81,6 +81,18 @@ def test_coherent_phase_enters_amplitudes():
     assert np.allclose(vec, ref * np.exp(1j * 0.7 * np.arange(9)))
 
 
+@pytest.mark.parametrize(
+    "alpha", [math.nan, complex(0.0, math.nan), math.inf], ids=["nan", "imag-nan", "inf"]
+)
+def test_non_finite_amplitude_rejected(alpha):
+    # unchecked, each ended in a RuntimeWarning and NaN amplitudes with a
+    # tail of 0, which adaptive_lo_cutoff took as a cutoff of 12
+    with pytest.raises(ValueError, match="not finite"):
+        fock.coherent_amplitudes(alpha, 12)
+    with pytest.raises(ValueError, match="not finite"):
+        fock.adaptive_lo_cutoff(alpha)
+
+
 def test_adaptive_lo_cutoff():
     assert fock.adaptive_lo_cutoff(1.0) == 12
     c = fock.adaptive_lo_cutoff(2.5)
@@ -113,6 +125,34 @@ def test_two_mode_squeezed_schmidt():
     vec = np.zeros(16)
     vec[[0, 5, 10, 15]] = c
     assert np.max(np.abs(st.matrix - np.outer(vec, vec))) < 1e-14
+
+
+def test_pure_state_keeps_its_vector():
+    rng = np.random.default_rng(3)
+    space = HilbertSpec((2, 3))
+    raw = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    st = TruncatedState.from_vector(space, raw)
+    v = raw / np.linalg.norm(raw)
+    assert np.array_equal(st.vector, v)
+    assert not st.vector.flags.writeable
+    assert st._matrix is None
+    mat = st.matrix
+    assert np.array_equal(mat, np.outer(v, v.conj()))
+    assert not mat.flags.writeable
+    assert st.matrix is mat
+    # entries read from the vector carry the bits of the matrix
+    r, c = np.divmod(np.arange(space.dim**2), space.dim)
+    assert np.array_equal(st.entries(r, c), mat[r, c])
+    with pytest.raises(AttributeError):
+        st.vector = v
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+def test_from_vector_rejects_non_finite(value):
+    vec = np.ones(4, dtype=complex)
+    vec[2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        TruncatedState.from_vector(HilbertSpec((1, 1)), vec)
 
 
 def test_beam_splitter_identity():

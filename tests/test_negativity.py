@@ -1,9 +1,11 @@
 """Unit tests for the exact logarithmic negativity module."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from entcert import fock
+from entcert import cli, fock
 from entcert.fock import HilbertSpec, SqueezedParams, TruncatedState
 from entcert.negativity import closed_form_squeezed_ln, exact_log_negativity
 
@@ -163,6 +165,57 @@ def test_matches_dense_oracle_bit_for_bit():
         assert res.log_negativity == ln
         assert res.trace_norm == trace_norm
         assert res.negative_eigenvalues == negs
+
+
+def _pure_states():
+    for lam in (0.1, 0.2, 0.3, 0.5, 0.9, 0.2936):
+        for n_max in (0, 1, 3, 10, 30):
+            params = SqueezedParams(lam, n_max)
+            yield fock.two_mode_squeezed(params)
+            if n_max > 0:  # at n_max = 0 no photon is left to subtract
+                yield fock.photon_subtracted_ideal(params, 0.9)
+
+
+def test_pure_state_bits_match_its_matrix():
+    # a pure state is read from its vector; its matrix gives the same bits
+    for state in _pure_states():
+        res = exact_log_negativity(state)
+        assert state._matrix is None
+        ref = exact_log_negativity(TruncatedState(state.space, state.matrix))
+        assert res.log_negativity == ref.log_negativity
+        assert res.trace_norm == ref.trace_norm
+        assert res.negative_eigenvalues == ref.negative_eigenvalues
+
+
+def test_pure_state_ln_forms_no_density_matrix():
+    # the 961 x 961 density matrix alone would take 14.8 MB; a first call
+    # at a small cutoff loads the code numpy imports lazily
+    exact_log_negativity(fock.two_mode_squeezed(SqueezedParams(0.3, 3)))
+    tracemalloc.start()
+    try:
+        state = fock.two_mode_squeezed(SqueezedParams(0.3, 30))
+        res = exact_log_negativity(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state._matrix is None
+    assert peak < 2**20
+    assert abs(res.log_negativity - closed_form_squeezed_ln(0.3)) < 1e-6
+
+
+def test_conditional_state_reads_the_squeezed_matrix():
+    # photon subtraction reads the squeezed state's matrix, formed from its
+    # vector; built from that matrix instead, the state has the same bits
+    cfg = cli.ExperimentConfig()
+    initial, subtracted, p_click = cli.make_states(cfg)
+    params = fock.SubtractionParams(cfg.transmission, cfg.apd_efficiency)
+    ref, p_ref = fock.photon_subtracted_conditional(
+        TruncatedState(initial.space, np.outer(initial.vector, initial.vector.conj())), params
+    )
+    assert np.array_equal(subtracted.matrix, ref.matrix)
+    assert p_click == p_ref
+    got, want = exact_log_negativity(subtracted), exact_log_negativity(ref)
+    assert (got.log_negativity, got.trace_norm) == (want.log_negativity, want.trace_norm)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
