@@ -426,14 +426,17 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     mats = measurements.matrices
     mvec = measurements.expectations
 
-    h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
-    h = 0.5 * (h + h.conj().T)
-    if rot is None:
-        nu = sol.y_star[nh : nh + len(mats)]
-    else:
-        nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
-    h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
-    linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
+    # on one BLAS thread, as in the solve, so that the certified bound does
+    # not depend on the caller's thread count
+    with sdp.one_blas_thread():
+        h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+        h = 0.5 * (h + h.conj().T)
+        if rot is None:
+            nu = sol.y_star[nh : nh + len(mats)]
+        else:
+            nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
+        h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
+        linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
@@ -483,30 +486,26 @@ _WITNESS_GAP_TOL = 1e-7
 
 
 def _solve_witness(measurements, epsilon) -> BoundResult:
-    # the program set-up and the certification run on one BLAS thread, as
-    # the solves do, so that the certified bound does not depend on the
-    # caller's thread count and no idle worker thread spins beside them
-    with sdp.one_blas_thread():
-        if epsilon >= DATA_COORDINATES_MIN_EPSILON:
-            program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
-            sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-            return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
-        best = None
-        for cut in _CUT_LADDER:
-            program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
-            sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-            res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
-            res.info["null_cut"] = cut
-            if best is None or res.linear_objective > best.linear_objective:
-                best = res
-            loss_tol = {
-                sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: _WITNESS_GAP_TOL
-            }.get(sol.status)
-            if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
-                1.0 + abs(sol.objective_value)
-            ):
-                break
-        return best
+    if epsilon >= DATA_COORDINATES_MIN_EPSILON:
+        program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
+        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+        return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+    best = None
+    for cut in _CUT_LADDER:
+        program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
+        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+        res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+        res.info["null_cut"] = cut
+        if best is None or res.linear_objective > best.linear_objective:
+            best = res
+        loss_tol = {
+            sdp.STATUS_OPTIMAL: _CERT_LOSS_TOL, sdp.STATUS_STALLED: _WITNESS_GAP_TOL
+        }.get(sol.status)
+        if loss_tol is not None and res.linear_objective >= sol.objective_value - loss_tol * (
+            1.0 + abs(sol.objective_value)
+        ):
+            break
+    return best
 
 
 def lower_bound_negativity(measurements: MeasurementSet) -> BoundResult:

@@ -71,6 +71,7 @@ class HilbertSpec:
         return hash(self.cutoffs)
 
 
+@dataclass(frozen=True, eq=False)
 class TruncatedState:
     """Density operator on a truncated Fock space.
 
@@ -78,25 +79,20 @@ class TruncatedState:
     it: Hermitian within TOL_HERM, unit trace within TOL_TRACE, eigenvalues
     >= -TOL_PSD.  A pure state (from_vector) holds its normalised vector v
     as ``vector`` (None for a state built from a matrix) and forms the
-    matrix np.outer(v, v.conj()) only when ``matrix`` is first read.  ``support`` and ``entries`` read the nonzero pattern and
-    any entries from whichever of the two the state holds, so a reader
-    that needs only those never forms the matrix of a pure state.  The
-    state is immutable and every array it holds is read-only.
+    matrix np.outer(v, v.conj()) only when ``matrix`` is first read.
+    ``support`` and ``entries`` read the nonzero pattern and any entries
+    from whichever of the two the state holds, so a reader that needs only
+    those never forms the matrix of a pure state.  Every array the state
+    holds is read-only.
     """
 
-    __slots__ = ("space", "vector", "_matrix")
+    space: HilbertSpec
+    _matrix: np.ndarray | None
+    vector = None  # not a field: from_vector alone sets it
 
-    def __init__(self, space: HilbertSpec, matrix: np.ndarray):
-        self._hold(space, None, _freeze(np.array(matrix, dtype=complex)))
+    def __post_init__(self):
+        object.__setattr__(self, "_matrix", _freeze(np.array(self._matrix, dtype=complex)))
         self.validate()
-
-    def _hold(self, space, vector, matrix):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "_matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -145,7 +141,8 @@ class TruncatedState:
         # matrices that are valid states by construction; exact_log_negativity
         # re-checks Hermiticity and finiteness itself.
         obj = object.__new__(cls)
-        obj._hold(space, None, _freeze(np.asarray(matrix, dtype=complex)))
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "_matrix", _freeze(np.asarray(matrix, dtype=complex)))
         return obj
 
     @classmethod
@@ -161,7 +158,9 @@ class TruncatedState:
         if nrm == 0:
             raise ValueError("null vector")
         obj = object.__new__(cls)
-        obj._hold(space, _freeze(v / nrm), None)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "_matrix", None)
+        object.__setattr__(obj, "vector", _freeze(v / nrm))
         return obj
 
 
