@@ -68,27 +68,31 @@ class MeasurementSet:
         space = operators[0].space
         if space.n_modes != 2:
             raise ValueError("measurement operators must be bipartite")
-        eye = np.eye(space.dim)
-        identity_hits = []
-        for k, op in enumerate(operators):
-            if op.space != space:
-                raise ValueError("operators live on different spaces")
-            mat = op.matrix
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        # every check runs on the stack of the operators up to the first on
+        # another space, and the first operator k that fails one is named
+        n_same = next((k for k, op in enumerate(operators) if op.space != space), len(operators))
+        mats = np.array([op.matrix for op in operators[:n_same]])
+        not_herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
+        w = np.linalg.eigvalsh(mats)
+        outside = (w[:, 0] < -TOL_PSD) | (w[:, -1] > 1.0 + 1e-8)
+        bad = np.flatnonzero(not_herm | outside)
+        if bad.size:
+            k = bad[0]
+            if not_herm[k]:
                 raise ValueError(f"operator {k} not Hermitian")
-            w = np.linalg.eigvalsh(mat)
-            if w[0] < -TOL_PSD or w[-1] > 1.0 + 1e-8:
-                raise ValueError(f"operator {k} outside [0, I]")
-            if np.max(np.abs(mat - eye)) < 1e-10:
-                identity_hits.append(k)
+            raise ValueError(f"operator {k} outside [0, I]")
+        if n_same < len(operators):
+            raise ValueError("operators live on different spaces")
+        off_eye = np.max(np.abs(mats - np.eye(space.dim)), axis=(1, 2))
+        identity_hits = np.flatnonzero(off_eye < 1e-10)
         if not np.all((expectations >= -1e-10) & (expectations <= 1.0 + 1e-10)):
             raise ValueError("expectations outside [0, 1]")
         if len(identity_hits) != 1:
             raise ValueError("identity operator must appear exactly once")
         self.operators = operators
-        self.matrices = np.array([op.matrix for op in operators])
+        self.matrices = mats
         self.expectations = np.clip(expectations, 0.0, 1.0)
-        self.identity_index = identity_hits[0]
+        self.identity_index = int(identity_hits[0])
         if abs(self.expectations[self.identity_index] - 1.0) > 1e-10:
             raise ValueError("identity expectation must be 1")
 
@@ -154,19 +158,20 @@ class BoundResult:
 
 
 def _mode_elements(det, phases, signal_cutoff, lo_components_per_phase):
-    """Ordered single-mode operators: DEFAULT_OUTCOMES within each phase setting."""
+    """Ordered single-mode operator stack: DEFAULT_OUTCOMES within each
+    phase setting, shape (len(phases) * len(DEFAULT_OUTCOMES), d, d)."""
     ops = []
     for idx, phase in enumerate(phases):
         comps = None if lo_components_per_phase is None else lo_components_per_phase[idx]
         povm = homodyne_povm(
             replace(det, lo_phase=float(phase)), signal_cutoff, lo_components=comps
         )
-        by_outcome = {e.outcome: e.operator.matrix for e in povm.elements}
+        row = {e.outcome: k for k, e in enumerate(povm.elements)}
         for beta in DEFAULT_OUTCOMES:
-            if beta not in by_outcome:
+            if beta not in row:
                 raise ValueError(f"outcome {beta!r} not produced by the detector")
-            ops.append(by_outcome[beta])
-    return ops
+        ops.append(povm.matrices[[row[beta] for beta in DEFAULT_OUTCOMES]])
+    return np.concatenate(ops)
 
 
 def build_measurements(
@@ -190,18 +195,27 @@ def build_measurements(
     detector.homodyne_povm); a noise-perturbed mode keeps its nominal phase
     labels and ordering and carries the perturbed LO there.  Two equal
     detectors with no LO components share one single-mode element list.
+
+    The operators wrap the rows of one read-only (1 + P^2, d^2, d^2) stack,
+    the identity first; one broadcast multiply forms every product, each
+    entry the single product np.kron(a, b) computes.
     """
-    ops1 = _mode_elements(det1, phases, signal_cutoff, lo_components1)
+    a = _mode_elements(det1, phases, signal_cutoff, lo_components1)
     if det2 == det1 and lo_components1 is None and lo_components2 is None:
-        ops2 = ops1
+        b = a
     else:
-        ops2 = _mode_elements(det2, phases, signal_cutoff, lo_components2)
+        b = _mode_elements(det2, phases, signal_cutoff, lo_components2)
     space = HilbertSpec((signal_cutoff, signal_cutoff))
-    out = [FockOperator(space, np.eye(space.dim, dtype=complex))]
-    for a in ops1:
-        for b in ops2:
-            out.append(FockOperator(space, np.kron(a, b)))
-    return out
+    (p1, d1, _), (p2, d2, _) = a.shape, b.shape
+    stack = np.empty((1 + p1 * p2, space.dim, space.dim), dtype=complex)
+    stack[0] = np.eye(space.dim)
+    np.multiply(
+        a[:, None, :, None, :, None],
+        b[None, :, None, :, None, :],
+        out=stack[1:].reshape(p1, p2, d1, d2, d1, d2),
+    )
+    stack.setflags(write=False)
+    return [FockOperator._view(space, mat) for mat in stack]
 
 
 def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:

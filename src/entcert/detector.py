@@ -41,7 +41,7 @@ from .fock import (
     HilbertSpec,
     adaptive_lo_cutoff,
     beam_splitter_unitary,
-    coherent_amplitudes,
+    coherent_amplitudes_batch,
     log_factorials,
 )
 
@@ -89,6 +89,23 @@ class DetectorConfig:
         return self.lo_amplitude * np.exp(1j * self.lo_phase)
 
 
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2 of each matrix of a stack; exactly Hermitian."""
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
+def _check_element_spectra(herm: np.ndarray):
+    """Raise for the first Hermitian matrix of the stack whose spectrum
+    leaves [0, 1]: below -TOL_PSD, or above 1 by more than 1e-8."""
+    w = np.linalg.eigvalsh(herm)
+    bad = np.flatnonzero((w[:, 0] < -TOL_PSD) | (w[:, -1] > 1.0 + 1e-8))
+    if bad.size:
+        w = w[bad[0]]
+        if w[0] < -TOL_PSD:
+            raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
+        raise ValueError(f"POVM element norm {w[-1]:.10f} exceeds 1")
+
+
 @dataclass(frozen=True, eq=False)
 class PovmElement:
     """One click count: PSD operator with spectrum in [0, 1] on the signal mode."""
@@ -98,26 +115,49 @@ class PovmElement:
     operator: FockOperator
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(0.5 * (self.operator.matrix + self.operator.matrix.conj().T))
-        if w[0] < -TOL_PSD:
-            raise ValueError(f"POVM element not PSD: min eigenvalue {w[0]:.3e}")
-        if w[-1] > 1.0 + 1e-8:
-            raise ValueError(f"POVM element norm {w[-1]:.10f} exceeds 1")
+        _check_element_spectra(_hermitian_part(self.operator.matrix[None]))
+
+    @classmethod
+    def _checked(cls, outcome: int, setting, operator: FockOperator) -> "PovmElement":
+        # For an operator whose spectrum _check_element_spectra has passed.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "outcome", outcome)
+        object.__setattr__(obj, "setting", setting)
+        object.__setattr__(obj, "operator", operator)
+        return obj
 
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Outcome elements of one setting; must sum to the identity within TOL_COMPLETE."""
+    """Outcome elements of one setting; must sum to the identity within TOL_COMPLETE.
+
+    ``matrices`` stacks the element matrices in element order, read-only;
+    homodyne_povm's elements are views of its rows.
+    """
 
     elements: tuple
+    matrices = None  # not a field: set in __post_init__ or by _of_stack
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) == 0:
             raise ValueError("empty POVM")
+        if self.matrices is None:
+            mats = np.array([e.operator.matrix for e in self.elements])
+            mats.setflags(write=False)
+            object.__setattr__(self, "matrices", mats)
         deficit = self.completeness_deficit()
         if deficit > TOL_COMPLETE:
             raise ValueError(f"POVM completeness deficit {deficit:.3e} exceeds {TOL_COMPLETE:.1e}")
+
+    @classmethod
+    def _of_stack(cls, elements, matrices: np.ndarray) -> "PovmSet":
+        # elements whose operator matrices are the rows of the read-only
+        # stack matrices, in order
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "matrices", matrices)
+        obj.__init__(elements)
+        return obj
 
     @property
     def setting(self):
@@ -247,17 +287,20 @@ def homodyne_povm(
     # the shape of the product below, and with it OpenBLAS's choice of
     # kernel, the same as for the LO without it
     kept = weights > 0
-    vecs = np.array([coherent_amplitudes(a, lo_cutoff)[0] for a in amps[kept]])
+    vecs = coherent_amplitudes_batch(amps[kept], lo_cutoff)[0]
     s = (vecs.conj().T * weights[kept]) @ vecs
     q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
     ops = (clicks @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
 
+    herm = _hermitian_part(ops)
+    herm.setflags(write=False)
+    _check_element_spectra(herm)
     space = HilbertSpec((signal_cutoff,))
-    elements = []
-    for outc, op in enumerate(ops):
-        op = 0.5 * (op + op.conj().T)
-        elements.append(PovmElement(outc, det, FockOperator(space, op)))
-    return PovmSet(tuple(elements))
+    elements = tuple(
+        PovmElement._checked(outc, det, FockOperator._view(space, op))
+        for outc, op in enumerate(herm)
+    )
+    return PovmSet._of_stack(elements, herm)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class HilbertSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __eq__(self, other):
         return isinstance(other, HilbertSpec) and self.cutoffs == other.cutoffs
@@ -166,17 +166,36 @@ class TruncatedState:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """A (not necessarily Hermitian) operator on a truncated Fock space."""
+    """A (not necessarily Hermitian) operator on a truncated Fock space.
+
+    The constructor copies the matrix to complex and marks the copy
+    read-only; the caller's array is left as it was."""
 
     space: HilbertSpec
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
+        _check_shape(self.space, mat)
         object.__setattr__(self, "matrix", _freeze(mat))
+
+    @classmethod
+    def _view(cls, space: HilbertSpec, matrix: np.ndarray) -> "FockOperator":
+        # Wrap, without a copy, a read-only complex matrix the package built,
+        # such as one row of a frozen operator stack.
+        if matrix.dtype != complex or matrix.flags.writeable:
+            raise ValueError("a wrapped operator matrix must be complex and read-only")
+        _check_shape(space, matrix)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "matrix", matrix)
+        return obj
+
+
+def _check_shape(space: HilbertSpec, mat: np.ndarray):
+    d = space.dim
+    if mat.shape != (d, d):
+        raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
 
 
 @dataclass(frozen=True)
@@ -241,6 +260,39 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
     norm_sq = float(np.sum(np.abs(vec) ** 2))
     tail = max(0.0, 1.0 - norm_sq)
     return vec / np.sqrt(norm_sq), tail
+
+
+def coherent_amplitudes_batch(alphas, cutoff: int):
+    """coherent_amplitudes for a sequence of amplitudes on one cutoff.
+
+    Returns (vecs, tails): row j of vecs and tails[j] are the vector and
+    tail mass of coherent_amplitudes(alphas[j], cutoff), bit for bit.  As
+    there, |alpha| and |alpha|^2 / 2 are Python floats (the C library's
+    hypot and pow; numpy's vectorised absolute value and square can differ
+    from them in the last bit); every other step is one array expression
+    over all amplitudes.  Raises ValueError for a non-finite amplitude.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    alphas = [complex(a) for a in alphas]
+    for alpha in alphas:
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"coherent amplitude {alpha} is not finite")
+    mags = [abs(a) for a in alphas]
+    zero = [m == 0 for m in mags]
+    n = np.arange(cutoff + 1)
+    # a vacuum row (alpha = 0) is computed at |alpha| = 1 and then set to
+    # |0>, which has no tail
+    logmag = (
+        n * np.log([m or 1.0 for m in mags])[:, None]
+        - 0.5 * log_factorials(cutoff)
+        - np.array([0.5 * m**2 for m in mags])[:, None]
+    )
+    vecs = np.exp(logmag + 1j * n * np.angle(alphas)[:, None])
+    if any(zero):
+        vecs[zero] = np.eye(1, cutoff + 1)
+    norm_sq = np.sum(np.abs(vecs) ** 2, axis=1)
+    return vecs / np.sqrt(norm_sq)[:, None], np.maximum(0.0, 1.0 - norm_sq)
 
 
 def adaptive_lo_cutoff(amplitude: float) -> int:

@@ -133,6 +133,60 @@ def test_equal_detectors_share_one_element_list(monkeypatch):
     assert all(np.array_equal(op.matrix, e) for op, e in zip(ops, expected))
 
 
+def _single_mode(det, phases, cutoff, comps_per_phase):
+    """np.kron's inputs: the DEFAULT_OUTCOMES elements of each phase's POVM."""
+    mats = []
+    for idx, phase in enumerate(phases):
+        comps = None if comps_per_phase is None else comps_per_phase[idx]
+        povm = homodyne_povm(replace(det, lo_phase=phase), cutoff, lo_components=comps)
+        by_outcome = {e.outcome: e.operator.matrix for e in povm.elements}
+        mats.extend(by_outcome[b] for b in bound.DEFAULT_OUTCOMES)
+    return mats
+
+
+def _phase_averaged(det, phases, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        [(0.01, det.lo_amplitude * np.exp(1j * (p + t))) for t in rng.uniform(-0.2, 0.2, 100)]
+        for p in phases
+    ]
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_build_measurements_bytes_equal_np_kron(mixed):
+    # every product operator is np.kron of the single-mode elements, bit for
+    # bit: for two equal detectors, and for two modes with their own
+    # detectors and 100-component LOs
+    phases = bound.DEFAULT_PHASES
+    det1 = toy_detector(eta=0.9, amplitude=1.0)
+    det2 = det1
+    comps1 = comps2 = None
+    if mixed:
+        det2 = DetectorConfig(2.5, 0.0, 0.9, TmdConfig(bins=10, efficiency=0.7))
+        comps1, comps2 = _phase_averaged(det1, phases, 1), _phase_averaged(det2, phases, 2)
+    ops = build_measurements(
+        det1, det2, phases, signal_cutoff=3, lo_components1=comps1, lo_components2=comps2
+    )
+    a = _single_mode(det1, phases, 3, comps1)
+    b = _single_mode(det2, phases, 3, comps2)
+    expected = [np.eye(16, dtype=complex)] + [np.kron(x, y) for x in a for y in b]
+    assert len(ops) == len(expected) == 65
+    for op, e in zip(ops, expected):
+        assert op.matrix.dtype == complex and op.matrix.tobytes() == e.tobytes()
+
+
+def test_build_measurements_views_one_read_only_stack():
+    det = toy_detector()
+    ops = build_measurements(det, det, signal_cutoff=2)
+    base = ops[0].matrix.base
+    assert base is not None and base.shape == (65, 9, 9) and not base.flags.writeable
+    for k, op in enumerate(ops):
+        assert op.matrix.base is base and not op.matrix.flags.writeable
+        assert np.shares_memory(op.matrix, base[k])
+    with pytest.raises(ValueError):
+        ops[3].matrix[0, 0] = 0.0
+
+
 def test_build_measurements_unknown_outcome_raises():
     # a 2-bin detector has no outcome 3 among DEFAULT_OUTCOMES
     tmd = TmdConfig(bins=2, efficiency=0.1)
@@ -161,6 +215,29 @@ def test_measurement_set_validation():
         )  # operator above I
     ms = MeasurementSet([half, eye], [0.5, 1.0])
     assert ms.identity_index == 1
+
+
+def test_measurement_set_names_the_first_bad_operator():
+    space = HilbertSpec((1, 1))
+    eye = FockOperator(space, np.eye(4, dtype=complex))
+    half = FockOperator(space, 0.5 * np.eye(4, dtype=complex))
+    skew = np.eye(4, dtype=complex) * 0.5
+    skew[0, 1] = 0.1
+    tilted = FockOperator(space, skew)
+    above = FockOperator(space, 2.0 * np.eye(4, dtype=complex))
+    below = FockOperator(space, -0.5 * np.eye(4, dtype=complex))
+    other = FockOperator(HilbertSpec((1, 2)), 0.5 * np.eye(6, dtype=complex))
+    cases = [
+        ([eye, tilted, above], "operator 1 not Hermitian"),
+        ([eye, above, tilted], "operator 1 outside [0, I]"),
+        ([eye, half, below, tilted], "operator 2 outside [0, I]"),
+        ([eye, half, half, tilted, above], "operator 3 not Hermitian"),
+        ([eye, above, other], "operator 1 outside [0, I]"),
+        ([eye, half, other, above], "operators live on different spaces"),
+    ]
+    for ops, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MeasurementSet(ops, [1.0] + [0.5] * (len(ops) - 1))
 
 
 def test_simulate_expectations_accepts_list():

@@ -1,6 +1,7 @@
 """Unit tests for the TMD and weak-homodyne detector model."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,64 @@ def test_homodyne_large_amplitude_uses_larger_cutoff():
     det = _det(amp=2.5)
     povm = detector.homodyne_povm(det, 3)
     assert povm.completeness_deficit() < 1e-6
+
+
+def test_homodyne_elements_view_one_read_only_stack():
+    povm = detector.homodyne_povm(_det(), 3)
+    stack = povm.matrices
+    assert stack.shape == (9, 4, 4) and not stack.flags.writeable
+    for k, e in enumerate(povm.elements):
+        assert e.operator.matrix.base is stack
+        assert e.operator.matrix.tobytes() == stack[k].tobytes()
+    # a set built from elements stacks copies of their matrices
+    again = detector.PovmSet(povm.elements)
+    assert again.matrices is not stack and not again.matrices.flags.writeable
+    assert again.matrices.tobytes() == stack.tobytes()
+
+
+def _first_element_error(mats):
+    """The message of the first matrix that a PovmElement check, run on
+    each matrix in turn, rejects."""
+    for mat in mats:
+        w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        if w[0] < -fock.TOL_PSD:
+            return f"POVM element not PSD: min eigenvalue {w[0]:.3e}"
+        if w[-1] > 1.0 + 1e-8:
+            return f"POVM element norm {w[-1]:.10f} exceeds 1"
+    return None
+
+
+@pytest.mark.parametrize(
+    "scale, start",
+    [({2: -1.0, 5: 40.0}, "POVM element not PSD"), ({1: 40.0, 2: -1.0}, "POVM element norm")],
+)
+def test_homodyne_names_the_first_failing_element(monkeypatch, scale, start):
+    # click rows scaled out of [0, 1]: the one stacked check reports the
+    # first element that leaves [0, 1], with the message PovmElement gives
+    # for that element alone
+    real_clicks, real_check = detector.click_matrix, detector._check_element_spectra
+    seen = []
+
+    def scaled(config, cutoff):
+        clicks = real_clicks(config, cutoff).copy()
+        for row, factor in scale.items():
+            clicks[row] *= factor
+        return clicks
+
+    def spy(herm):
+        seen.append(herm)
+        return real_check(herm)
+
+    monkeypatch.setattr(detector, "click_matrix", scaled)
+    monkeypatch.setattr(detector, "_check_element_spectra", spy)
+    with pytest.raises(ValueError) as err:
+        detector.homodyne_povm(_det(), 3)
+    (herm,) = seen
+    message = _first_element_error(herm)
+    assert message.startswith(start) and str(err.value) == message
+    first = min(scale)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        detector.PovmElement(first, _det(), fock.FockOperator(fock.HilbertSpec((3,)), herm[first]))
 
 
 def test_povm_set_rejects_incomplete():

@@ -8,6 +8,7 @@ import pytest
 
 from entcert import fock
 from entcert.fock import (
+    FockOperator,
     HilbertSpec,
     SqueezedParams,
     SubtractionParams,
@@ -20,6 +21,7 @@ import oracles
 def test_hilbert_spec_validation():
     s = HilbertSpec((3, 3))
     assert s.n_modes == 2 and s.dims == (4, 4) and s.dim == 16
+    assert type(s.dim) is int
     with pytest.raises(ValueError):
         HilbertSpec(())
     with pytest.raises(ValueError):
@@ -50,6 +52,47 @@ def test_log_factorials_within_one_ulp():
             assert abs(Decimal(float(value)) - ref) <= Decimal(math.ulp(float(value))), n
     assert not table.flags.writeable
     assert np.array_equal(fock.log_factorials(12), table[:13])
+
+
+def test_fock_operator_copies_the_callers_array():
+    arr = np.eye(2)
+    op = FockOperator(HilbertSpec((1,)), arr)
+    assert arr.flags.writeable and not op.matrix.flags.writeable
+    assert op.matrix.dtype == complex and not np.shares_memory(op.matrix, arr)
+    arr[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0
+
+
+def test_fock_operator_view_checks_shape_and_dtype():
+    space = HilbertSpec((1,))
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack.setflags(write=False)
+    op = FockOperator._view(space, stack[1])
+    assert op.matrix.base is stack
+    with pytest.raises(ValueError, match="does not match dimension 2"):
+        FockOperator._view(space, stack[:, 0])
+    with pytest.raises(ValueError, match="complex and read-only"):
+        FockOperator._view(space, np.eye(2, dtype=complex))  # writeable
+    real = np.eye(2)
+    real.setflags(write=False)
+    with pytest.raises(ValueError, match="complex and read-only"):
+        FockOperator._view(space, real)
+
+
+@pytest.mark.parametrize("cutoff", [0, 4, 12, 19, 30])
+def test_coherent_amplitudes_batch_matches_single_calls(cutoff):
+    # a phase-averaged LO's amplitudes, a vacuum component among them:
+    # every row bit for bit the single call's vector and tail
+    rng = np.random.default_rng(cutoff)
+    alphas = list(1.7 * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))) + [0.0, 2.5, -0.3j]
+    vecs, tails = fock.coherent_amplitudes_batch(alphas, cutoff)
+    assert vecs.shape == (len(alphas), cutoff + 1)
+    for alpha, vec, tail in zip(alphas, vecs, tails):
+        ref_vec, ref_tail = fock.coherent_amplitudes(alpha, cutoff)
+        assert vec.tobytes() == ref_vec.tobytes()
+        assert tail == ref_tail
+    with pytest.raises(ValueError, match="not finite"):
+        fock.coherent_amplitudes_batch([1.0, complex(0.0, np.inf)], cutoff)
 
 
 def test_coherent_vacuum():
