@@ -55,7 +55,9 @@ class MeasurementSet:
     """Bipartite measurement operators paired with their expectation values.
 
     The identity operator with expectation 1 anchors the witness program; it
-    must appear exactly once.  `matrices` stacks the operator matrices.
+    must appear exactly once.  `matrices` stacks the operator matrices: a
+    view of the read-only stack when the operators wrap consecutive rows of
+    one, as those of build_measurements do, and a copy otherwise.
     """
 
     def __init__(self, operators, expectations):
@@ -71,7 +73,9 @@ class MeasurementSet:
         # every check runs on the stack of the operators up to the first on
         # another space, and the first operator k that fails one is named
         n_same = next((k for k, op in enumerate(operators) if op.space != space), len(operators))
-        mats = np.array([op.matrix for op in operators[:n_same]])
+        mats = _rows_of_one_stack([op.matrix for op in operators[:n_same]])
+        if mats is None:
+            mats = np.array([op.matrix for op in operators[:n_same]])
         not_herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
         w = np.linalg.eigvalsh(mats)
         outside = (w[:, 0] < -TOL_PSD) | (w[:, -1] > 1.0 + 1e-8)
@@ -102,6 +106,23 @@ class MeasurementSet:
     @property
     def space(self) -> HilbertSpec:
         return self.operators[0].space
+
+
+def _rows_of_one_stack(matrices):
+    """The matrices as one view of the read-only stack whose consecutive
+    rows they are, in order; None when they are not."""
+    base = matrices[0].base
+    if base is None or base.ndim != 3 or base.flags.writeable:
+        return None
+    offset = matrices[0].ctypes.data - base.ctypes.data
+    start, rest = divmod(offset, base.strides[0])
+    rows = base[start : start + len(matrices)]
+    if rest or len(rows) != len(matrices):
+        return None
+    for mat, row in zip(matrices, rows):
+        if mat.base is not base or mat.ctypes.data != row.ctypes.data or mat.strides != row.strides:
+            return None
+    return rows
 
 
 NOISE_KINDS = ("static_calibration", "phase_averaged")
@@ -440,17 +461,14 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
     mats = measurements.matrices
     mvec = measurements.expectations
 
-    # on one BLAS thread, as in the solve, so that the certified bound does
-    # not depend on the caller's thread count
-    with sdp.one_blas_thread():
-        h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
-        h = 0.5 * (h + h.conj().T)
-        if rot is None:
-            nu = sol.y_star[nh : nh + len(mats)]
-        else:
-            nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
-        h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
-        linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
+    h = np.tensordot(sol.y_star[:nh], basis, axes=(0, 0))
+    h = 0.5 * (h + h.conj().T)
+    if rot is None:
+        nu = sol.y_star[nh : nh + len(mats)]
+    else:
+        nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
+    h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
+    linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
@@ -499,6 +517,10 @@ _CERT_LOSS_TOL = 1e-4
 _WITNESS_GAP_TOL = 1e-7
 
 
+# the program set-up, the solves and the certification run on one BLAS
+# thread: the certified bound then does not depend on the caller's thread
+# count, and no idle worker thread spins beside them
+@sdp.one_blas_thread()
 def _solve_witness(measurements, epsilon) -> BoundResult:
     if epsilon >= DATA_COORDINATES_MIN_EPSILON:
         program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
@@ -579,6 +601,20 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult):
     }
 
 
+# the reconcile fit starts at rho = I/n with its fit bound this factor above
+# the largest sig-weighted deviation of I/n from the data, and at least the
+# floor, for data I/n already fits.  Over criterion 6's three 20-trial cases
+# the factors 10, 100 and 1000 took 384/353/347, 347/308/304 and 374/331/331
+# reconcile iterations, against 778/524/506 from the default start y = 0,
+# S = I; at 100 one witness solve moved from optimal to stalled on the
+# refitted data's last bits
+_FIT_START_FACTOR = 1000.0
+_FIT_START_FLOOR = 1.0
+
+
+# on one BLAS thread, as the solve runs, so that the fitted moments do not
+# depend on the caller's thread count
+@sdp.one_blas_thread()
 def reconcile_expectations(measurements: MeasurementSet):
     """Fit a physical state to the data and return its exact moments.
 
@@ -597,13 +633,20 @@ def reconcile_expectations(measurements: MeasurementSet):
     like 1/sig_k, so an unweighted fit that parks tiny-norm directions at a
     uniform absolute deviation destroys several percent of the bound while
     a sig-weighted one keeps the multiplier-weighted error uniformly small.
-    Returns the corrected MeasurementSet and a dict with the fit residual
-    and the largest datum shift.
+    Returns the corrected MeasurementSet and a dict with the fit residual,
+    the largest datum shift, and the fit solve's status and iteration count
+    (fit_status, fit_iterations).
 
     The state is written rho = I/n + sum_k y_k B_k over the traceless
     directions of _unit_trace_basis, so it has unit trace for every y and
     the program needs no equality row: the PSD block is rho itself, and
     each target is measured from the moments tr(M_i I/n) of the origin.
+    The origin with a fit bound t above every window's deviation there is
+    strictly feasible, so the program carries it as its interior point:
+    y = 0 and t = _FIT_START_FACTOR times the largest
+    |u_k . (data - tr(M I/n))| / sig_k, and at least _FIT_START_FLOOR.
+    The solve starts there instead of at the solver's infeasible default,
+    and a phase-noise trial's fit takes 15-20 iterations instead of 25-54.
 
     Intended for data that is nearly consistent already (detector noise or
     miscalibration); the returned moments are always exactly physical, but
@@ -617,7 +660,8 @@ def reconcile_expectations(measurements: MeasurementSet):
     mvec = measurements.expectations
     rho0, basis = _unit_trace_basis(n)
     nb = len(basis)
-    amat = np.real(np.einsum("iab,kba->ik", mats, basis))
+    # Re tr(M_i B_k) is the dot product of the real views
+    amat = sdp._rv(mats).reshape(len(mats), -1) @ sdp._rv(basis).reshape(nb, -1).T
     offset = np.real(np.einsum("iab,ba->i", mats, rho0))
     vecs, sig = _gram_rotation(mats)
     keep = sig > GRAM_NULL_CUT * sig.max()
@@ -633,33 +677,37 @@ def reconcile_expectations(measurements: MeasurementSet):
     fs_psd = np.zeros((nb + 1, n, n), dtype=complex)
     fs_psd[:nb] = -basis
     blocks = [(rho0, fs_psd)]
+    worst = 0.0
     for k in np.nonzero(keep)[0]:
         g = vecs[:, k]
         row = g @ amat
         target = float(g @ (mvec - offset))
+        worst = max(worst, abs(target) / sig_eff[k])
         for sign in (1.0, -1.0):
             frow = np.zeros((nb + 1, 1, 1))
             frow[:nb, 0, 0] = sign * row
             frow[nb, 0, 0] = -sig_eff[k]
             blocks.append((sign * target * np.ones((1, 1)), frow))
-    program = sdp.ConicProgram(c, blocks)
+    # rho = I/n (y = 0) with a fit bound above every window's deviation at
+    # I/n is strictly feasible, and the solve starts there
+    start = np.zeros(nb + 1)
+    start[nb] = max(_FIT_START_FACTOR * worst, _FIT_START_FLOOR)
+    program = sdp.ConicProgram(c, blocks, interior_point=start)
     sol = sdp.solve(program, gap_tol=1e-8)
 
-    # on one BLAS thread, as in the solve, so that the fitted moments do not
-    # depend on the caller's thread count
-    with sdp.one_blas_thread():
-        rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
-        rho = 0.5 * (rho + rho.conj().T)
-        w, v = np.linalg.eigh(rho)
-        w = np.clip(w, 0.0, None)
-        rho = (v * w) @ v.conj().T
-        rho /= np.trace(rho).real
-        fitted = np.real(np.einsum("iab,ba->i", mats, rho))
+    rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
+    rho = 0.5 * (rho + rho.conj().T)
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    rho = (v * w) @ v.conj().T
+    rho /= np.trace(rho).real
+    fitted = np.real(np.einsum("iab,ba->i", mats, rho))
     fitted[measurements.identity_index] = 1.0
     info = {
         "fit_residual": float(-sol.objective_value),
         "max_shift": float(np.max(np.abs(fitted - mvec))),
         "fit_status": sol.status,
+        "fit_iterations": sol.iterations,
     }
     return MeasurementSet(measurements.operators, fitted), info
 

@@ -187,6 +187,28 @@ def test_build_measurements_views_one_read_only_stack():
         ops[3].matrix[0, 0] = 0.0
 
 
+def test_measurement_set_views_the_operator_stack():
+    # a set of build_measurements' operators, or of a leading run of them,
+    # holds a view of their read-only stack, not a second copy; operators
+    # out of order are copied
+    det = toy_detector()
+    ops = build_measurements(det, det, signal_cutoff=2)
+    base = ops[0].matrix.base
+    data = np.zeros(len(ops))
+    data[0] = 1.0
+    for count in (len(ops), 10):
+        ms = MeasurementSet(ops[:count], data[:count])
+        assert ms.matrices.base is base and ms.matrices.shape == (count, 9, 9)
+        assert np.shares_memory(ms.matrices, base) and not ms.matrices.flags.writeable
+        assert np.array_equal(ms.matrices, base[:count])
+    shuffled = [ops[0], ops[2], ops[1]] + ops[3:]
+    ms = MeasurementSet(shuffled, data)
+    assert not np.shares_memory(ms.matrices, base)
+    assert np.array_equal(ms.matrices, base[[0, 2, 1, *range(3, len(ops))]])
+    one = MeasurementSet([ops[0], FockOperator(ops[1].space, ops[1].matrix)], data[:2])
+    assert not np.shares_memory(one.matrices, base)
+
+
 def test_build_measurements_unknown_outcome_raises():
     # a 2-bin detector has no outcome 3 among DEFAULT_OUTCOMES
     tmd = TmdConfig(bins=2, efficiency=0.1)
@@ -647,6 +669,23 @@ def test_reconcile_miscalibrated_data():
     res = lower_bound_negativity(fixed)
     assert np.isfinite(res.lower_bound)
     assert verify_bound(fixed, res)["feasible"]
+
+
+def test_reconcile_fits_start_inside_at_criterion_6_point():
+    # the fit starts at its interior point rho = I/n; at the criterion-6
+    # point both noise kinds' fits end optimal in at most 20 iterations
+    # (25-54 from the solver's default start)
+    state = table_point_state(0.9, apd=0.15)
+    det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
+    models = [
+        PhaseNoiseModel("static_calibration", epsilon=0.1, seed=20),
+        PhaseNoiseModel("phase_averaged", width=0.4, seed=21),
+    ]
+    for model in models:
+        for res in noise_trials(state, det, det, model, trials=3):
+            fit = res.info["reconciliation"]
+            assert fit["fit_status"] == "optimal"
+            assert fit["fit_iterations"] <= 20, fit
 
 
 def test_reconcile_gross_corruption_stays_physical():

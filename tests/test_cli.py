@@ -294,6 +294,7 @@ def test_bound_noise_trials_emitted(tmp_path):
     assert len(doc["trials"]) == 2
     assert doc["bound_min"] <= doc["bound_max"]
     assert all("reconciliation" in t for t in doc["trials"])
+    assert all(t["reconciliation"]["fit_iterations"] > 0 for t in doc["trials"])
 
 
 def test_bound_noise_failed_trial_sets_exit_code(tmp_path, monkeypatch):

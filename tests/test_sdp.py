@@ -244,6 +244,61 @@ def test_program_rejects_non_hermitian_complex():
         sdp.ConicProgram([1.0], [(np.array([[1.0, 1j], [1j, 1.0]]), np.zeros((1, 2, 2)))])
 
 
+def _diagonal_toy(point=None):
+    # the 1 x 1 block 1 - y1 - y2, then S(y) = diag(1 - y1, 2 - y2)
+    scalar = (np.array([[1.0]]), np.ones((2, 1, 1)))
+    fs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    return sdp.ConicProgram([1.0, 1.0], [scalar, (np.diag([1.0, 2.0]), fs)], interior_point=point)
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([1.0, -1.0], "block 1 slack"),  # diag(0, 3): singular
+        ([2.0, -2.0], "block 1 slack"),  # diag(-1, 4): indefinite
+        ([0.5, 0.5], "block 0 slack"),  # the 1 x 1 block is 0
+        ([0.0, 3.0], "block 0 slack"),  # both blocks fail; the first is named
+        ([np.nan, 0.0], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([0.0], "shape"),
+        ([0.0, 0.0, 0.0], "shape"),
+        ([[0.0, 0.0]], "shape"),
+    ],
+)
+def test_interior_point_refused_unless_strictly_feasible(point, message):
+    with pytest.raises(ValueError, match=message):
+        sdp.solve(_diagonal_toy(point))
+
+
+def test_interior_point_is_read_only_program_data():
+    point = np.array([0.25, -0.5])
+    program = _diagonal_toy(point)
+    point[0] = 9.0
+    assert np.array_equal(program.interior_point, [0.25, -0.5])
+    assert not program.interior_point.flags.writeable
+    assert _diagonal_toy().interior_point is None
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_interior_start_reaches_the_default_optimum(hermitian):
+    # y0 leaves (0.5 + u) I on every matrix block and box -+ y0_j on the
+    # scalar ones, so it is strictly feasible
+    rng = np.random.default_rng(31)
+    c, blocks, _, y0 = _random_program(rng, hermitian=hermitian)
+    default = sdp.solve(sdp.ConicProgram(c, blocks))
+    inside = sdp.solve(sdp.ConicProgram(c, blocks, interior_point=y0))
+    assert default.status == inside.status == "optimal"
+    # the first iterate is y0 itself, with no slack residual
+    first = inside.info["history"][0]
+    assert abs(first["primal_objective"] - float(c @ y0)) <= 1e-12 * (1.0 + abs(c @ y0))
+    assert first["res_slack"] <= 1e-15
+    assert default.info["history"][0]["res_slack"] > 1e-3
+    scale = 1.0 + abs(default.objective_value)
+    assert abs(inside.objective_value - default.objective_value) <= 1e-7 * scale
+    check = sdp.verify_solution(sdp.ConicProgram(c, blocks), inside)
+    assert check["psd_ok"] and check["weak_duality_ok"]
+
+
 # ---------------------------------------------------------------------------
 # complex Hermitian blocks
 
