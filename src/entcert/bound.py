@@ -16,7 +16,9 @@ in the robustness studies.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -256,8 +258,10 @@ def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:
 # witness SDP
 
 
+@lru_cache(maxsize=64)
 def _hermitian_basis(n: int) -> np.ndarray:
-    """Real-linear basis of n x n Hermitian matrices, n^2 elements."""
+    """Real-linear basis of n x n Hermitian matrices, n^2 elements,
+    read-only and built once per n."""
     basis = np.zeros((n * n, n, n), dtype=complex)
     k = 0
     for p in range(n):
@@ -270,23 +274,62 @@ def _hermitian_basis(n: int) -> np.ndarray:
             basis[k, p, q] = 1j
             basis[k, q, p] = -1j
             k += 1
-    return basis
+    return fock._freeze(basis)
 
 
+@lru_cache(maxsize=64)
+def _hermitian_basis_pt(d1: int, d2: int) -> np.ndarray:
+    """First-mode partial transposes of _hermitian_basis(d1 * d2), read-only."""
+    return fock._freeze(fock.partial_transpose_array(_hermitian_basis(d1 * d2), d1, d2))
+
+
+@lru_cache(maxsize=64)
 def _unit_trace_basis(n: int):
     """Affine coordinates of the unit-trace n x n Hermitian matrices.
 
     Returns (rho0, basis) with rho0 = I/n and basis the n^2 - 1 traceless
     directions B_k = E_k - tr(E_k) I/n for the elements E_k, k >= 1, of
     _hermitian_basis(n); rho0 + sum_k y_k B_k has unit trace for every real
-    y and reaches every unit-trace Hermitian matrix.
+    y and reaches every unit-trace Hermitian matrix.  Both are read-only
+    and built once per n.
     """
     herm = _hermitian_basis(n)[1:]
     rho0 = np.eye(n) / n
     traces = np.real(np.einsum("kaa->k", herm))
-    return rho0, herm - traces[:, None, None] * rho0
+    return fock._freeze(rho0), fock._freeze(herm - traces[:, None, None] * rho0)
 
 
+# data derived from the operators alone, one dict per row range of a
+# read-only operator stack, dropped when the stack is collected
+_STACK_DATA = {}
+
+
+def _per_stack(fn):
+    """Compute fn(mats, *args), a tuple of arrays, once per args and per
+    read-only operator stack that mats views, as MeasurementSet.matrices
+    views build_measurements' stack.  weakref.finalize drops the entry with
+    the stack, so no value may reference mats; mats that own their data or
+    view a writable array are computed afresh each call.  The arrays are
+    read-only and computed on one BLAS thread, as the solves run."""
+
+    def cached(mats, *args):
+        stack, entry = mats.base, {}
+        if stack is not None and not stack.flags.writeable:
+            key = (id(stack), mats.ctypes.data, mats.shape, mats.strides)
+            if key not in _STACK_DATA:
+                _STACK_DATA[key] = {}
+                weakref.finalize(stack, _STACK_DATA.pop, key, None)
+            entry = _STACK_DATA[key]
+        name = (fn, *args)
+        if name not in entry:
+            with sdp.one_blas_thread():
+                entry[name] = tuple(fock._freeze(a) for a in fn(mats, *args))
+        return entry[name]
+
+    return cached
+
+
+@_per_stack
 def _gram_rotation(mats: np.ndarray):
     """Eigenbasis of the operator Gram matrix with reliable direction norms.
 
@@ -295,7 +338,8 @@ def _gram_rotation(mats: np.ndarray):
     in operator space.  Eigenvalues of the Gram matrix bottom out at the
     double-precision noise floor (~1e-14 here), which would misreport
     combination norms below ~1e-7; the direct sum resolves them to ~1e-13
-    and lets exactly dependent combinations be recognized as such.
+    and lets exactly dependent combinations be recognized as such.  Read-only,
+    and computed once per operator stack (_per_stack).
     """
     gram = np.real(np.einsum("iab,jba->ij", mats, mats))
     _, vecs = np.linalg.eigh(gram)
@@ -331,6 +375,23 @@ def _certified_objective(nu, mvec, epsilon, boxed):
     return linear, 0.0 if linear <= 0.0 else max(0.0, math.log2(linear))
 
 
+@_per_stack
+def _rotated_operators(mats: np.ndarray, null_cut: float):
+    """(R, combos): R the Gram eigenvectors whose combinations exceed
+    null_cut relative to the largest, as columns, and combos the rotated
+    operators sum_i R[i, k] M_i."""
+    vecs, sig = _gram_rotation(mats)
+    keep = sig > null_cut * sig.max()
+    # mutually orthogonal combinations past the n^2 largest are roundoff,
+    # whatever their measured norm; one kept would make block A's columns
+    # dependent and leave the objective along the dependence to roundoff
+    nh = mats.shape[1] ** 2
+    if np.count_nonzero(keep) > nh:
+        keep &= sig >= np.sort(sig)[-nh]
+    rot = vecs[:, keep]
+    return rot, np.einsum("ik,iab->kab", rot, mats)
+
+
 def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: float | None):
     """Assemble the block SDP over y = (H parameters, z, [t aux]).
 
@@ -358,6 +419,12 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     dependent combinations carry no constraint at all and are dropped so
     they cannot wander, and at most n^2 directions are kept, the real
     dimension of the n x n Hermitian operators.
+
+    What depends on the operators alone is derived once per read-only
+    operator stack (_per_stack): the Gram rotation and, per null_cut, R and
+    the rotated operator columns; the Hermitian basis and its partial
+    transpose are built once per dimension.  A trial's program differs from
+    the last only in the data-weighted objective and box rows.
     """
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
@@ -367,20 +434,11 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     mvec = measurements.expectations
 
     basis = _hermitian_basis(n)
-    basis_pt = fock.partial_transpose_array(basis, d1, d2)
 
     if null_cut is None:
         rot, nk = None, len(mats)
     else:
-        vecs, sig = _gram_rotation(mats)
-        keep = sig > null_cut * sig.max()
-        # mutually orthogonal combinations past the nh largest are roundoff,
-        # whatever their measured norm; one kept would make block A's
-        # columns dependent and leave the objective along the dependence to
-        # roundoff
-        if np.count_nonzero(keep) > nh:
-            keep &= sig >= np.sort(sig)[-nh]
-        rot = vecs[:, keep]
+        rot, rotated = _rotated_operators(mats, null_cut)
         nk = rot.shape[1]
     t_for = _boxed(measurements) if epsilon > 0.0 else np.zeros(0, dtype=np.intp)
     nt = t_for.size
@@ -394,14 +452,14 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
 
     # block A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0
     fs_a = np.zeros((nvar, n, n), dtype=complex)
-    fs_a[:nh] = -basis_pt
-    fs_a[nh : nh + nk] = mats if rot is None else np.einsum("ik,iab->kab", rot, mats)
+    np.negative(_hermitian_basis_pt(d1, d2), out=fs_a[:nh])
+    fs_a[nh : nh + nk] = mats if rot is None else rotated
     blocks = [(np.zeros((n, n)), fs_a)]
 
     # blocks B, C: I -+ H >= 0
     for sign in (1.0, -1.0):
         fs = np.zeros((nvar, n, n), dtype=complex)
-        fs[:nh] = sign * basis
+        np.multiply(basis, sign, out=fs[:nh])
         blocks.append((np.eye(n), fs))
 
     # scalar boxes t~_i >= +-n_i nu_i with nu_i = R[i] z: per boxed datum
@@ -601,6 +659,38 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult):
     }
 
 
+@_per_stack
+def _fit_windows(mats: np.ndarray):
+    """The reconcile fit's windows, from the operators alone.
+
+    Returns (vecs, kept, sig_eff, frows, offset): the Gram eigenvectors,
+    the directions k above GRAM_NULL_CUT, their floored norms, the F
+    columns of each window's two 1x1 blocks, shaped
+    (len(kept), 2, nb + 1, 1, 1), and the moments tr(M_i I/n) the targets
+    are measured from.
+    """
+    rho0, basis = _unit_trace_basis(mats.shape[1])
+    nb = len(basis)
+    # Re tr(M_i B_k) is the dot product of the real views
+    amat = sdp._rv(mats).reshape(len(mats), -1) @ sdp._rv(basis).reshape(nb, -1).T
+    offset = np.real(np.einsum("iab,ba->i", mats, rho0))
+    vecs, sig = _gram_rotation(mats)
+    kept = np.flatnonzero(sig > GRAM_NULL_CUT * sig.max())
+    # windows narrower than ~1e-9 of the leading direction claim more
+    # precision than the truncated operator model carries, and under gross
+    # data corruption they push the fit scale past what the interior-point
+    # iteration can follow; flooring them keeps the program tame while
+    # leaving realistic (noise-level) fits untouched
+    sig_eff = np.maximum(sig, 1e-9 * sig.max())[kept]
+    # |u_k . (Re tr(M B) y - target)| <= sig_k t, two rows per direction,
+    # each u_k . Re tr(M B) its own GEMV: one GEMM would round differently
+    frows = np.zeros((kept.size, 2, nb + 1, 1, 1))
+    for i, k in enumerate(kept):
+        frows[i, :, :nb, 0, 0] = (vecs[:, k] @ amat) * [[1.0], [-1.0]]
+    frows[:, :, nb, 0, 0] = -sig_eff[:, None]
+    return vecs, kept, sig_eff, frows, offset
+
+
 # the reconcile fit starts at rho = I/n with its fit bound this factor above
 # the largest sig-weighted deviation of I/n from the data, and at least the
 # floor, for data I/n already fits.  Over criterion 6's three 20-trial cases
@@ -648,46 +738,36 @@ def reconcile_expectations(measurements: MeasurementSet):
     The solve starts there instead of at the solver's infeasible default,
     and a phase-noise trial's fit takes 15-20 iterations instead of 25-54.
 
+    Only the targets u_k . (data - tr(M I/n)) and the start bound depend on
+    the data.  The rest is derived once per read-only operator stack
+    (_per_stack): the Gram rotation, the overlaps Re tr(M_i B_k) and
+    tr(M_i I/n), the kept directions with their floored sig_k, and each
+    window's constraint row u_k . Re tr(M B); the basis once per dimension.
+
     Intended for data that is nearly consistent already (detector noise or
     miscalibration); the returned moments are always exactly physical, but
     for grossly inconsistent input the weighted fit may not converge and
     the result is then a best-effort state with a large fit_residual, which
     callers should inspect.
     """
-    space = measurements.space
-    n = space.dim
+    n = measurements.space.dim
     mats = measurements.matrices
     mvec = measurements.expectations
     rho0, basis = _unit_trace_basis(n)
     nb = len(basis)
-    # Re tr(M_i B_k) is the dot product of the real views
-    amat = sdp._rv(mats).reshape(len(mats), -1) @ sdp._rv(basis).reshape(nb, -1).T
-    offset = np.real(np.einsum("iab,ba->i", mats, rho0))
-    vecs, sig = _gram_rotation(mats)
-    keep = sig > GRAM_NULL_CUT * sig.max()
-    # windows narrower than ~1e-9 of the leading direction claim more
-    # precision than the truncated operator model carries, and under gross
-    # data corruption they push the fit scale past what the interior-point
-    # iteration can follow; flooring them keeps the program tame while
-    # leaving realistic (noise-level) fits untouched
-    sig_eff = np.maximum(sig, 1e-9 * sig.max())
+    vecs, kept, sig_eff, frows, offset = _fit_windows(mats)
 
     c = np.zeros(nb + 1)
     c[nb] = -1.0
     fs_psd = np.zeros((nb + 1, n, n), dtype=complex)
-    fs_psd[:nb] = -basis
+    np.negative(basis, out=fs_psd[:nb])
     blocks = [(rho0, fs_psd)]
     worst = 0.0
-    for k in np.nonzero(keep)[0]:
-        g = vecs[:, k]
-        row = g @ amat
-        target = float(g @ (mvec - offset))
-        worst = max(worst, abs(target) / sig_eff[k])
-        for sign in (1.0, -1.0):
-            frow = np.zeros((nb + 1, 1, 1))
-            frow[:nb, 0, 0] = sign * row
-            frow[nb, 0, 0] = -sig_eff[k]
-            blocks.append((sign * target * np.ones((1, 1)), frow))
+    dev = mvec - offset
+    for k, s, pair in zip(kept, sig_eff, frows):
+        target = float(vecs[:, k] @ dev)
+        worst = max(worst, abs(target) / s)
+        blocks += [(np.full((1, 1), target), pair[0]), (np.full((1, 1), -target), pair[1])]
     # rho = I/n (y = 0) with a fit bound above every window's deviation at
     # I/n is strictly feasible, and the solve starts there
     start = np.zeros(nb + 1)

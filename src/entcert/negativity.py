@@ -99,7 +99,8 @@ def exact_log_negativity(state: TruncatedState) -> NegativityResult:
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     parts = []
-    for size in np.unique(sizes):
+    # sorted(set()) and not np.unique, whose hash path imports numpy.ma
+    for size in sorted(set(sizes.tolist())):
         # one stacked eigvalsh per block size, gathered from rho
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         hr, hc = partial_transpose_index(idx[:, :, None], idx[:, None, :], d2)

@@ -48,6 +48,16 @@ takes one refinement pass against that operator,
 dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the assembled
 matrix.
 
+Each solve keeps one workspace, a dict local to the solve and freed when
+it returns, that holds the large arrays of the Schur step: the Schur
+complement, its Fortran-order factor, K = W (x) W and the gathered
+pair-pair terms, which take the coefficient products and the symmetrized
+block in place.  Each is allocated in the first iteration and written
+with out= in every later one, so an iteration maps no fresh pages for
+them; the arithmetic, and so every bit, is unchanged.  np.take writes
+into it with mode="clip", since out= with the default mode="raise"
+buffers the result.
+
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, eigh and Cholesky of the solve
 calls.  At its default thread count, the core count, a worker thread spins
@@ -321,14 +331,30 @@ def one_blas_thread():
             put(count)
 
 
-def _cho_factor(schur: np.ndarray):
+def _scratch(ws, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array `name` of this shape and dtype in the workspace dict ws,
+    allocated on first use and then handed out as the last user left it;
+    a new array when ws is None."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    key = (name, shape, dtype)
+    if key not in ws:
+        ws[key] = np.empty(shape, dtype)
+    return ws[key]
+
+
+def _cho_factor(schur: np.ndarray, ws=None):
     """Upper Cholesky factor U, U^T U = schur, of the symmetric schur, in
     the upper triangle of a Fortran-order array that dpotrs reads as it
     is; its strict lower triangle keeps schur's entries, which dpotrs does
     not read.  None when schur is not positive definite.  schur itself is
-    left as it was."""
-    # schur.T is schur laid out in Fortran order; dpotrf factors a copy of it
-    factor = np.array(schur.T, order="F")
+    left as it was; the factor lives in the workspace ws when one is
+    given."""
+    # a copy of schur, transposed, is schur.T laid out in Fortran order;
+    # dpotrf factors it
+    factor = _scratch(ws, "factor", schur.shape)
+    np.copyto(factor, schur)
+    factor = factor.T
     n, info = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT()
     _DPOTRF(b"U", n, factor.ctypes.data, n, info)
     if info.value < 0:
@@ -445,7 +471,8 @@ class _MatrixCone:
         # gets one term, so the sum has the bits of the product with flat
         self.scatter = None
         rows, slots = np.nonzero(self.flat)
-        if not self.dense.size and np.unique(slots).size == slots.size:
+        # a set, not np.unique, whose hash path imports numpy.ma
+        if not self.dense.size and len(set(slots.tolist())) == slots.size:
             self.scatter = (self.cols[rows], slots, self.flat[rows, slots])
         if self.pairs.size:
             self.pp_index, self.pp_coef = _pair_tables(n, self.r, self.c, self.v, tables)
@@ -471,7 +498,7 @@ class _MatrixCone:
         """Re tr(Fj X) for the nonzero columns."""
         return self.flat @ _rv(x).reshape(-1)
 
-    def add_schur(self, schur: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+    def add_schur(self, schur: np.ndarray, w: np.ndarray, t: np.ndarray, ws=None) -> None:
         """Add Re tr(W Fi W Fj), T = W^(1/2), to the symmetric schur.
 
         Pair-pair entries are 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
@@ -479,16 +506,22 @@ class _MatrixCone:
         1997), gathered from W (x) W by np.take through the intp tables;
         pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the dense-dense
         block is G G^T with G the real view of T Fj T.  Each block is added
-        in place through the slots set up in __init__.
+        in place through the slots set up in __init__.  The large
+        intermediates are written into the workspace ws when one is given.
         """
         p, d, v = self.pairs, self.dense, self.v
         if p.size:
-            k = _rv(np.multiply.outer(w, w)).reshape(-1)
-            terms = self.pp_coef * np.take(k, self.pp_index)
-            spp = terms[0] + terms[1]
+            k = _scratch(ws, "k", w.shape * 2, w.dtype)
+            np.multiply.outer(w, w, out=k)
+            # np.take with out= buffers its output unless mode is clip;
+            # every index is in range, so clipping changes none
+            terms = _scratch(ws, "terms", self.pp_index.shape)
+            np.take(_rv(k).reshape(-1), self.pp_index, out=terms, mode="clip")
+            np.multiply(self.pp_coef, terms, out=terms)
+            spp = np.add(terms[0], terms[1], out=terms[0])
             # spp is half of each entry and symmetric in exact arithmetic;
             # spp + spp.T doubles it and stays symmetric bit for bit
-            schur[self.pp_slot] += spp + spp.T
+            schur[self.pp_slot] += np.add(spp, spp.T, out=terms[1])
         if d.size:
             tft = t @ self.fs_dense @ t
             g = _rv(tft).reshape(d.size, -1)
@@ -587,6 +620,9 @@ def _interior_point(
     lp = _LpCone(lp_f0, lp_f * dvec[None, :])
     nlp = len(lp_index)
     ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
+    # the Schur complement, its factor and the large intermediates of its
+    # assembly, allocated in the first iteration and reused by the rest
+    ws = {}
 
     xs = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
     xlp = np.ones(nlp)
@@ -714,10 +750,11 @@ def _interior_point(
             vlp = np.sqrt(xlp * slp)
 
             # entry (i, j) is Re tr(W Fi W Fj) summed over the cones
-            schur = np.zeros((m, m))
+            schur = _scratch(ws, "schur", (m, m))
+            schur.fill(0.0)
             lp.add_schur(schur, wlp**2)
             for cone, sc in zip(cones, scals):
-                cone.add_schur(schur, sc["w"], sc["t"])
+                cone.add_schur(schur, sc["w"], sc["t"], ws)
 
             # regularize only when the factorization actually fails; a
             # preemptive ridge scaled to the diagonal grows like the inverse
@@ -725,7 +762,7 @@ def _interior_point(
             factor = None
             ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
             for attempt in range(4):
-                factor = _cho_factor(schur)
+                factor = _cho_factor(schur, ws)
                 if factor is not None:
                     break
                 ridge_retries += 1

@@ -1,5 +1,6 @@
 """Unit tests for measurement assembly and the witness-SDP bound pipeline."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -787,6 +789,80 @@ def test_noise_trials_deterministic():
     c = noise_trials(st, det, det, model, trials=2)
     d = noise_trials(st, det, det, other, trials=2)
     assert [r.lower_bound for r in c] != [r.lower_bound for r in d]
+
+
+def _stack_keys(stack):
+    return [key for key in bound._STACK_DATA if key[0] == id(stack)]
+
+
+def test_noise_trials_reuse_operator_data_bit_for_bit():
+    # the Gram rotation, the rotated witness columns and the fit's windows
+    # are derived once per read-only operator stack; a trial on a warm
+    # entry, and one on copies of the operators that are never cached, give
+    # the bits of the trial that filled it
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    nominal = build_measurements(det, det, signal_cutoff=2)
+    stack = nominal[0].matrix.base
+    copies = [FockOperator(op.space, op.matrix) for op in nominal]
+    model = PhaseNoiseModel("phase_averaged", width=0.4, samples=20)
+    assert not _stack_keys(stack)
+    results = []
+    for ops in (nominal, nominal, copies):
+        rng = np.random.default_rng(7)
+        results.append(bound.noisy_bound(st, det, det, model, rng=rng, nominal_ops=ops))
+        if len(results) == 1:
+            (key,) = _stack_keys(stack)
+            names = {name[0].__name__ for name in bound._STACK_DATA[key]}
+            assert names == {"_gram_rotation", "_rotated_operators", "_fit_windows"}
+            cached = [a for value in bound._STACK_DATA[key].values() for a in value]
+            assert not any(a.flags.writeable for a in cached)
+    cold = results[0]
+    for res in results[1:]:
+        assert res.lower_bound == cold.lower_bound
+        assert res.solver_status == cold.solver_status
+        assert res.info["iterations"] == cold.info["iterations"]
+        assert res.info["reconciliation"] == cold.info["reconciliation"]
+        assert np.array_equal(res.multipliers, cold.multipliers)
+        assert np.array_equal(res.witness_H, cold.witness_H)
+
+
+def test_operator_data_dies_with_its_stack():
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    ops = build_measurements(det, det, signal_cutoff=2)
+    ms = MeasurementSet(ops, simulate_expectations(st, ops))
+    fixed, _ = reconcile_expectations(ms)
+    lower_bound_negativity(fixed)
+    stack = ops[0].matrix.base
+    keys = _stack_keys(stack)
+    assert len(keys) == 1
+    alive = weakref.ref(stack)
+    del ops, ms, fixed, stack
+    gc.collect()
+    assert alive() is None
+    assert not any(key in bound._STACK_DATA for key in keys)
+
+
+def test_writable_operator_matrices_are_never_cached():
+    # operators that are not rows of one read-only stack are copied into a
+    # writable array, and what is derived from it is recomputed each call
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    ops = [FockOperator(op.space, op.matrix) for op in build_measurements(det, det, signal_cutoff=2)]
+    ms = MeasurementSet(ops, simulate_expectations(st, ops))
+    assert ms.matrices.flags.writeable
+    before = set(bound._STACK_DATA)
+    fixed, _ = reconcile_expectations(ms)
+    lower_bound_negativity(fixed)
+    assert set(bound._STACK_DATA) <= before
+    first, second = bound._gram_rotation(ms.matrices), bound._gram_rotation(ms.matrices)
+    assert first[0] is not second[0] and np.array_equal(first[0], second[0])
+    # a read-only view of a writable array is not cached either
+    view = ms.matrices[:]
+    view.setflags(write=False)
+    bound._gram_rotation(view)
+    assert set(bound._STACK_DATA) <= before
 
 
 def test_noise_trials_need_at_least_one_trial():

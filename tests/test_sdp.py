@@ -1,7 +1,11 @@
 """Unit tests for the interior-point SDP solver."""
 
 import ctypes
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -799,3 +803,62 @@ def test_solve_leaves_program_data_unchanged():
         assert np.array_equal(program.objective, objective)
         for (f0, fs), (f0_saved, fs_saved) in zip(program.blocks, saved):
             assert np.array_equal(f0, f0_saved) and np.array_equal(fs, fs_saved)
+
+
+def _small_witness_program(n_max, epsilon, cut):
+    cfg = replace(cli.ExperimentConfig(), n_max=n_max)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    return bound._witness_program(ms, epsilon, cut)[0]
+
+
+def test_workspace_reuse_gives_fresh_solve_bits(monkeypatch):
+    # each solve reuses one workspace for its Schur complement, factor and
+    # assembly intermediates; a program solved twice, with a program of
+    # another size between, gives the bits of solves whose every scratch
+    # array is fresh and filled with NaN, so no stale entry is ever read
+    big = _small_witness_program(2, 1e-2, None)
+    small = _small_witness_program(1, 0.0, bound.GRAM_NULL_CUT)
+    assert big.n_vars != small.n_vars and big.block_sizes != small.block_sizes
+    reused = [sdp.solve(program) for program in (big, small, big)]
+    monkeypatch.setattr(
+        sdp, "_scratch",
+        lambda ws, name, shape, dtype=np.float64: np.full(shape, np.nan, dtype),
+    )
+    fresh = {id(program): sdp.solve(program) for program in (big, small)}
+    for program, sol in zip((big, small, big), reused):
+        ref = fresh[id(program)]
+        assert sol.status == ref.status == "optimal"
+        assert sol.iterations == ref.iterations
+        assert np.array_equal(sol.y_star, ref.y_star)
+        for x, x_ref in zip(sol.dual_certificate, ref.dual_certificate):
+            assert np.array_equal(x, x_ref)
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from entcert import fock, negativity, sdp
+negativity.exact_log_negativity(fock.two_mode_squeezed(fock.SqueezedParams(0.3, 6)))
+rng = np.random.default_rng(5)
+fs = rng.normal(size=(3, 4, 4))
+fs = fs + fs.transpose(0, 2, 1)
+diag = np.zeros((3, 4, 4))
+diag[:, [0, 1, 2], [0, 1, 2]] = np.eye(3)
+blocks = [(np.eye(4), 0.1 * fs), (np.eye(4), diag), (np.ones((1, 1)), np.ones((3, 1, 1)))]
+assert sdp.solve(sdp.ConicProgram(rng.normal(size=3), blocks)).status == "optimal"
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_exact_ln_and_solve_leave_numpy_ma_unimported():
+    # np.unique's hash path imports numpy.ma (5.5 ms and 1.3 MB); neither
+    # exact LN nor the solver's set-up takes it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert run.stdout.strip() == "False"
