@@ -24,6 +24,15 @@ constraints cost vector arithmetic only.  The dual certificate X returned
 with the solution verifies the objective bound independently: weak duality
 gives  c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
 
+The NT scaling comes from Cholesky factors and one SVD (Todd, Toh &
+Tutuncu, SIAM J. Optim. 8, 1998): X = Lx Lx^H, S = Ls Ls^H and
+Ls^H Lx = U D V^H give G = Lx V D^(-1/2), W = G G^H, and the scaled point
+G^H S G = G^-1 X G^-H = D is diagonal, so the predictor takes E = -D and
+the corrector's Lyapunov equation is solved entrywise.  Step lengths come
+from D^(-1/2) (G^-1 dX G^-H) D^(-1/2), unitarily similar to Lx^-1 dX Lx^-H,
+and the same for S, with no triangular inverse formed.  An iterate whose
+Cholesky factorization fails ends the solve as a numerical failure.
+
 The Schur complement Re tr(W Fi W Fj) is assembled from the sparsity of
 the data, following the same paper.  At set-up each block's F columns are
 sorted once into three classes: *zero* (Fj vanishes on the block), *pair*
@@ -32,50 +41,33 @@ real or imaginary, or a single real diagonal entry) and *dense* (everything
 else).  Each term of a pair-pair entry is then exactly +-|v_i v_j| times
 the real or imaginary part of one entry of K = W (x) W, so set-up turns the
 pairs into gather tables, intp indices into the real view of K and real
-coefficients, npairs^2 of each and shared between cones whose pairs match
-(the blocks I - H and I + H of the witness program); an iteration forms K
-with one outer product and gathers from it.  Pair-dense entries are
-gathered from W Fj W, and only the dense-dense block needs the products
-T Fj T, T = W^(1/2).  The diagonal cone uses only the columns its rows
-touch.  Each class block is added to the Schur complement in place, through
-basic slices when its rows and its columns are contiguous runs, as they are
-in every program the bound pipeline builds, and through np.ix_ otherwise.
-Every sum_j y_j Fj is one real product with the real view of the nonzero
-columns, or, in a cone of pairs alone whose nonzeros fill distinct slots of
-that view (I - H and I + H), a scatter of y_j times each nonzero, which has
-the product's bits since each slot gets one term.  Each Newton direction
-takes one refinement pass against that operator,
-dy -> Re tr(Fi W (sum_j dy_j Fj) W), rather than against the assembled
-matrix.
-
-Each solve keeps one workspace, a dict local to the solve and freed when
-it returns, that holds the large arrays of the Schur step: the Schur
-complement, its Fortran-order factor, K = W (x) W and the gathered
-pair-pair terms, which take the coefficient products and the symmetrized
-block in place.  Each is allocated in the first iteration and written
-with out= in every later one, so an iteration maps no fresh pages for
-them; the arithmetic, and so every bit, is unchanged.  np.take writes
-into it with mode="clip", since out= with the default mode="raise"
-buffers the result.
+coefficients, shared between cones whose pairs match.  The entries are
+linear in K, so cones that share tables and Schur columns (I - H and I + H
+of the witness program) are gathered once from K = sum_b W_b (x) W_b, one
+product of the stacked vec(W_b); a cone alone forms K as an outer product.
+Dense columns take G^H Fj G, and pair-dense entries W Fj W = G (G^H Fj G)
+G^H.  The diagonal cone uses only the columns its rows touch.  Each class
+block is added in place, through basic slices when its rows and columns
+are contiguous runs, as in every program the bound pipeline builds, and
+through np.ix_ otherwise.  Every sum_j y_j Fj is one real product with the
+real view of the nonzero columns, or, in a cone of pairs alone whose
+nonzeros fill distinct slots of that view (I - H and I + H), a scatter of
+y_j times each nonzero, with the product's bits since each slot gets one
+term.  Each Newton direction takes one refinement pass against
+dy -> Re tr(Fi W (sum_j dy_j Fj) W).
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
-bundles, the one runtime every matmul, eigh and Cholesky of the solve
-calls.  At its default thread count, the core count, a worker thread spins
-through the whole solve, and the multithreaded kernels split sums
-differently from the one-thread ones, so the returned iterate, and with it
-the status, would depend on the machine's core count.  solve therefore sets
-the runtime to one thread through its ctypes handle and restores the
+bundles, the one runtime every matmul, SVD and Cholesky of the solve
+calls: at the default thread count a worker thread spins through the whole
+solve, and multithreaded kernels split sums differently, so the iterate,
+and with it the status, would depend on the machine's core count.  solve
+sets the runtime to one thread through its ctypes handle and restores the
 caller's count when it returns; where no handle is found it runs at the
 caller's count.  The Schur complement is factored by LAPACK's dpotrf and
-solved by dpotrs from the same library, called through ctypes with its
-64-bit Fortran integers; the handles are looked up once, when this module
-is imported.  Where numpy bundles no OpenBLAS, the two routines come from
-scipy.linalg.cython_lapack instead.  dpotrf takes the symmetric matrix through its transpose, a
-Fortran-order view, and factors a copy, so a failed factorization is
-retried on the intact matrix plus a ridge; the factor goes to the dpotrs
-triangular solves as it is, its strict lower triangle unread.  The dense
-products are numpy matmuls G G^T and G^T G, which numpy hands to syrk and
-returns symmetric bit for bit.
+solved by two BLAS dtrsv calls from the same library, through ctypes with
+its 64-bit Fortran integers, or, where numpy bundles no OpenBLAS, from
+scipy.linalg.cython_lapack and cython_blas; the handles are looked up once,
+when this module is imported.
 """
 
 import contextlib
@@ -116,6 +108,16 @@ _FRACTION_TO_BOUNDARY = 0.98
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix or of a stack of matrices."""
     return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+
+
+def _hermitian_deviation(fs: np.ndarray) -> float:
+    """max |F - F^H| over a stack of n x n matrices, taken a few matrices
+    at a time, so that no temporary is as large as the stack."""
+    dev, step = 0.0, max(1, 4096 // max(1, fs[0].size))
+    for i in range(0, len(fs), step):
+        part = fs[i : i + step]
+        dev = np.maximum(dev, np.max(np.abs(part - np.swapaxes(part, 1, 2).conj())))
+    return dev
 
 
 def _rv(a: np.ndarray) -> np.ndarray:
@@ -163,8 +165,11 @@ class ConicProgram:
             n = f0.shape[0]
             if fs.shape != (m, n, n):
                 raise ValueError(f"block {k}: Fs must have shape (m, n, n)")
-            dev0 = np.max(np.abs(f0 - f0.conj().T))
-            devs = np.max(np.abs(fs - np.swapaxes(fs, 1, 2).conj()))
+            if n == 1 and dtype == float:
+                # real 1x1 data is symmetric
+                self.blocks.append((f0, fs))
+                continue
+            dev0, devs = _hermitian_deviation(f0[None]), _hermitian_deviation(fs)
             if dev0 > TOL_SYM:
                 raise ValueError(f"block {k}: F0 not Hermitian")
             if devs > TOL_SYM:
@@ -212,45 +217,25 @@ class _NumericalProblem(Exception):
     pass
 
 
-def _floored_eigh(mat: np.ndarray):
-    w, u = np.linalg.eigh(mat)
-    if not np.all(np.isfinite(w)):
-        raise _NumericalProblem("non-finite eigenvalues")
-    floor = 1e-14 * max(1.0, abs(w[-1]))
-    return np.maximum(w, floor), u
+def _nt_scaling(x: np.ndarray, s: np.ndarray) -> dict:
+    """NT scaling of (X, S) as the module docstring sets out: G, G^H,
+    W = G G^H and the diagonal d of the scaled point.  A pair that is not
+    positive definite is a numerical problem."""
+    try:
+        rx = np.linalg.cholesky(x, upper=True)
+        rs = np.linalg.cholesky(s, upper=True)
+        _, d, vh = np.linalg.svd(rs @ rx.conj().T)
+    except np.linalg.LinAlgError:
+        raise _NumericalProblem("iterate not positive definite") from None
+    g = (rx.conj().T @ vh.conj().T) / np.sqrt(d)
+    gh = g.conj().T
+    return {"g": g, "gh": gh, "w": _herm(g @ gh), "d": d}
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Scaling point W with W S W = X plus its square root factors."""
-    ws, us = _floored_eigh(s)
-    s_half = (us * np.sqrt(ws)) @ us.conj().T
-    s_mhalf = (us / np.sqrt(ws)) @ us.conj().T
-    inner = _herm(s_half @ x @ s_half)
-    wi, ui = _floored_eigh(inner)
-    root = (ui * np.sqrt(wi)) @ ui.conj().T
-    w = _herm(s_mhalf @ root @ s_mhalf)
-    tw, uw = _floored_eigh(w)
-    t = (uw * np.sqrt(tw)) @ uw.conj().T
-    tinv = (uw / np.sqrt(tw)) @ uw.conj().T
-    v = _herm(t @ s @ t)
-    lam, p = _floored_eigh(v)
-    return {"w": w, "t": t, "tinv": tinv, "p": p, "lam": lam, "s_mhalf": s_mhalf}
-
-
-def _lyap_inv(p: np.ndarray, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (V U + U V) / 2 = B for U in the eigenbasis (p, lam) of V."""
-    bt = p.conj().T @ b @ p
-    return _herm(p @ (2.0 * bt / (lam[:, None] + lam[None, :])) @ p.conj().T)
-
-
-def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, u = _floored_eigh(mat)
-    return (u / np.sqrt(w)) @ u.conj().T
-
-
-def _max_step_psd(mihalf: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest a with mat + a*dmat PSD, given mihalf = mat^(-1/2) of a PD mat."""
-    lmin = np.linalg.eigvalsh(_herm(mihalf @ dmat @ mihalf))[0]
+def _max_step_psd(d: np.ndarray, dmat: np.ndarray) -> float:
+    """Largest a with diag(d) + a*dmat PSD, for d > 0 and Hermitian dmat."""
+    r = 1.0 / np.sqrt(d)
+    lmin = np.linalg.eigvalsh(np.outer(r, r) * dmat)[0]
     if lmin >= 0.0:
         return np.inf
     return -1.0 / lmin
@@ -283,38 +268,38 @@ def _thread_controls(lib) -> tuple:
 
 
 def _lapack(lib) -> tuple:
-    """(dpotrf, dpotrs, Fortran integer type) of the OpenBLAS lib, whose
-    ILP64 build exports them as scipy_dpotrf_64_ and scipy_dpotrs_64_.
+    """(dpotrf, dtrsv, Fortran integer type) of the OpenBLAS lib, whose
+    ILP64 build exports them as scipy_dpotrf_64_ and scipy_dtrsv_64_.
     Where numpy bundles no such library (its macOS and Windows wheels, or a
     build against a system LAPACK), the routines come from the function
-    pointers that scipy.linalg.cython_lapack exports, with 32-bit integers,
-    at the cost of importing it."""
-    found = [getattr(lib, f"scipy_{routine}_64_", None) for routine in ("dpotrf", "dpotrs")]
+    pointers that scipy.linalg.cython_lapack and cython_blas export, with
+    32-bit integers, at the cost of importing them."""
+    found = [getattr(lib, f"scipy_{routine}_64_", None) for routine in ("dpotrf", "dtrsv")]
     if None not in found:
         addresses = [ctypes.cast(fn, ctypes.c_void_p).value for fn in found]
         fint = ctypes.c_int64
     else:
-        from scipy.linalg import cython_lapack
+        from scipy.linalg import cython_blas, cython_lapack
 
         api = ctypes.pythonapi
         name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
         pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", api)
         )
-        capsules = [cython_lapack.__pyx_capi__[routine] for routine in ("dpotrf", "dpotrs")]
+        capsules = [cython_lapack.__pyx_capi__["dpotrf"], cython_blas.__pyx_capi__["dtrsv"]]
         addresses = [pointer(capsule, name(capsule)) for capsule in capsules]
         fint = ctypes.c_int
-    # dpotrf(uplo, n, a, lda, info) and dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
-    i = ctypes.POINTER(fint)
-    potrf = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, ctypes.c_void_p, i, i)
-    potrs = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, ctypes.c_void_p, i, ctypes.c_void_p, i, i)
-    return potrf(addresses[0]), potrs(addresses[1]), fint
+    # dpotrf(uplo, n, a, lda, info) and dtrsv(uplo, trans, diag, n, a, lda, x, incx)
+    i, char = ctypes.POINTER(fint), ctypes.c_char_p
+    potrf = ctypes.CFUNCTYPE(None, char, i, ctypes.c_void_p, i, i)
+    trsv = ctypes.CFUNCTYPE(None, char, char, char, i, ctypes.c_void_p, i, ctypes.c_void_p, i)
+    return potrf(addresses[0]), trsv(addresses[1]), fint
 
 
 # looked up once, at import, so that no solve pays for the search
 _OPENBLAS = _bundled_openblas()
 _THREAD_CONTROLS = _thread_controls(_OPENBLAS)
-_DPOTRF, _DPOTRS, _FORTRAN_INT = _lapack(_OPENBLAS)
+_DPOTRF, _DTRSV, _FORTRAN_INT = _lapack(_OPENBLAS)
 
 
 @contextlib.contextmanager
@@ -344,12 +329,10 @@ def _scratch(ws, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _cho_factor(schur: np.ndarray, ws=None):
-    """Upper Cholesky factor U, U^T U = schur, of the symmetric schur, in
-    the upper triangle of a Fortran-order array that dpotrs reads as it
-    is; its strict lower triangle keeps schur's entries, which dpotrs does
-    not read.  None when schur is not positive definite.  schur itself is
-    left as it was; the factor lives in the workspace ws when one is
-    given."""
+    """Upper Cholesky factor U, U^T U = schur, in the upper triangle of a
+    Fortran-order copy (in the workspace ws if given) that dtrsv reads as
+    it is, the strict lower triangle unread; None when schur is not
+    positive definite.  schur itself is left as it was."""
     # a copy of schur, transposed, is schur.T laid out in Fortran order;
     # dpotrf factors it
     factor = _scratch(ws, "factor", schur.shape)
@@ -366,14 +349,14 @@ def _cho_factor(schur: np.ndarray, ws=None):
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve U^T U x = rhs for the upper Cholesky factor U, given in
-    Fortran order so LAPACK's dpotrs reads it without a copy."""
+    Fortran order so BLAS's dtrsv reads it without a copy: U^T z = rhs,
+    then U x = z, one triangular solve each."""
     if not np.all(np.isfinite(rhs)):
         raise _NumericalProblem("non-finite Newton right-hand side")
     x = np.array(rhs, dtype=np.float64)
-    n, one, info = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT(1), _FORTRAN_INT()
-    _DPOTRS(b"U", n, one, factor.ctypes.data, n, x.ctypes.data, n, info)
-    if info.value != 0:
-        raise _NumericalProblem(f"dpotrs failed with info {info.value}")
+    n, one = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT(1)
+    for trans in (b"T", b"N"):
+        _DTRSV(b"U", trans, b"N", n, factor.ctypes.data, n, x.ctypes.data, one)
     return x
 
 
@@ -498,36 +481,44 @@ class _MatrixCone:
         """Re tr(Fj X) for the nonzero columns."""
         return self.flat @ _rv(x).reshape(-1)
 
-    def add_schur(self, schur: np.ndarray, w: np.ndarray, t: np.ndarray, ws=None) -> None:
-        """Add Re tr(W Fi W Fj), T = W^(1/2), to the symmetric schur.
+    def add_pair_schur(self, schur: np.ndarray, wmats: list, ws=None) -> None:
+        """Add sum_b Re tr(W_b Fi W_b Fj) over the pair columns, for the
+        scaling points wmats of this cone and of the cones that share its
+        pair tables and Schur columns.  The entries, 2 Re[v_i v_j W[c_j,r_i]
+        W[c_i,r_j] + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima
+        & Nakata 1997), are gathered by np.take through the intp tables from
+        K = sum_b W_b (x) W_b, written into the workspace ws if given; K is
+        a product of two C-order operands, which numpy hands to gemm, where
+        vecs @ vecs.T would go to syrk, ~2.7x slower here."""
+        n2 = self.f0.size
+        k = _scratch(ws, "k", (n2, n2), self.f0.dtype)
+        if len(wmats) == 1:
+            np.multiply.outer(wmats[0].reshape(-1), wmats[0].reshape(-1), out=k)
+        else:
+            vecs = np.stack(wmats, axis=-1).reshape(n2, -1)
+            np.matmul(vecs, np.ascontiguousarray(vecs.T), out=k)
+        # np.take with out= buffers its output unless mode is clip; every
+        # index is in range, so clipping changes none
+        terms = _scratch(ws, "terms", self.pp_index.shape)
+        np.take(_rv(k).reshape(-1), self.pp_index, out=terms, mode="clip")
+        np.multiply(self.pp_coef, terms, out=terms)
+        spp = np.add(terms[0], terms[1], out=terms[0])
+        # spp is half of each entry and symmetric in exact arithmetic;
+        # spp + spp.T doubles it and stays symmetric bit for bit
+        schur[self.pp_slot] += np.add(spp, spp.T, out=terms[1])
 
-        Pair-pair entries are 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
-        + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima & Nakata
-        1997), gathered from W (x) W by np.take through the intp tables;
-        pair-dense entries are 2 Re(v_i (W Fj W)[c_i,r_i]); the dense-dense
-        block is G G^T with G the real view of T Fj T.  Each block is added
-        in place through the slots set up in __init__.  The large
-        intermediates are written into the workspace ws when one is given.
-        """
+    def add_schur(self, schur: np.ndarray, g: np.ndarray, gh: np.ndarray) -> None:
+        """Add the dense columns' Re tr(W Fi W Fj), W = G G^H, gh = G^H:
+        R R^T (syrk, symmetric bit for bit), R the real view of G^H Fj G,
+        and pair-dense 2 Re(v_i (W Fj W)[c_i,r_i]), W Fj W = G (G^H Fj G)
+        G^H, each added in place through the slots set up in __init__."""
         p, d, v = self.pairs, self.dense, self.v
-        if p.size:
-            k = _scratch(ws, "k", w.shape * 2, w.dtype)
-            np.multiply.outer(w, w, out=k)
-            # np.take with out= buffers its output unless mode is clip;
-            # every index is in range, so clipping changes none
-            terms = _scratch(ws, "terms", self.pp_index.shape)
-            np.take(_rv(k).reshape(-1), self.pp_index, out=terms, mode="clip")
-            np.multiply(self.pp_coef, terms, out=terms)
-            spp = np.add(terms[0], terms[1], out=terms[0])
-            # spp is half of each entry and symmetric in exact arithmetic;
-            # spp + spp.T doubles it and stays symmetric bit for bit
-            schur[self.pp_slot] += np.add(spp, spp.T, out=terms[1])
         if d.size:
-            tft = t @ self.fs_dense @ t
-            g = _rv(tft).reshape(d.size, -1)
-            schur[self.dd_slot] += g @ g.T
+            gfg = gh @ self.fs_dense @ g
+            rows = _rv(gfg).reshape(d.size, -1)
+            schur[self.dd_slot] += rows @ rows.T
             if p.size:
-                wfw = t @ tft @ t
+                wfw = g @ gfg @ gh
                 spd = 2.0 * (wfw[:, self.c, self.r] * v).real
                 schur[self.pd_slot] += spd.T
                 schur[self.dp_slot] += spd
@@ -618,10 +609,17 @@ def _interior_point(
         _MatrixCone(k, f0, fs * dvec[:, None, None], tables) for k, f0, fs in matrix_blocks
     ]
     lp = _LpCone(lp_f0, lp_f * dvec[None, :])
+    # cones whose pairs share tables and Schur columns (I - H and I + H)
+    # add their pair-pair blocks through one gather
+    groups = {}
+    for i, cone in enumerate(cones):
+        if cone.pairs.size:
+            groups.setdefault((id(cone.pp_index), cone.pairs.tobytes()), []).append(i)
     nlp = len(lp_index)
     ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
     # the Schur complement, its factor and the large intermediates of its
-    # assembly, allocated in the first iteration and reused by the rest
+    # assembly, allocated in the first iteration and reused by the rest, so
+    # an iteration maps no fresh pages for them
     ws = {}
 
     xs = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
@@ -743,9 +741,6 @@ def _interior_point(
             # NT scalings, Schur complement, factorization (shared by both
             # predictor and corrector)
             scals = [_nt_scaling(xb, sb) for xb, sb in zip(xs, ss)]
-            # inverse square roots for the step lengths; S's comes with
-            # its NT scaling
-            x_mhalf = [_inv_sqrt(xb) for xb in xs]
             wlp = np.sqrt(xlp / slp)
             vlp = np.sqrt(xlp * slp)
 
@@ -753,8 +748,10 @@ def _interior_point(
             schur = _scratch(ws, "schur", (m, m))
             schur.fill(0.0)
             lp.add_schur(schur, wlp**2)
+            for members in groups.values():
+                cones[members[0]].add_pair_schur(schur, [scals[i]["w"] for i in members], ws)
             for cone, sc in zip(cones, scals):
-                cone.add_schur(schur, sc["w"], sc["t"], ws)
+                cone.add_schur(schur, sc["g"], sc["gh"])
 
             # regularize only when the factorization actually fails; a
             # preemptive ridge scaled to the diagonal grows like the inverse
@@ -779,36 +776,39 @@ def _interior_point(
                 # assemble rhs, solve for dy, back out dS and dX blockwise
                 rhs = r_p.copy()
                 rhs[lp.cols] -= lp.f.T @ (wlp * elp + wlp**2 * rd_lp)
-                for cone, sc, rb, eb in zip(cones, scals, rd, es):
-                    h = sc["t"] @ eb @ sc["t"] + sc["w"] @ rb @ sc["w"]
-                    rhs[cone.cols] -= cone.moments(h)
+                gegs = [sc["g"] @ eb @ sc["gh"] for sc, eb in zip(scals, es)]
+                for cone, sc, rb, geg in zip(cones, scals, rd, gegs):
+                    rhs[cone.cols] -= cone.moments(geg + sc["w"] @ rb @ sc["w"])
                 dy = _cho_solve(factor, rhs)
                 # one refinement pass against the operator the Schur
                 # complement stands for, so roundoff in both the entry-wise
                 # assembly and the factorization is corrected
                 dy += _cho_solve(factor, rhs - _schur_apply(dy))
-                dss, dxs = [], []
-                for cone, sc, rb, eb in zip(cones, scals, rd, es):
+                # dX = G E G^H - W dS W, so G^-1 dX G^-H = E - G^H dS G
+                dss, dxs, scaled = [], [], []
+                for cone, sc, rb, eb, geg in zip(cones, scals, rd, es, gegs):
                     dsb = _herm(-rb - cone.apply(dy))
-                    dxb = _herm(sc["t"] @ eb @ sc["t"] - sc["w"] @ dsb @ sc["w"])
+                    dsh = _herm(sc["gh"] @ dsb @ sc["g"])
                     dss.append(dsb)
-                    dxs.append(dxb)
+                    dxs.append(_herm(geg - sc["w"] @ dsb @ sc["w"]))
+                    scaled.append((eb - dsh, dsh))
                 dslp = -rd_lp - lp.apply(dy)
                 dxlp = wlp * elp - wlp**2 * dslp
-                return dy, dxs, dss, dxlp, dslp
+                return dy, dxs, dss, dxlp, dslp, scaled
 
-            def _steps(dxs, dss, dxlp, dslp):
+            def _steps(dxlp, dslp, scaled):
+                # on the scaled point D, the steps to the boundary of X and
+                # S are those of G^-1 X G^-H = D and G^H S G = D
                 ap = _max_step_pos(xlp, dxlp)
                 ad = _max_step_pos(slp, dslp)
-                for xmh, sc, dxb, dsb in zip(x_mhalf, scals, dxs, dss):
-                    ap = min(ap, _max_step_psd(xmh, dxb))
-                    ad = min(ad, _max_step_psd(sc["s_mhalf"], dsb))
+                for sc, (dxh, dsh) in zip(scals, scaled):
+                    ap = min(ap, _max_step_psd(sc["d"], dxh))
+                    ad = min(ad, _max_step_psd(sc["d"], dsh))
                 return ap, ad
 
-            # predictor: aim straight at the boundary (sigma = 0, E = -V)
-            es_aff = [-_herm((sc["p"] * sc["lam"]) @ sc["p"].conj().T) for sc in scals]
-            d_aff = _direction(es_aff, -vlp)
-            ap_aff, ad_aff = _steps(*d_aff[1:])
+            # predictor: aim straight at the boundary (sigma = 0), E = -D
+            d_aff = _direction([-np.diag(sc["d"]) for sc in scals], -vlp)
+            ap_aff, ad_aff = _steps(*d_aff[3:])
             a_aff = min(1.0, ap_aff, ad_aff)
 
             gap_aff = sum(
@@ -825,21 +825,21 @@ def _interior_point(
             if mu > 0 and res_abs > 0:
                 sigma = max(sigma, min(0.9, 0.1 * res_abs / mu))
 
-            # corrector: recenter to sigma*mu and cancel the second-order term
+            # corrector: recenter to sigma*mu and cancel the second-order
+            # term; at the diagonal scaled point D the Lyapunov equation
+            # (D E + E D) / 2 = B is solved entrywise
             es_cor = []
-            for sc, dxb, dsb in zip(scals, d_aff[1], d_aff[2]):
-                dxh = sc["tinv"] @ dxb @ sc["tinv"]
-                dsh = sc["t"] @ dsb @ sc["t"]
-                cross = _herm(dxh @ dsh)
-                vmat = (sc["p"] * sc["lam"]) @ sc["p"].conj().T
-                b = sigma * mu * np.eye(vmat.shape[0]) - vmat @ vmat - cross
-                es_cor.append(_lyap_inv(sc["p"], sc["lam"], _herm(b)))
+            for sc, (dxh, dsh) in zip(scals, d_aff[5]):
+                d = sc["d"]
+                b = -_herm(dxh @ dsh)
+                b[np.diag_indices_from(b)] += sigma * mu - d * d
+                es_cor.append(2.0 * b / (d[:, None] + d[None, :]))
             elp_cor = (sigma * mu - xlp * slp - d_aff[3] * d_aff[4]) / vlp
-            dy, dxs, dss, dxlp, dslp = _direction(es_cor, elp_cor)
+            dy, dxs, dss, dxlp, dslp, scaled = _direction(es_cor, elp_cor)
 
             # equal primal/dual step: both residuals then contract at least
             # as fast as mu, so the gap cannot outrun the infeasibility
-            ap, ad = _steps(dxs, dss, dxlp, dslp)
+            ap, ad = _steps(dxlp, dslp, scaled)
             alpha = min(1.0, _FRACTION_TO_BOUNDARY * ap, _FRACTION_TO_BOUNDARY * ad)
             if alpha < 1e-10:
                 stalls += 1

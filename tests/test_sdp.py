@@ -400,8 +400,10 @@ def _column_zoo(rng, n, hermitian):
 @pytest.mark.parametrize("ordering", ["runs", "mixed", "shuffled"])
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
 def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
-    # the class-wise Schur complement equals G G^T, G the real view of
-    # T Fj T, and the real-view apply equals the tensordot it replaces;
+    # the class-wise Schur complement, the pair-pair block gathered from
+    # W (x) W and the dense columns through G^H Fj G for a factor G G^H = W
+    # that is not Hermitian, equals R R^T, R the real view of T Fj T with
+    # T = W^(1/2), and the real-view apply equals the tensordot it replaces;
     # columns of one class come in contiguous runs, as in the witness
     # program, pairs in one run between scattered dense and zero columns,
     # or shuffled
@@ -430,10 +432,16 @@ def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
     w = _herm((u * lam) @ u.conj().T)
     t = (u * np.sqrt(lam)) @ u.conj().T
+    g = np.linalg.cholesky(w)
+
+    def add(cone, schur):
+        cone.add_pair_schur(schur, [w])
+        cone.add_schur(schur, g, g.conj().T)
+
     schur = np.zeros((m, m))
-    cone.add_schur(schur, w, t)
-    g = _rv(t @ fs @ t)
-    ref = g @ g.T
+    add(cone, schur)
+    rows = _rv(t @ fs @ t)
+    ref = rows @ rows.T
     assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(schur, schur.T)
 
@@ -441,10 +449,10 @@ def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     # starting matrix
     start = _sym(rng.normal(size=(m, m)))
     sliced = start.copy()
-    cone.add_schur(sliced, w, t)
+    add(cone, sliced)
     monkeypatch.setattr(sdp, "_slot", lambda rows, cols: np.ix_(rows, cols))
     fancy = start.copy()
-    sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}).add_schur(fancy, w, t)
+    add(sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}), fancy)
     assert np.array_equal(sliced, fancy)
 
     y = rng.normal(size=m)
@@ -514,11 +522,12 @@ def test_cho_solve_matches_scipy(m):
     # the factor's upper triangle, in Fortran order, is scipy's dpotrf
     # factor of the transpose bit for bit, and numpy's own upper Cholesky
     # factor, the same dpotrf in the same runtime; its strict lower
-    # triangle is not read.  It goes to one dpotrs call that gives scipy's
-    # cho_solve bit for bit; factoring leaves the matrix as it was and
-    # returns None for one that is not positive definite; a non-finite
-    # right-hand side ends the solve as a numerical problem, where cho_solve
-    # raises ValueError
+    # triangle is not read.  It goes to two dtrsv calls, U^T z = b and then
+    # U x = z, that give scipy's two dtrsv calls bit for bit and scipy's
+    # dpotrs-based cho_solve to roundoff; factoring leaves the matrix as it
+    # was and returns None for one that is not positive definite; a
+    # non-finite right-hand side ends the solve as a numerical problem,
+    # where cho_solve raises ValueError
     rng = np.random.default_rng(89)
     a = rng.normal(size=(m, m))
     spd = a @ a.T + m * np.eye(m)
@@ -532,7 +541,11 @@ def test_cho_solve_matches_scipy(m):
     assert factor.flags.f_contiguous
     assert np.max(np.abs(upper.T @ upper - spd)) <= 1e-12 * np.max(np.abs(spd))
     b = rng.normal(size=m)
-    assert np.array_equal(sdp._cho_solve(factor, b), scipy.linalg.cho_solve((factor, False), b))
+    x = sdp._cho_solve(factor, b)
+    z = scipy.linalg.blas.dtrsv(factor, b, lower=0, trans=1)
+    assert x.tobytes() == scipy.linalg.blas.dtrsv(factor, z, lower=0, trans=0).tobytes()
+    ref = scipy.linalg.cho_solve((factor, False), b)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
     b[m // 2] = np.nan
     with pytest.raises(sdp._NumericalProblem):
         sdp._cho_solve(factor, b)
@@ -540,19 +553,20 @@ def test_cho_solve_matches_scipy(m):
 
 
 def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
-    # where numpy bundles no OpenBLAS, the lookup takes dpotrf and dpotrs
-    # from scipy.linalg.cython_lapack, with 32-bit Fortran integers; here
-    # they give the bits of numpy's ILP64 routines
+    # where numpy bundles no OpenBLAS, the lookup takes dpotrf from
+    # scipy.linalg.cython_lapack and dtrsv from scipy.linalg.cython_blas,
+    # with 32-bit Fortran integers; here they give the bits of numpy's
+    # ILP64 routines
     rng = np.random.default_rng(90)
     a = rng.normal(size=(120, 120))
     spd = a @ a.T + 120 * np.eye(120)
     b = rng.normal(size=120)
     factor = sdp._cho_factor(spd)
     x = sdp._cho_solve(factor, b)
-    dpotrf, dpotrs, fint = sdp._lapack(None)
+    dpotrf, dtrsv, fint = sdp._lapack(None)
     assert fint is ctypes.c_int
     monkeypatch.setattr(sdp, "_DPOTRF", dpotrf)
-    monkeypatch.setattr(sdp, "_DPOTRS", dpotrs)
+    monkeypatch.setattr(sdp, "_DTRSV", dtrsv)
     monkeypatch.setattr(sdp, "_FORTRAN_INT", fint)
     fallback = sdp._cho_factor(spd)
     assert fallback.tobytes(order="F") == factor.tobytes(order="F")
@@ -651,7 +665,9 @@ def test_pair_tables_match_oracle(program, hermitian):
     # the pair-pair block gathered from W (x) W equals the complex per-entry
     # formula bit for bit on the columns of the witness program's blocks
     # H^T1 - sum nu_i M_i, I + H and I - H (unscaled, and Jacobi-scaled as
-    # the solver scales them) and of the reconcile fit's state block
+    # the solver scales them) and of the reconcile fit's state block; the
+    # one gather of I + H and I - H from W_1 (x) W_1 + W_2 (x) W_2 equals
+    # the sum of their per-cone entries to roundoff
     rng = np.random.default_rng(79)
     d1, d2 = 2, 3
     n = d1 * d2
@@ -679,22 +695,110 @@ def test_pair_tables_match_oracle(program, hermitian):
     cones = [
         sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, tables) for k, fs in enumerate(blocks)
     ]
-    a = _random_hermitian(rng, n) if hermitian else rng.normal(size=(n, n))
-    lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
-    w = _herm((u * lam) @ u.conj().T)
-    t = (u * np.sqrt(lam)) @ u.conj().T
+    ws = []
+    for _ in cones:
+        a = _random_hermitian(rng, n) if hermitian else rng.normal(size=(n, n))
+        lam, u = np.linalg.eigh(a @ a.conj().T + 0.1 * np.eye(n))
+        ws.append(_herm((u * lam) @ u.conj().T))
     off_diagonal = n * n - n if hermitian else (n * n - n) // 2
-    for cone in cones:
+    for cone, w in zip(cones, ws):
         p = cone.pairs
         assert p.size == (off_diagonal if program == "reconcile" else off_diagonal + n)
         schur = np.zeros((m, m))
-        cone.add_schur(schur, w, t)
+        cone.add_pair_schur(schur, [w])
         ref = oracles.pair_schur_block(w, cone.r, cone.c, cone.v)
         assert np.array_equal(schur[np.ix_(p, p)], ref)
     if program != "reconcile":
         # I + H and I - H carry the same pairs with opposite signs
         assert cones[2].pp_index is cones[1].pp_index and cones[2].pp_coef is cones[1].pp_coef
         assert cones[0].pp_index is not cones[1].pp_index
+        p = cones[1].pairs
+        assert np.array_equal(cones[2].pairs, p)
+        schur = np.zeros((m, m))
+        cones[1].add_pair_schur(schur, ws[1:])
+        ref = sum(oracles.pair_schur_block(w, c.r, c.c, c.v) for c, w in zip(cones[1:], ws[1:]))
+        assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(schur, schur.T)
+        assert np.count_nonzero(schur) == np.count_nonzero(schur[np.ix_(p, p)])
+
+
+def test_witness_program_gathers_i_minus_and_plus_h_once(monkeypatch):
+    # the witness program's cones I - H and I + H share pair tables and
+    # Schur columns, so each iteration gathers their pair-pair block once
+    # from the sum of their W (x) W; block A gathers alone
+    calls = []
+    add = sdp._MatrixCone.add_pair_schur
+
+    def record(self, schur, wmats, ws=None):
+        calls.append((self.index, len(wmats)))
+        add(self, schur, wmats, ws)
+
+    monkeypatch.setattr(sdp._MatrixCone, "add_pair_schur", record)
+    for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
+        calls.clear()
+        sol = sdp.solve(_small_witness_program(2, epsilon, cut), max_iter=3)
+        assert sol.iterations == 3
+        assert calls == [(0, 1), (1, 2)] * 3
+
+
+def _pd_matrix(rng, n, cond, hermitian):
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if hermitian else 0.0)
+    q, _ = np.linalg.qr(a)
+    m = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.conj().T
+    return _herm(m)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_nt_scaling_identities(hermitian, cond):
+    # from the Cholesky factors of X and S and one SVD: W = G G^H scales S
+    # onto X, W S W = X, and G^H S G = G^-1 X G^-H = diag(d), on random
+    # pairs whose condition numbers reach 1e12.  The step to the boundary
+    # taken on the scaled point, from D^(-1/2) G^-1 dX G^-H D^(-1/2), is
+    # the one from Lx^-1 dX Lx^-H, X = Lx Lx^H, the two being unitarily
+    # similar, to far less than the 2 % the iteration keeps from it
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        x, s = (_pd_matrix(rng, 8, cond, hermitian) for _ in range(2))
+        sc = sdp._nt_scaling(x, s)
+        g, w, d = sc["g"], sc["w"], sc["d"]
+        assert np.array_equal(sc["gh"], g.conj().T) and np.array_equal(w, w.conj().T)
+        assert np.all(d > 0.0)
+        assert np.max(np.abs(w @ s @ w - x)) <= 1e-11 * np.max(np.abs(x))
+        g_inv = np.linalg.inv(g)
+        for scaled in (g.conj().T @ s @ g, g_inv @ x @ g_inv.conj().T):
+            assert np.max(np.abs(scaled - np.diag(d))) <= 1e-11 * np.max(d)
+        dx = _random_hermitian(rng, 8) if hermitian else _sym(rng.normal(size=(8, 8)))
+        lx = np.linalg.cholesky(x)
+        half = scipy.linalg.solve_triangular(lx, dx, lower=True)
+        lmin = np.linalg.eigvalsh(_herm(scipy.linalg.solve_triangular(lx, half.conj().T, lower=True)))[0]
+        step = sdp._max_step_psd(d, _herm(g_inv @ dx @ g_inv.conj().T))
+        assert abs(step + 1.0 / lmin) <= (1e-12 + 1e-15 * cond) * step
+
+
+def test_non_positive_definite_iterate_ends_with_the_best_iterate(monkeypatch):
+    # an iterate whose Cholesky factorization fails ends the solve as a
+    # numerical failure, with no fallback, and the solve returns the best
+    # iterate so far: the one a solve capped at that iteration returns
+    rng = np.random.default_rng(101)
+    c, blocks, _, _ = _random_program(rng, nblocks=1, hermitian=True)
+    program = sdp.ConicProgram(c, blocks)
+    capped = sdp.solve(program, max_iter=4)
+    scaling = sdp._nt_scaling
+    calls = []
+
+    def indefinite_fourth(x, s):
+        calls.append(1)
+        return scaling(-x if len(calls) == 4 else x, s)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", indefinite_fourth)
+    sol = sdp.solve(program)
+    assert sol.status == "numerical_failure" and sol.iterations == 4
+    assert sol.info["detail"] == "iterate not positive definite"
+    assert capped.status == "max_iterations"
+    assert np.array_equal(sol.y_star, capped.y_star)
+    for x, x_capped in zip(sol.dual_certificate, capped.dual_certificate):
+        assert np.array_equal(x, x_capped)
 
 
 def test_structured_schur_lp_rows_use_touched_columns():
