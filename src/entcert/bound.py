@@ -73,13 +73,14 @@ class MeasurementSet:
         if space.n_modes != 2:
             raise ValueError("measurement operators must be bipartite")
         # every check runs on the stack of the operators up to the first on
-        # another space, and the first operator k that fails one is named
+        # another space, once per read-only stack (_operator_checks), and
+        # the first operator k that fails one is named
         n_same = next((k for k, op in enumerate(operators) if op.space != space), len(operators))
         mats = _rows_of_one_stack([op.matrix for op in operators[:n_same]])
         if mats is None:
             mats = np.array([op.matrix for op in operators[:n_same]])
-        not_herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
-        w = np.linalg.eigvalsh(mats)
+        herm_dev, w, off_eye = _operator_checks(mats)
+        not_herm = herm_dev > 1e-10
         outside = (w[:, 0] < -TOL_PSD) | (w[:, -1] > 1.0 + 1e-8)
         bad = np.flatnonzero(not_herm | outside)
         if bad.size:
@@ -89,7 +90,6 @@ class MeasurementSet:
             raise ValueError(f"operator {k} outside [0, I]")
         if n_same < len(operators):
             raise ValueError("operators live on different spaces")
-        off_eye = np.max(np.abs(mats - np.eye(space.dim)), axis=(1, 2))
         identity_hits = np.flatnonzero(off_eye < 1e-10)
         if not np.all((expectations >= -1e-10) & (expectations <= 1.0 + 1e-10)):
             raise ValueError("expectations outside [0, 1]")
@@ -278,12 +278,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _hermitian_basis_pt(d1: int, d2: int) -> np.ndarray:
-    """First-mode partial transposes of _hermitian_basis(d1 * d2), read-only."""
-    return fock._freeze(fock.partial_transpose_array(_hermitian_basis(d1 * d2), d1, d2))
-
-
-@lru_cache(maxsize=64)
 def _unit_trace_basis(n: int):
     """Affine coordinates of the unit-trace n x n Hermitian matrices.
 
@@ -307,10 +301,13 @@ _STACK_DATA = {}
 def _per_stack(fn):
     """Compute fn(mats, *args), a tuple of arrays, once per args and per
     read-only operator stack that mats views, as MeasurementSet.matrices
-    views build_measurements' stack.  weakref.finalize drops the entry with
-    the stack, so no value may reference mats; mats that own their data or
-    view a writable array are computed afresh each call.  The arrays are
-    read-only and computed on one BLAS thread, as the solves run."""
+    views build_measurements' stack.  A stack keeps fn's value for the
+    latest args alone: the one before is dropped before the next is
+    computed, so one witness shape at a time stays resident.
+    weakref.finalize drops the entry with the stack, so no value may
+    reference mats; mats that own their data or view a writable array are
+    computed afresh each call.  The arrays are read-only and computed on one
+    BLAS thread, as the solves run."""
 
     def cached(mats, *args):
         stack, entry = mats.base, {}
@@ -322,11 +319,23 @@ def _per_stack(fn):
             entry = _STACK_DATA[key]
         name = (fn, *args)
         if name not in entry:
+            for old in [key for key in entry if key[0] is fn]:
+                del entry[old]
             with sdp.one_blas_thread():
                 entry[name] = tuple(fock._freeze(a) for a in fn(mats, *args))
         return entry[name]
 
     return cached
+
+
+@_per_stack
+def _operator_checks(mats):
+    """(herm_dev, w, off_eye): max |M - M^H|, the eigenvalues (ascending)
+    and max |M - I| of each operator, as MeasurementSet checks them, once
+    per operator stack (_per_stack)."""
+    herm_dev = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+    off_eye = np.max(np.abs(mats - np.eye(len(mats[0]))), axis=(1, 2))
+    return herm_dev, np.linalg.eigvalsh(mats), off_eye
 
 
 @_per_stack
@@ -377,9 +386,8 @@ def _certified_objective(nu, mvec, epsilon, boxed):
 
 @_per_stack
 def _rotated_operators(mats: np.ndarray, null_cut: float):
-    """(R, combos): R the Gram eigenvectors whose combinations exceed
-    null_cut relative to the largest, as columns, and combos the rotated
-    operators sum_i R[i, k] M_i."""
+    """(R,): the Gram eigenvectors whose combinations exceed null_cut
+    relative to the largest, as columns."""
     vecs, sig = _gram_rotation(mats)
     keep = sig > null_cut * sig.max()
     # mutually orthogonal combinations past the n^2 largest are roundoff,
@@ -388,8 +396,26 @@ def _rotated_operators(mats: np.ndarray, null_cut: float):
     nh = mats.shape[1] ** 2
     if np.count_nonzero(keep) > nh:
         keep &= sig >= np.sort(sig)[-nh]
-    rot = vecs[:, keep]
-    return rot, np.einsum("ik,iab->kab", rot, mats)
+    return (vecs[:, keep],)
+
+
+@_per_stack
+def _witness_blocks(mats, d1, d2, null_cut, nt):
+    """F columns of the witness blocks A, I - H and I + H over
+    y = (H parameters, z, t~) with nt aux variables, for nu = R z as in
+    _witness_program: R = _rotated_operators(null_cut), or the identity for
+    null_cut None.  Three read-only views of one array."""
+    basis = _hermitian_basis(d1 * d2)
+    nh = len(basis)
+    if null_cut is not None:
+        mats = np.einsum("ik,iab->kab", _rotated_operators(mats, null_cut)[0], mats)
+    fs = np.zeros((3, nh + len(mats) + nt, d1 * d2, d1 * d2), dtype=complex)
+    # A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0, then I -+ H >= 0
+    np.negative(fock.partial_transpose_array(basis, d1, d2), out=fs[0, :nh])
+    fs[0, nh : nh + len(mats)] = mats
+    for k, sign in ((1, 1.0), (2, -1.0)):
+        np.multiply(basis, sign, out=fs[k, :nh])
+    return tuple(fock._freeze(fs))
 
 
 def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: float | None):
@@ -421,10 +447,11 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     dimension of the n x n Hermitian operators.
 
     What depends on the operators alone is derived once per read-only
-    operator stack (_per_stack): the Gram rotation and, per null_cut, R and
-    the rotated operator columns; the Hermitian basis and its partial
-    transpose are built once per dimension.  A trial's program differs from
-    the last only in the data-weighted objective and box rows.
+    operator stack (_per_stack), for the latest null cut and box count: the
+    Gram rotation, R, and the F columns of blocks A, I - H and I + H
+    (_witness_blocks), read-only, so that the solver prepares their cones
+    once (sdp._prepared).  A trial's program differs from the last only in
+    the data-weighted objective and box rows.
     """
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
@@ -433,13 +460,8 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     mats = measurements.matrices
     mvec = measurements.expectations
 
-    basis = _hermitian_basis(n)
-
-    if null_cut is None:
-        rot, nk = None, len(mats)
-    else:
-        rot, rotated = _rotated_operators(mats, null_cut)
-        nk = rot.shape[1]
+    rot = None if null_cut is None else _rotated_operators(mats, null_cut)[0]
+    nk = len(mats) if rot is None else rot.shape[1]
     t_for = _boxed(measurements) if epsilon > 0.0 else np.zeros(0, dtype=np.intp)
     nt = t_for.size
     nvar = nh + nk + nt
@@ -450,17 +472,8 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     # even where the multipliers are huge and the data tiny
     c[nh + nk : nvar] = -epsilon
 
-    # block A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0
-    fs_a = np.zeros((nvar, n, n), dtype=complex)
-    np.negative(_hermitian_basis_pt(d1, d2), out=fs_a[:nh])
-    fs_a[nh : nh + nk] = mats if rot is None else rotated
-    blocks = [(np.zeros((n, n)), fs_a)]
-
-    # blocks B, C: I -+ H >= 0
-    for sign in (1.0, -1.0):
-        fs = np.zeros((nvar, n, n), dtype=complex)
-        np.multiply(basis, sign, out=fs[:nh])
-        blocks.append((np.eye(n), fs))
+    fs_a, fs_b, fs_c = _witness_blocks(mats, d1, d2, null_cut, nt)
+    blocks = [(np.zeros((n, n)), fs_a), (np.eye(n), fs_b), (np.eye(n), fs_c)]
 
     # scalar boxes t~_i >= +-n_i nu_i with nu_i = R[i] z: per boxed datum
     # the F rows of the 1 x 1 blocks t~_i - n_i nu_i and t~_i + n_i nu_i
@@ -475,7 +488,7 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     zero = np.zeros((1, 1))
     blocks.extend((zero, row[:, None, None]) for row in rows.reshape(2 * nt, nvar))
 
-    return sdp.ConicProgram(c, blocks), basis, t_for, rot
+    return sdp.ConicProgram(c, blocks), _hermitian_basis(n), t_for, rot
 
 
 def _polish_witness(h, nu, mats, identity_index, d1, d2):
@@ -527,6 +540,12 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
         nu = rot @ sol.y_star[nh : nh + rot.shape[1]]
     h, nu, lmin = _polish_witness(h, nu, mats, measurements.identity_index, d1, d2)
     linear, bound = _certified_objective(nu, mvec, epsilon, t_for)
+    # first-order error budget of the kept (H, nu): a datum error d moves
+    # the linear objective by at most data_sensitivity * d, an operator
+    # error D by at most model_sensitivity * ||D||, since |tr(rho D)| <= ||D||
+    weights = np.abs(nu)
+    data = float(np.sum(np.delete(weights, measurements.identity_index)))
+    excess = max(0.0, linear - 1.0)
     return BoundResult(
         lower_bound=bound,
         witness_H=h,
@@ -541,6 +560,10 @@ def _finish_bound(measurements, epsilon, sol, basis, t_for, rot) -> BoundResult:
             "weak_duality_violation": sol.info["weak_duality_violation"],
             "psd_shift": lmin,
             "raw_objective": sol.objective_value,
+            "data_sensitivity": data,
+            "model_sensitivity": float(weights @ np.abs(_operator_checks(mats)[1]).max(axis=1)),
+            "rounding_charge": 2.0**-53 * float(weights @ np.abs(mvec)),
+            "zeroing_datum_error": excess and (excess / data if data else math.inf),
         },
     )
 
@@ -575,20 +598,24 @@ _CERT_LOSS_TOL = 1e-4
 _WITNESS_GAP_TOL = 1e-7
 
 
+def _witness_rung(measurements, epsilon, null_cut):
+    """One witness solve and its certified bound.  The program goes with
+    this call, so the next rung's _witness_blocks frees its arrays."""
+    program, basis, t_for, rot = _witness_program(measurements, epsilon, null_cut)
+    sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
+    return sol, _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+
+
 # the program set-up, the solves and the certification run on one BLAS
 # thread: the certified bound then does not depend on the caller's thread
 # count, and no idle worker thread spins beside them
 @sdp.one_blas_thread()
 def _solve_witness(measurements, epsilon) -> BoundResult:
     if epsilon >= DATA_COORDINATES_MIN_EPSILON:
-        program, basis, t_for, rot = _witness_program(measurements, epsilon, None)
-        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-        return _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+        return _witness_rung(measurements, epsilon, None)[1]
     best = None
     for cut in _CUT_LADDER:
-        program, basis, t_for, rot = _witness_program(measurements, epsilon, cut)
-        sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
-        res = _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
+        sol, res = _witness_rung(measurements, epsilon, cut)
         res.info["null_cut"] = cut
         if best is None or res.linear_objective > best.linear_objective:
             best = res
@@ -743,6 +770,10 @@ def reconcile_expectations(measurements: MeasurementSet):
     (_per_stack): the Gram rotation, the overlaps Re tr(M_i B_k) and
     tr(M_i I/n), the kept directions with their floored sig_k, and each
     window's constraint row u_k . Re tr(M B); the basis once per dimension.
+    The state block's F columns are built per call, so the solver prepares
+    their cone afresh: kept with the stack, that cone and its block would
+    stay resident beside the witness solve, 2.8 MB at n_max = 3, for ~1 ms
+    of a trial.
 
     Intended for data that is nearly consistent already (detector noise or
     miscalibration); the returned moments are always exactly physical, but

@@ -295,9 +295,11 @@ def coherent_amplitudes_batch(alphas, cutoff: int):
     return vecs / np.sqrt(norm_sq)[:, None], np.maximum(0.0, 1.0 - norm_sq)
 
 
+@lru_cache(maxsize=64)
 def adaptive_lo_cutoff(amplitude: float) -> int:
-    """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL.
-    Raises ValueError for a non-finite amplitude."""
+    """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL,
+    found once per amplitude.  Raises ValueError for a non-finite
+    amplitude."""
     c = 12
     while True:
         _, tail = coherent_amplitudes(abs(amplitude), c)

@@ -56,6 +56,19 @@ y_j times each nonzero, with the product's bits since each slot gets one
 term.  Each Newton direction takes one refinement pass against
 dy -> Re tr(Fi W (sum_j dy_j Fj) W).
 
+Set-up that depends on a block's F array alone runs once per array that
+neither it nor the array it views can write (_prepared), and is kept until
+the array is collected (weakref.finalize): ConicProgram's Hermitian check
+and, for the latest Jacobi scaling vector, the prepared cone with its
+column classes, pair tables, Schur slots and scatter table.  A later solve
+places the prepared cone, sharing the pair tables of any cone of that
+solve whose pairs match, and forms only the scaled real view of its
+columns, which is not kept between solves.  A writable array is set up
+afresh each solve, and both ways give the same bits.  A cone of pairs
+alone still takes its moments Re tr(Fj X) as one product with that dense
+view: a gather over its scatter table would round each pair's two terms
+once more than OpenBLAS's FMA kernels do, and so change the iterates.
+
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, SVD and Cholesky of the solve
 calls: at the default thread count a worker thread spins through the whole
@@ -71,8 +84,9 @@ when this module is imported.
 """
 
 import contextlib
+import copy
 import ctypes
-from dataclasses import dataclass, field
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +134,23 @@ def _hermitian_deviation(fs: np.ndarray) -> float:
     return dev
 
 
+# what the solver derives from one read-only F array alone, one dict per
+# array, dropped by weakref.finalize when the array is collected
+_PREPARED = {}
+
+
+def _prepared(a):
+    """The dict in _PREPARED of what is derived from the array a alone,
+    kept until a is collected; a fresh dict, kept nowhere, when a or the
+    array it views can be written.  Nothing kept may reference a."""
+    base = a.base if isinstance(a.base, np.ndarray) else a
+    if a.flags.writeable or base.flags.writeable:
+        return {}
+    if id(a) not in _PREPARED:
+        weakref.finalize(a, _PREPARED.pop, id(a), None)
+    return _PREPARED.setdefault(id(a), {})
+
+
 def _rv(a: np.ndarray) -> np.ndarray:
     """Real view of an array: for Hermitian A and B, Re tr(AB) is the dot
     product of their flattened real views."""
@@ -139,7 +170,8 @@ class ConicProgram:
     TOL_SYM of Hermitian is stored as its Hermitian part; exactly Hermitian
     arrays of the block's dtype are stored as given, without a copy, so
     the caller should not modify them afterwards.  The solver never writes
-    to program data.
+    to program data.  The Hermitian check of a read-only Fs array runs once
+    per array (_prepared), as does solve's set-up of its cone.
 
     interior_point, when given, is a y of length m at which every block
     slack S_b(y) = F0_b - sum_j y_j Fj_b is positive definite, a strictly
@@ -169,7 +201,10 @@ class ConicProgram:
                 # real 1x1 data is symmetric
                 self.blocks.append((f0, fs))
                 continue
-            dev0, devs = _hermitian_deviation(f0[None]), _hermitian_deviation(fs)
+            entry = _prepared(fs)
+            if "deviation" not in entry:
+                entry["deviation"] = _hermitian_deviation(fs)
+            dev0, devs = _hermitian_deviation(f0[None]), entry["deviation"]
             if dev0 > TOL_SYM:
                 raise ValueError(f"block {k}: F0 not Hermitian")
             if devs > TOL_SYM:
@@ -198,15 +233,20 @@ class ConicProgram:
         return tuple(f0.shape[0] for f0, _ in self.blocks)
 
 
-@dataclass
 class SdpSolution:
-    y_star: np.ndarray
-    objective_value: float
-    dual_certificate: list
-    duality_gap: float
-    status: str
-    iterations: int = 0
-    info: dict = field(default_factory=dict)
+    """What solve returns.  A plain class: a dataclass takes ~0.5 ms to
+    create at import, and nothing reads its generated methods."""
+
+    def __init__(
+        self, y_star, objective_value, dual_certificate, duality_gap, status, iterations, info
+    ):
+        self.y_star = y_star
+        self.objective_value = objective_value
+        self.dual_certificate = dual_certificate
+        self.duality_gap = duality_gap
+        self.status = status
+        self.iterations = iterations
+        self.info = info
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +418,9 @@ def _slot(rows: np.ndarray, cols: np.ndarray):
     return r, c
 
 
-def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: dict):
-    """Gather indices and coefficients of the pair-pair Schur entries.
+def _pair_tables(cone, tables, found=None):
+    """Gather indices and coefficients of the pair-pair Schur entries of
+    the pairs (r, c, v) of a _MatrixCone on n x n matrices.
 
     With every v real or imaginary, each term of the pair-pair entry is
     exactly +-|v_i| |v_j| times the real or the imaginary part of one entry
@@ -390,12 +431,17 @@ def _pair_tables(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, tables: di
     signed coefficient of each term, so the real parts of the two terms are
     coef * rv(K)[index], rounded as the complex products are.  The entries
     are even in v, so cones whose pairs match up to the sign of v share one
-    set of tables, kept in `tables`.
+    set of tables, kept in `tables`; a prepared cone's own tables, given as
+    found, are registered there unless matching ones are.
     """
+    n, r, c, v = cone.f0.shape[0], cone.r, cone.c, cone.v
     key = (n, r.tobytes(), c.tobytes())
-    for v0, found in tables.get(key, ()):
+    for v0, shared in tables.get(key, ()):
         if np.array_equal(v, v0) or np.array_equal(v, -v0):
-            return found
+            return shared
+    if found is not None:
+        tables.setdefault(key, []).append((v, found))
+        return found
     im = v.imag != 0.0
     a = np.where(im, v.imag, v.real)
     # v_i v_j is -|v_i v_j| when both are imaginary and picks Im K with a
@@ -441,14 +487,12 @@ class _MatrixCone:
         is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
         is_pair &= (v.real == 0.0) | (v.imag == 0.0)
         self.cols = np.flatnonzero(count)
-        # real view of the nonzero columns, (len(cols), n*n*[1 or 2])
-        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(f0).size)
         self.pairs = np.flatnonzero(is_pair)
         self.r = r[self.pairs]
         self.c = c[self.pairs]
         self.v = np.where(self.r == self.c, 0.5 * v[self.pairs], v[self.pairs])
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
-        self.fs_dense = fs[self.dense]
+        self._scale(fs)
         # with pairs alone, and no two nonzeros on one real-view slot,
         # sum_j y_j Fj is a scatter of y_j times each nonzero: every slot
         # gets one term, so the sum has the bits of the product with flat
@@ -458,13 +502,20 @@ class _MatrixCone:
         if not self.dense.size and len(set(slots.tolist())) == slots.size:
             self.scatter = (self.cols[rows], slots, self.flat[rows, slots])
         if self.pairs.size:
-            self.pp_index, self.pp_coef = _pair_tables(n, self.r, self.c, self.v, tables)
+            self.pp_index, self.pp_coef = _pair_tables(self, tables)
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
         # dense-pair entries
         self.pp_slot = _slot(self.pairs, self.pairs)
         self.dd_slot = _slot(self.dense, self.dense)
         self.pd_slot = _slot(self.pairs, self.dense)
         self.dp_slot = _slot(self.dense, self.pairs)
+
+    def _scale(self, fs):
+        """The copies of the scaled columns fs that the products read: the
+        real view of the nonzero columns, (len(cols), n*n*[1 or 2]), and the
+        dense columns."""
+        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(self.f0).size)
+        self.fs_dense = fs[self.dense]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j Fj on the real view: one real product, or the scatter
@@ -544,6 +595,26 @@ class _LpCone:
             schur[self.slot] += g.T @ g
 
 
+def _cone(index, f0, fs, dvec, tables):
+    """The _MatrixCone of block `index`, its F columns fs scaled by dvec.
+    It is prepared once per read-only fs, for the latest dvec (_prepared),
+    and kept without the scaled columns of _scale; a later solve takes a
+    shallow copy, forms those, and swaps its pair tables for the ones
+    `tables` holds for the same pairs (the same bits), or registers them."""
+    entry, scaled = _prepared(fs), fs * dvec[:, None, None]
+    if not np.array_equal(entry.get("dvec"), dvec):
+        cone = _MatrixCone(index, f0, scaled, tables)
+        entry["dvec"], entry["cone"] = dvec, copy.copy(cone)
+        entry["cone"].flat = entry["cone"].fs_dense = None
+        return cone
+    cone = copy.copy(entry["cone"])
+    cone.index, cone.f0 = index, f0
+    cone._scale(scaled)
+    if cone.pairs.size:
+        cone.pp_index, cone.pp_coef = _pair_tables(cone, tables, (cone.pp_index, cone.pp_coef))
+    return cone
+
+
 # ---------------------------------------------------------------------------
 # solver
 
@@ -605,9 +676,7 @@ def _interior_point(
     dvec = np.minimum(dvec, 1e8)
     c = program.objective * dvec
     tables = {}
-    cones = [
-        _MatrixCone(k, f0, fs * dvec[:, None, None], tables) for k, f0, fs in matrix_blocks
-    ]
+    cones = [_cone(k, f0, fs, dvec, tables) for k, f0, fs in matrix_blocks]
     lp = _LpCone(lp_f0, lp_f * dvec[None, :])
     # cones whose pairs share tables and Schur columns (I - H and I + H)
     # add their pair-pair blocks through one gather

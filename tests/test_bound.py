@@ -796,8 +796,9 @@ def _stack_keys(stack):
 
 
 def test_noise_trials_reuse_operator_data_bit_for_bit():
-    # the Gram rotation, the rotated witness columns and the fit's windows
-    # are derived once per read-only operator stack; a trial on a warm
+    # the operator checks, the Gram rotation, the witness blocks and the
+    # fit's windows are derived once per read-only operator stack, and the
+    # solver prepares the cones of their F arrays once; a trial on a warm
     # entry, and one on copies of the operators that are never cached, give
     # the bits of the trial that filled it
     st = table_point_state(0.9, n_max=2)
@@ -814,7 +815,10 @@ def test_noise_trials_reuse_operator_data_bit_for_bit():
         if len(results) == 1:
             (key,) = _stack_keys(stack)
             names = {name[0].__name__ for name in bound._STACK_DATA[key]}
-            assert names == {"_gram_rotation", "_rotated_operators", "_fit_windows"}
+            assert names == {
+                "_gram_rotation", "_rotated_operators", "_fit_windows", "_operator_checks",
+                "_witness_blocks",
+            }
             cached = [a for value in bound._STACK_DATA[key].values() for a in value]
             assert not any(a.flags.writeable for a in cached)
     cold = results[0]
@@ -837,11 +841,66 @@ def test_operator_data_dies_with_its_stack():
     stack = ops[0].matrix.base
     keys = _stack_keys(stack)
     assert len(keys) == 1
+    # the solver's prepared cones of the three witness blocks are kept with
+    # the blocks, and go with them
+    arrays = [id(a) for value in bound._STACK_DATA[keys[0]].values() for a in value]
+    prepared = [key for key in arrays if "cone" in sdp._PREPARED.get(key, {})]
+    assert len(prepared) == 3
     alive = weakref.ref(stack)
     del ops, ms, fixed, stack
     gc.collect()
     assert alive() is None
     assert not any(key in bound._STACK_DATA for key in keys)
+    assert not any(key in sdp._PREPARED for key in prepared)
+
+
+def _counted_cone_builds(monkeypatch, dropped):
+    """The row count of every F array a _MatrixCone is built from, and
+    whether every weak reference in `dropped` was dead by then."""
+    builds = []
+
+    class Counted(sdp._MatrixCone):
+        def __init__(self, index, f0, fs, tables):
+            super().__init__(index, f0, fs, tables)
+            builds.append((len(fs), all(ref() is None for ref in dropped)))
+
+    monkeypatch.setattr(sdp, "_MatrixCone", Counted)
+    return builds
+
+
+def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
+    # eight noise trials on one stack prepare the three witness cones once;
+    # the fit's state block, n^2 rows, is built per call and so is its
+    # cone.  A change that defeats the reuse, such as a writable block,
+    # builds a set per trial
+    cfg = replace(cli.ExperimentConfig(), transmission=0.9, apd_efficiency=0.15)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    nominal = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    nh = nominal[0].space.dim ** 2
+    model = PhaseNoiseModel("phase_averaged", width=0.4, samples=cfg.noise_samples)
+    rng = np.random.default_rng(3)
+    dropped = []
+    builds = _counted_cone_builds(monkeypatch, dropped)
+    for _ in range(8):
+        res = bound.noisy_bound(
+            state, det, det, model, phases=cfg.phases, rng=rng, nominal_ops=nominal
+        )
+        assert res.info["null_cut"] == bound.GRAM_NULL_CUT
+    rows = [rows for rows, _ in builds]
+    assert len([r for r in rows if r > nh]) == 3 and rows.count(nh) == 8
+    # the table's three robust rows solve one program shape, set up once,
+    # after the exact row's blocks, and with them its cones, are dropped
+    ms = MeasurementSet(nominal, simulate_expectations(state, nominal))
+    lower_bound_negativity(ms)
+    (key,) = _stack_keys(nominal[0].matrix.base)
+    (exact,) = [v for k, v in bound._STACK_DATA[key].items() if k[0].__name__ == "_witness_blocks"]
+    dropped.extend(weakref.ref(fs) for fs in exact)
+    del exact
+    builds.clear()
+    for eps in cli.TABLE_EPSILONS[1:]:
+        lower_bound_negativity_robust(ms, eps)
+    assert [gone for _, gone in builds] == [True] * 3
 
 
 def test_writable_operator_matrices_are_never_cached():
@@ -951,6 +1010,38 @@ def test_robust_rows_same_on_every_openblas_kernel():
         for (b0, s0), (b1, s1) in zip(native, got):
             assert s0 == s1 == sdp.STATUS_OPTIMAL, kernel
             assert abs(float.fromhex(b0) - float.fromhex(b1)) <= 1e-9, kernel
+
+
+def test_bound_reports_its_error_budget():
+    # the first-order error budget of the kept (H, nu), against a numpy
+    # recomputation from the multipliers, the data and the operators'
+    # spectral norms; at the table point's exact row the bound is gone
+    # under 1.4e-12 of absolute error per datum
+    cfg = cli.ExperimentConfig()
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = MeasurementSet(ops, simulate_expectations(state, ops))
+    norms = np.linalg.norm(ms.matrices, ord=2, axis=(1, 2))
+    for eps in (0.0, 1e-2):
+        res = lower_bound_negativity_robust(ms, eps)
+        weights = np.abs(res.multipliers)
+        data = np.sum(weights[np.arange(len(ms)) != ms.identity_index])
+        info = res.info
+        assert info["data_sensitivity"] == pytest.approx(data, rel=1e-12)
+        assert info["model_sensitivity"] == pytest.approx(weights @ norms, rel=1e-9)
+        assert info["rounding_charge"] == pytest.approx(
+            2.0**-53 * weights @ ms.expectations, rel=1e-12
+        )
+        excess = res.linear_objective - 1.0
+        assert excess > 0.0
+        assert info["zeroing_datum_error"] == pytest.approx(excess / data, rel=1e-12)
+        doc = bound_result_to_json(res)["info"]
+        for key in ("data_sensitivity", "model_sensitivity", "rounding_charge"):
+            assert doc[key] == info[key]
+    exact = lower_bound_negativity(ms).info
+    assert exact["data_sensitivity"] == pytest.approx(4.6e11, rel=0.05)
+    assert exact["zeroing_datum_error"] == pytest.approx(1.4e-12, rel=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,16 @@ def test_adaptive_lo_cutoff():
     assert oracles.poisson_tail(6.25, c - 1) > 1e-6
 
 
+def test_adaptive_lo_cutoff_searched_once_per_amplitude():
+    # every homodyne_povm call asks for the cutoff of its largest LO
+    # amplitude; the search runs once per amplitude
+    fock.adaptive_lo_cutoff.cache_clear()
+    cutoff = fock.adaptive_lo_cutoff(4.0)
+    assert fock.adaptive_lo_cutoff.cache_info().misses == 1
+    assert fock.adaptive_lo_cutoff(np.float64(4.0)) == cutoff
+    assert fock.adaptive_lo_cutoff.cache_info().hits == 1
+
+
 @pytest.mark.parametrize("largest", [0.5, 1.0, 2.5, 4.0])
 def test_adaptive_lo_cutoff_covers_every_smaller_amplitude(largest):
     # one cutoff serves an LO mixture: chosen for the largest amplitude, it

@@ -941,6 +941,54 @@ def test_workspace_reuse_gives_fresh_solve_bits(monkeypatch):
             assert np.array_equal(x, x_ref)
 
 
+def test_prepared_cones_give_fresh_solve_bits(monkeypatch):
+    # the witness program's F arrays are read-only, so their cones are
+    # prepared once and placed in every later solve.  Solved again, with a
+    # writable copy of I + H beside the prepared I - H (whose pair tables
+    # it then shares), and with writable copies of every block, which are
+    # never prepared, it gives the bits of the first solve
+    program = _small_witness_program(2, 0.0, bound.GRAM_NULL_CUT)
+    assert not any(fs.flags.writeable for _, fs in program.blocks)
+    builds = []
+    cone = sdp._MatrixCone
+
+    class Counted(cone):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builds.append(args[0])
+
+    monkeypatch.setattr(sdp, "_MatrixCone", Counted)
+    groups = []
+    add = cone.add_pair_schur
+
+    def record(self, schur, wmats, ws=None):
+        groups.append((self.index, len(wmats)))
+        add(self, schur, wmats, ws)
+
+    monkeypatch.setattr(cone, "add_pair_schur", record)
+
+    def variant(copied):
+        blocks = [
+            (f0, fs.copy() if k in copied else fs) for k, (f0, fs) in enumerate(program.blocks)
+        ]
+        return sdp.ConicProgram(program.objective, blocks)
+
+    first = sdp.solve(program)
+    assert builds == [0, 1, 2]
+    for copied, built in (((), []), ((2,), [2]), ((0, 1, 2), [0, 1, 2])):
+        builds.clear()
+        groups.clear()
+        sol = sdp.solve(variant(copied))
+        assert builds == built
+        # every iteration but the last, which stops before the assembly
+        assert groups == [(0, 1), (1, 2)] * (sol.iterations - 1)
+        assert sol.status == first.status == "optimal"
+        assert sol.iterations == first.iterations
+        assert np.array_equal(sol.y_star, first.y_star)
+        for x, x_first in zip(sol.dual_certificate, first.dual_certificate):
+            assert np.array_equal(x, x_first)
+
+
 _NO_MASKED_ARRAYS = """
 import sys
 import numpy as np
