@@ -49,25 +49,25 @@ Dense columns take G^H Fj G, and pair-dense entries W Fj W = G (G^H Fj G)
 G^H.  The diagonal cone uses only the columns its rows touch.  Each class
 block is added in place, through basic slices when its rows and columns
 are contiguous runs, as in every program the bound pipeline builds, and
-through np.ix_ otherwise.  Every sum_j y_j Fj is one real product with the
-real view of the nonzero columns, or, in a cone of pairs alone whose
-nonzeros fill distinct slots of that view (I - H and I + H), a scatter of
-y_j times each nonzero, with the product's bits since each slot gets one
-term.  Each Newton direction takes one refinement pass against
+through np.ix_ otherwise.  Every sum_j y_j Fj and every Re tr(Fj X)
+streams a real view of the dense columns alone.  The pairs go through a
+slot table, each pair's slots in that view and scaled values a1, a2:
+apply scatters y_j a through np.bincount, which sums pairs that share a
+slot, and moments gathers a1 x[s1] + a2 x[s2].  For exactly Hermitian X,
+a x + a x rounds to 2 round(a x) with or without FMA, so the pair moments
+have the bits of the dense product on any BLAS kernel.  Each Newton
+direction takes one refinement pass against
 dy -> Re tr(Fi W (sum_j dy_j Fj) W).
 
 Set-up that depends on a block's F array alone runs once per array that
 neither it nor the array it views can write (_prepared), and is kept until
 the array is collected (weakref.finalize): ConicProgram's Hermitian check
 and, for the latest Jacobi scaling vector, the prepared cone with its
-column classes, pair tables, Schur slots and scatter table.  A later solve
+column classes, slot tables, pair tables and Schur slots.  A later solve
 places the prepared cone, sharing the pair tables of any cone of that
-solve whose pairs match, and forms only the scaled real view of its
+solve whose pairs match, and forms only the scaled copy of its dense
 columns, which is not kept between solves.  A writable array is set up
-afresh each solve, and both ways give the same bits.  A cone of pairs
-alone still takes its moments Re tr(Fj X) as one product with that dense
-view: a gather over its scatter table would round each pair's two terms
-once more than OpenBLAS's FMA kernels do, and so change the iterates.
+afresh each solve, and both ways give the same bits.
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, SVD and Cholesky of the solve
@@ -470,9 +470,12 @@ class _MatrixCone:
     A column is *zero* when Fj vanishes on the block, a *pair* when
     Fj = v E_rc + conj(v) E_cr with v real or imaginary (a single real
     diagonal entry d is the case r = c, v = d/2), and *dense* otherwise.
-    Zero columns drop out of every product; the Schur entries of pairs are
-    gathered from the real view of W (x) W through the tables of
-    _pair_tables, shared between cones whose pairs match.
+    Zero columns drop out of every product; cols lists the others, pairs
+    first.  apply and moments read the pairs through their slot table
+    (slots, a), and the dense columns through their real view flat.  The
+    Schur entries of pairs are gathered from the real view of W (x) W
+    through the tables of _pair_tables, shared between cones whose pairs
+    match.
     """
 
     def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray, tables: dict):
@@ -486,21 +489,20 @@ class _MatrixCone:
         v = fs[np.arange(m), r, c]
         is_pair = ((count == 1) & (r == c)) | ((count == 2) & (r != c))
         is_pair &= (v.real == 0.0) | (v.imag == 0.0)
-        self.cols = np.flatnonzero(count)
         self.pairs = np.flatnonzero(is_pair)
         self.r = r[self.pairs]
         self.c = c[self.pairs]
         self.v = np.where(self.r == self.c, 0.5 * v[self.pairs], v[self.pairs])
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
-        self._scale(fs)
-        # with pairs alone, and no two nonzeros on one real-view slot,
-        # sum_j y_j Fj is a scatter of y_j times each nonzero: every slot
-        # gets one term, so the sum has the bits of the product with flat
-        self.scatter = None
-        rows, slots = np.nonzero(self.flat)
-        # a set, not np.unique, whose hash path imports numpy.ma
-        if not self.dense.size and len(set(slots.tolist())) == slots.size:
-            self.scatter = (self.cols[rows], slots, self.flat[rows, slots])
+        self.cols = np.concatenate([self.pairs, self.dense])
+        # the real-view slots of v at (r, c) and conj(v) at (c, r), real or
+        # imaginary parts as v is, and the values there, exact since one
+        # part is zero; a diagonal d puts d/2 twice on its one slot
+        self.a = np.array([self.v.real + self.v.imag, self.v.real - self.v.imag])
+        self.slots = np.array([self.r * n + self.c, self.c * n + self.r])
+        if np.iscomplexobj(fs):
+            self.slots = 2 * self.slots + (self.v.imag != 0.0)
+        self._scale(fs[self.dense])
         if self.pairs.size:
             self.pp_index, self.pp_coef = _pair_tables(self, tables)
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
@@ -510,27 +512,27 @@ class _MatrixCone:
         self.pd_slot = _slot(self.pairs, self.dense)
         self.dp_slot = _slot(self.dense, self.pairs)
 
-    def _scale(self, fs):
-        """The copies of the scaled columns fs that the products read: the
-        real view of the nonzero columns, (len(cols), n*n*[1 or 2]), and the
-        dense columns."""
-        self.flat = _rv(fs[self.cols]).reshape(self.cols.size, _rv(self.f0).size)
-        self.fs_dense = fs[self.dense]
+    def _scale(self, fs_dense):
+        """Keep the scaled dense columns that the products read, and their
+        real view flat, (len(dense), n*n*[1 or 2])."""
+        self.fs_dense = fs_dense
+        self.flat = _rv(fs_dense).reshape(self.dense.size, _rv(self.f0).size)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """sum_j y_j Fj on the real view: one real product, or the scatter
-        of a cone of pairs."""
+        """sum_j y_j Fj on the real view: the product with the dense rows,
+        zeros when there are none, plus y_j a scattered over the pair
+        slots, summed by np.bincount where two pairs share a slot."""
         n = self.f0.shape[0]
-        if self.scatter is None:
-            flat = y[self.cols] @ self.flat
-        else:
-            cols, slots, vals = self.scatter
-            flat = np.bincount(slots, weights=y[cols] * vals, minlength=self.flat.shape[1])
+        flat = y[self.dense] @ self.flat
+        flat += np.bincount(self.slots.ravel(), (y[self.pairs] * self.a).ravel(), flat.size)
         return flat.view(self.f0.dtype).reshape(n, n)
 
     def moments(self, x: np.ndarray) -> np.ndarray:
-        """Re tr(Fj X) for the nonzero columns."""
-        return self.flat @ _rv(x).reshape(-1)
+        """Re tr(Fj X) for the columns cols: a1 x[s1] + a2 x[s2] for each
+        pair, then one product with the dense rows."""
+        x = _rv(x).reshape(-1)
+        terms = self.a * x[self.slots]
+        return np.concatenate([terms[0] + terms[1], self.flat @ x])
 
     def add_pair_schur(self, schur: np.ndarray, wmats: list, ws=None) -> None:
         """Add sum_b Re tr(W_b Fi W_b Fj) over the pair columns, for the
@@ -598,18 +600,19 @@ class _LpCone:
 def _cone(index, f0, fs, dvec, tables):
     """The _MatrixCone of block `index`, its F columns fs scaled by dvec.
     It is prepared once per read-only fs, for the latest dvec (_prepared),
-    and kept without the scaled columns of _scale; a later solve takes a
-    shallow copy, forms those, and swaps its pair tables for the ones
-    `tables` holds for the same pairs (the same bits), or registers them."""
-    entry, scaled = _prepared(fs), fs * dvec[:, None, None]
+    and kept without the dense columns of _scale; a later solve takes a
+    shallow copy, scales those alone, and swaps its pair tables for the
+    ones `tables` holds for the same pairs (the same bits), or registers
+    them.  Its slot tables hold scaled values, which dvec fixes."""
+    entry = _prepared(fs)
     if not np.array_equal(entry.get("dvec"), dvec):
-        cone = _MatrixCone(index, f0, scaled, tables)
+        cone = _MatrixCone(index, f0, fs * dvec[:, None, None], tables)
         entry["dvec"], entry["cone"] = dvec, copy.copy(cone)
         entry["cone"].flat = entry["cone"].fs_dense = None
         return cone
     cone = copy.copy(entry["cone"])
     cone.index, cone.f0 = index, f0
-    cone._scale(scaled)
+    cone._scale(fs[cone.dense] * dvec[cone.dense, None, None])
     if cone.pairs.size:
         cone.pp_index, cone.pp_coef = _pair_tables(cone, tables, (cone.pp_index, cone.pp_coef))
     return cone

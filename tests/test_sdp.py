@@ -15,6 +15,7 @@ import scipy.optimize
 from entcert import bound, cli, sdp
 
 import oracles
+from test_bound import _x86_with_avx2
 
 
 def _sym(a):
@@ -424,7 +425,7 @@ def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {})
     assert np.array_equal(cone.pairs, np.flatnonzero(kinds == "pair"))
     assert np.array_equal(cone.dense, np.flatnonzero(kinds == "dense"))
-    assert np.array_equal(cone.cols, np.flatnonzero(kinds != "zero"))
+    assert np.array_equal(cone.cols, np.concatenate([cone.pairs, cone.dense]))
     if ordering == "mixed":
         assert sdp._run(cone.pairs) is not None and sdp._run(cone.dense) is None
 
@@ -853,39 +854,134 @@ def _random_pair_columns(rng, n, hermitian):
     return fs
 
 
+def _dense_view(cone, fs):
+    """The real view of the cone's nonzero columns fs[cone.cols], one row
+    each: the product that the slot tables and the dense rows stand for."""
+    return _rv(fs[cone.cols])
+
+
+def _witness_and_reconcile_blocks(n_max):
+    """The F arrays of the witness programs' blocks (A, I - H, I + H) at
+    epsilon 0 and 1e-2 and of the reconcile fit's state block, at the table
+    point's configuration with n_max photons."""
+    cfg = replace(cli.ExperimentConfig(), n_max=n_max)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    blocks = []
+    for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
+        blocks += [fs for _, fs in bound._witness_program(ms, epsilon, cut)[0].blocks[:3]]
+    basis = bound._unit_trace_basis(ms.space.dim)[1]
+    return blocks + [np.concatenate([-basis, np.zeros_like(basis[:1])])]
+
+
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
 def test_pair_scatter_gives_the_product_bits(hermitian):
-    # a cone of pairs forms sum_j y_j Fj by scatter; each real-view slot
-    # gets one term, so the sum has the bits of the product with flat, on
-    # the witness program's I -+ H cones (as given and Jacobi-scaled) and
-    # on random pair cones
+    # sum_j y_j Fj scatters y_j times each pair's values over its slots; in
+    # a cone of pairs whose nonzeros fill distinct slots (I -+ H, as given
+    # and Jacobi-scaled, and random pair cones) each off-diagonal slot gets
+    # one term and a diagonal one two halves, y d/2 + y d/2 = round(y d), so
+    # the sum has the bits of the product with the dense real view.  Block
+    # A and the reconcile fit's state block mix pairs and dense rows: apply
+    # and moments there equal the product to 1e-14
     rng = np.random.default_rng(83)
-    cones = []
+    scatter, mixed = [], []
     if hermitian:
-        cfg = replace(cli.ExperimentConfig(), n_max=2)
-        _, state, _ = cli.make_states(cfg)
-        det = cli.make_detector(cfg)
-        ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
-        ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
-        for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
-            program = bound._witness_program(ms, epsilon, cut)[0]
-            f0_a, fs_a = program.blocks[0]
-            assert sdp._MatrixCone(0, f0_a, fs_a, {}).scatter is None
-            dvec = rng.uniform(0.1, 10.0, size=program.n_vars)
-            for k in (1, 2):
-                f0, fs = program.blocks[k]
-                cones.append(sdp._MatrixCone(k, f0, fs, {}))
-                cones.append(sdp._MatrixCone(k, f0, fs * dvec[:, None, None], {}))
+        blocks = _witness_and_reconcile_blocks(2)
+        for fs in blocks:
+            dvec = rng.uniform(0.1, 10.0, size=len(fs))
+            for scaled in (fs, fs * dvec[:, None, None]):
+                cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled, {})
+                (mixed if cone.dense.size else scatter).append((cone, scaled))
+        assert len(scatter) == 8 and len(mixed) == 6
+        # block A of the table point's robust rows: its 256 H columns go
+        # through the slot tables, and only the 65 columns of nu keep a
+        # real view
+        fs_a = _witness_and_reconcile_blocks(3)[3]
+        cone = sdp._MatrixCone(0, np.eye(16, dtype=complex), fs_a, {})
+        assert cone.pairs.size == 256 and cone.slots.shape == (2, 256)
+        assert cone.flat.shape == (65, 512) and cone.cols.size == 321
     for n in (3, 6):
         fs = _random_pair_columns(rng, n, hermitian)
-        cones.append(sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}))
-    for cone in cones:
-        assert cone.scatter is not None
-        m = cone.cols.max() + 1
+        scatter.append((sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}), fs))
+    for cone, fs in scatter + mixed:
+        n, m = fs.shape[1], len(fs)
+        view = _dense_view(cone, fs)
         for y in (np.zeros(m), rng.normal(size=m), -rng.exponential(size=m) * 1e8):
-            n = cone.f0.shape[0]
-            ref = (y[cone.cols] @ cone.flat).view(cone.f0.dtype).reshape(n, n)
-            assert np.array_equal(cone.apply(y), ref)
+            ref = (y[cone.cols] @ view).view(fs.dtype).reshape(n, n)
+            if cone.dense.size:
+                assert np.max(np.abs(cone.apply(y) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            else:
+                assert len(set(cone.slots.ravel().tolist())) == cone.slots.size - n
+                assert np.array_equal(cone.apply(y), ref)
+        x = _random_hermitian(rng, n) if hermitian else _sym(rng.normal(size=(n, n)))
+        ref = view @ _rv(x).reshape(-1)
+        assert np.max(np.abs(cone.moments(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# for exactly Hermitian X the two terms of a pair's moment are one product,
+# a x + a x, which rounds to 2 round(a x) with or without FMA, so the pair
+# moments have the bits of the dense product on any kernel
+_PAIR_MOMENTS = """
+import numpy as np
+import test_sdp
+from entcert import sdp
+rng = np.random.default_rng(103)
+checked = 0
+for fs in test_sdp._witness_and_reconcile_blocks(3):
+    dvec = rng.uniform(0.1, 10.0, size=len(fs))
+    for scaled in (fs, fs * dvec[:, None, None]):
+        cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled, {})
+        view = test_sdp._dense_view(cone, scaled)[: cone.pairs.size]
+        for _ in range(20):
+            x = test_sdp._random_hermitian(rng, fs.shape[1])
+            ref = view @ sdp._rv(x).reshape(-1)
+            assert np.array_equal(cone.moments(x)[: cone.pairs.size], ref)
+            checked += 1
+print(checked)
+"""
+
+
+@pytest.mark.parametrize("kernel", ["native", "Haswell", "Sandybridge"])
+def test_pair_moments_give_the_product_bits_on_every_kernel(kernel):
+    # on the table point's witness cones and reconcile state block, as given
+    # and Jacobi-scaled, in a child process whose OpenBLAS kernel is set
+    if kernel != "native" and not _x86_with_avx2():
+        pytest.skip("needs an x86-64 host with AVX2")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel != "native":
+        env["OPENBLAS_CORETYPE"] = kernel
+    run = subprocess.run(
+        [sys.executable, "-c", _PAIR_MOMENTS], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert run.stdout.strip() == str(7 * 2 * 20)
+
+
+def test_colliding_pair_slots_sum_every_term():
+    # the P - rho^T1 block of the in-box state program: the partial
+    # transpose of the state's off-diagonal directions lands on the slots
+    # of P's basis, so pair columns share slots, and the scatter must add
+    # every term, which a fancy-index += would not
+    d1, d2 = 2, 3
+    n = d1 * d2
+    dirs = bound._unit_trace_basis(n)[1]
+    fs = np.concatenate([oracles._partial_transpose_first(dirs, d1, d2), -bound._hermitian_basis(n)])
+    cone = sdp._MatrixCone(0, np.eye(n, dtype=complex), fs, {})
+    slots = cone.slots.ravel().tolist()
+    assert cone.dense.size and len(set(slots)) < len(slots) - n
+    rng = np.random.default_rng(107)
+    view = _dense_view(cone, fs)
+    for _ in range(5):
+        y = rng.normal(size=len(fs))
+        ref = (y[cone.cols] @ view).view(complex).reshape(n, n)
+        assert np.max(np.abs(cone.apply(y) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        x = _random_hermitian(rng, n) + rng.normal(size=(n, n))
+        ref = view @ _rv(x).reshape(-1)
+        assert np.max(np.abs(cone.moments(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_solve_leaves_program_data_unchanged():
