@@ -17,7 +17,7 @@ in the robustness studies.
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -162,18 +162,23 @@ class PhaseNoiseModel:
             raise ValueError("samples must be >= 1")
 
 
-@dataclass
 class BoundResult:
-    """Certified lower bound with the witness that proves it."""
+    """Certified lower bound with the witness that proves it.  A plain
+    class, as sdp.SdpSolution is: a dataclass takes ~0.3-0.5 ms to create
+    at import, and nothing reads its generated methods."""
 
-    lower_bound: float
-    witness_H: np.ndarray
-    multipliers: np.ndarray
-    solver_status: str
-    error_budget: float = 0.0
-    degenerate: bool = False
-    linear_objective: float = 0.0
-    info: dict = field(default_factory=dict)
+    def __init__(
+        self, lower_bound, witness_H, multipliers, solver_status, error_budget=0.0,
+        degenerate=False, linear_objective=0.0, info=None,
+    ):
+        self.lower_bound = lower_bound
+        self.witness_H = witness_H
+        self.multipliers = multipliers
+        self.solver_status = solver_status
+        self.error_budget = error_budget
+        self.degenerate = degenerate
+        self.linear_objective = linear_objective
+        self.info = {} if info is None else info
 
 
 # ---------------------------------------------------------------------------

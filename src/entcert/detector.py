@@ -106,46 +106,41 @@ def _check_element_spectra(herm: np.ndarray):
         raise ValueError(f"POVM element norm {w[-1]:.10f} exceeds 1")
 
 
-@dataclass(frozen=True, eq=False)
 class PovmElement:
-    """One click count: PSD operator with spectrum in [0, 1] on the signal mode."""
+    """One click count: PSD operator with spectrum in [0, 1] on the signal
+    mode.  A plain class, as sdp.SdpSolution is: a dataclass takes ~0.3-0.5
+    ms to create at import, and nothing reads its generated methods."""
 
-    outcome: int
-    setting: object
-    operator: FockOperator
-
-    def __post_init__(self):
-        _check_element_spectra(_hermitian_part(self.operator.matrix[None]))
+    def __init__(self, outcome: int, setting, operator: FockOperator):
+        _check_element_spectra(_hermitian_part(operator.matrix[None]))
+        self.outcome, self.setting, self.operator = outcome, setting, operator
 
     @classmethod
     def _checked(cls, outcome: int, setting, operator: FockOperator) -> "PovmElement":
         # For an operator whose spectrum _check_element_spectra has passed.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "outcome", outcome)
-        object.__setattr__(obj, "setting", setting)
-        object.__setattr__(obj, "operator", operator)
+        obj.outcome, obj.setting, obj.operator = outcome, setting, operator
         return obj
 
 
-@dataclass(frozen=True, eq=False)
 class PovmSet:
     """Outcome elements of one setting; must sum to the identity within TOL_COMPLETE.
 
     ``matrices`` stacks the element matrices in element order, read-only;
-    homodyne_povm's elements are views of its rows.
+    homodyne_povm's elements are views of its rows.  A plain class, as
+    PovmElement is.
     """
 
-    elements: tuple
-    matrices = None  # not a field: set in __post_init__ or by _of_stack
+    matrices = None  # set in __init__, or before it by _of_stack
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements):
+        self.elements = tuple(elements)
         if len(self.elements) == 0:
             raise ValueError("empty POVM")
         if self.matrices is None:
             mats = np.array([e.operator.matrix for e in self.elements])
             mats.setflags(write=False)
-            object.__setattr__(self, "matrices", mats)
+            self.matrices = mats
         deficit = self.completeness_deficit()
         if deficit > TOL_COMPLETE:
             raise ValueError(f"POVM completeness deficit {deficit:.3e} exceeds {TOL_COMPLETE:.1e}")
@@ -155,7 +150,7 @@ class PovmSet:
         # elements whose operator matrices are the rows of the read-only
         # stack matrices, in order
         obj = object.__new__(cls)
-        object.__setattr__(obj, "matrices", matrices)
+        obj.matrices = matrices
         obj.__init__(elements)
         return obj
 

@@ -41,12 +41,20 @@ real or imaginary, or a single real diagonal entry) and *dense* (everything
 else).  Each term of a pair-pair entry is then exactly +-|v_i v_j| times
 the real or imaginary part of one entry of K = W (x) W, so set-up turns the
 pairs into gather tables, intp indices into the real view of K and real
-coefficients, shared between cones whose pairs match.  The entries are
-linear in K, so cones that share tables and Schur columns (I - H and I + H
-of the witness program) are gathered once from K = sum_b W_b (x) W_b, one
-product of the stacked vec(W_b); a cone alone forms K as an outer product.
-Dense columns take G^H Fj G, and pair-dense entries W Fj W = G (G^H Fj G)
-G^H.  The diagonal cone uses only the columns its rows touch.  Each class
+coefficients.  The entries are linear in K, so cones whose pairs share
+Schur columns are gathered once, through the tables of the first
+(pairs.groups): cones whose pairs match up to sign (I - H and I + H of the
+witness program) from K = sum_b W_b (x) W_b, one product of the stacked
+vec(W_b), and one cone whose pairs are theirs moved by an entry map tau
+(block A, through the partial transpose) from sigma(W_A (x) W_A) added to
+it, sigma permuting K's four indices through tau, one np.take; a cone
+alone forms K as an outer product.  Dense columns take G^H Fj G, and
+pair-dense entries W Fj W = G (G^H Fj G) G^H.  The diagonal cone uses
+only the columns its rows touch, and its box auxiliaries, trailing
+columns that only two of its rows each touch, both with one other column
+(the robust witness's t~_i), leave the Cholesky: their block is diagonal,
+so is their correction to the kept columns' block, and only the kept
+block is assembled and factored (_LpCone).  Each class
 block is added in place, through basic slices when its rows and columns
 are contiguous runs, as in every program the bound pipeline builds, and
 through np.ix_ otherwise.  Every sum_j y_j Fj and every Re tr(Fj X)
@@ -63,11 +71,11 @@ Set-up that depends on a block's F array alone runs once per array that
 neither it nor the array it views can write (_prepared), and is kept until
 the array is collected (weakref.finalize): ConicProgram's Hermitian check
 and, for the latest Jacobi scaling vector, the prepared cone with its
-column classes, slot tables, pair tables and Schur slots.  A later solve
-places the prepared cone, sharing the pair tables of any cone of that
-solve whose pairs match, and forms only the scaled copy of its dense
-columns, which is not kept between solves.  A writable array is set up
-afresh each solve, and both ways give the same bits.
+column classes, slot tables and Schur slots, and its pair tables once it
+has led a gather.  A later solve places the prepared cone and forms only
+the scaled copy of its dense columns, which is not kept between solves.
+A writable array is set up afresh each solve, and both ways give the same
+bits.
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, SVD and Cholesky of the solve
@@ -90,6 +98,8 @@ import weakref
 from pathlib import Path
 
 import numpy as np
+
+from . import pairs
 
 TOL_SYM = 1e-10
 TOL_PSD = 1e-9
@@ -418,51 +428,6 @@ def _slot(rows: np.ndarray, cols: np.ndarray):
     return r, c
 
 
-def _pair_tables(cone, tables, found=None):
-    """Gather indices and coefficients of the pair-pair Schur entries of
-    the pairs (r, c, v) of a _MatrixCone on n x n matrices.
-
-    With every v real or imaginary, each term of the pair-pair entry is
-    exactly +-|v_i| |v_j| times the real or the imaginary part of one entry
-    of K = W (x) W:  v_i v_j W[c_i,r_j] W[c_j,r_i] is K[c_i,r_j,c_j,r_i] and
-    v_i conj(v_j) W[c_i,c_j] W[r_j,r_i] is K[c_i,c_j,r_j,r_i].  Returns
-    (index, coef), both shaped (2, npairs, npairs): index into the flat
-    real view of K (intp, which np.take reads without a cast) and the
-    signed coefficient of each term, so the real parts of the two terms are
-    coef * rv(K)[index], rounded as the complex products are.  The entries
-    are even in v, so cones whose pairs match up to the sign of v share one
-    set of tables, kept in `tables`; a prepared cone's own tables, given as
-    found, are registered there unless matching ones are.
-    """
-    n, r, c, v = cone.f0.shape[0], cone.r, cone.c, cone.v
-    key = (n, r.tobytes(), c.tobytes())
-    for v0, shared in tables.get(key, ()):
-        if np.array_equal(v, v0) or np.array_equal(v, -v0):
-            return shared
-    if found is not None:
-        tables.setdefault(key, []).append((v, found))
-        return found
-    im = v.imag != 0.0
-    a = np.where(im, v.imag, v.real)
-    # v_i v_j is -|v_i v_j| when both are imaginary and picks Im K with a
-    # sign flip, Re(i x K) = -x Im K, when one is; v_i conj(v_j) is positive
-    # for two imaginaries and gives -Im K or +Im K as v_i or v_j is the
-    # imaginary one
-    mixed = im[:, None] ^ im[None, :]
-    sign1 = np.where(im[:, None] | im[None, :], -1.0, 1.0)
-    sign2 = np.where(im[:, None] & ~im[None, :], -1.0, 1.0)
-    mag = np.outer(a, a)
-    coef = np.array([sign1 * mag, sign2 * mag])
-    row = c * n**3 + r
-    flat = np.array([row[:, None] + (r * n**2 + c * n)[None, :],
-                     row[:, None] + (c * n**2 + r * n)[None, :]])
-    if np.iscomplexobj(v):
-        flat = 2 * flat + mixed
-    found = (flat.astype(np.intp), coef)
-    tables.setdefault(key, []).append((v, found))
-    return found
-
-
 class _MatrixCone:
     """One matrix block of the scaled program, its F columns sorted by the
     nonzero pattern of the data.
@@ -474,11 +439,11 @@ class _MatrixCone:
     first.  apply and moments read the pairs through their slot table
     (slots, a), and the dense columns through their real view flat.  The
     Schur entries of pairs are gathered from the real view of W (x) W
-    through the tables of _pair_tables, shared between cones whose pairs
-    match.
+    through the tables of pairs.tables, built only for a cone that leads a
+    gather (pairs.groups).
     """
 
-    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray, tables: dict):
+    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray):
         m, n, _ = fs.shape
         self.index = index
         self.f0 = f0
@@ -503,8 +468,7 @@ class _MatrixCone:
         if np.iscomplexobj(fs):
             self.slots = 2 * self.slots + (self.v.imag != 0.0)
         self._scale(fs[self.dense])
-        if self.pairs.size:
-            self.pp_index, self.pp_coef = _pair_tables(self, tables)
+        self.tables = {}
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
         # dense-pair entries
         self.pp_slot = _slot(self.pairs, self.pairs)
@@ -534,27 +498,37 @@ class _MatrixCone:
         terms = self.a * x[self.slots]
         return np.concatenate([terms[0] + terms[1], self.flat @ x])
 
-    def add_pair_schur(self, schur: np.ndarray, wmats: list, ws=None) -> None:
+    def add_pair_schur(self, schur: np.ndarray, wmats: list, ws=None, image=None) -> None:
         """Add sum_b Re tr(W_b Fi W_b Fj) over the pair columns, for the
-        scaling points wmats of this cone and of the cones that share its
-        pair tables and Schur columns.  The entries, 2 Re[v_i v_j W[c_j,r_i]
-        W[c_i,r_j] + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima
-        & Nakata 1997), are gathered by np.take through the intp tables from
-        K = sum_b W_b (x) W_b, written into the workspace ws if given; K is
-        a product of two C-order operands, which numpy hands to gemm, where
-        vecs @ vecs.T would go to syrk, ~2.7x slower here."""
+        scaling points wmats of this cone and of the cones whose pairs match
+        its own, and for image = (sigma, W) that of a cone whose pairs are
+        this cone's moved by an entry map (pairs.image_index).  The entries,
+        2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j] + v_i conj(v_j) W[r_j,r_i]
+        W[c_i,c_j]] (Fujisawa, Kojima & Nakata 1997), are gathered once by
+        np.take through this cone's intp tables from K = sum_b W_b (x) W_b
+        + sigma(W (x) W), written into the workspace ws if given; the sum
+        over wmats is a product of two C-order operands, which numpy hands
+        to gemm, where vecs @ vecs.T would go to syrk, ~2.7x slower here."""
         n2 = self.f0.size
-        k = _scratch(ws, "k", (n2, n2), self.f0.dtype)
+        k = out = _scratch(ws, "k", (n2, n2), self.f0.dtype)
+        if image is not None:
+            # sigma(W (x) W) into K, then the members' sum through a second
+            # buffer; np.take with out= buffers its output unless mode is
+            # clip, and every index is in range, so clipping changes none
+            out = _scratch(ws, "k_image", (n2, n2), self.f0.dtype)
+            np.multiply.outer(image[1].reshape(-1), image[1].reshape(-1), out=out)
+            np.take(out.reshape(-1), image[0], out=k.reshape(-1), mode="clip")
         if len(wmats) == 1:
-            np.multiply.outer(wmats[0].reshape(-1), wmats[0].reshape(-1), out=k)
+            np.multiply.outer(wmats[0].reshape(-1), wmats[0].reshape(-1), out=out)
         else:
             vecs = np.stack(wmats, axis=-1).reshape(n2, -1)
-            np.matmul(vecs, np.ascontiguousarray(vecs.T), out=k)
-        # np.take with out= buffers its output unless mode is clip; every
-        # index is in range, so clipping changes none
-        terms = _scratch(ws, "terms", self.pp_index.shape)
-        np.take(_rv(k).reshape(-1), self.pp_index, out=terms, mode="clip")
-        np.multiply(self.pp_coef, terms, out=terms)
+            np.matmul(vecs, np.ascontiguousarray(vecs.T), out=out)
+        if out is not k:
+            k += out
+        pp_index, pp_coef = pairs.tables(self)
+        terms = _scratch(ws, "terms", pp_index.shape)
+        np.take(_rv(k).reshape(-1), pp_index, out=terms, mode="clip")
+        np.multiply(pp_coef, terms, out=terms)
         spp = np.add(terms[0], terms[1], out=terms[0])
         # spp is half of each entry and symmetric in exact arithmetic;
         # spp + spp.T doubles it and stays symmetric bit for bit
@@ -579,42 +553,98 @@ class _MatrixCone:
 
 class _LpCone:
     """The 1x1 blocks grouped into one diagonal cone, s = f0 - F y >= 0,
-    stored over the columns that some row touches."""
+    stored over the columns that some row touches.
 
-    def __init__(self, f0: np.ndarray, f: np.ndarray):
+    When its rows come in box pairs (_box_pairs), their auxiliaries leave
+    the Cholesky: their Schur block D_J is diagonal, and so is the
+    correction S_kJ D_J^-1 S_Jk it leaves on the kept block, the columns
+    before them.  add_schur then adds the corrected diagonal to the kept
+    block alone, and solve backs out dy_J."""
+
+    def __init__(self, f0, f, touched):
         self.f0 = f0
         self.cols = np.flatnonzero(np.any(f != 0.0, axis=0))
         self.f = f[:, self.cols]
         self.slot = _slot(self.cols, self.cols)
+        self.aux = _box_pairs(f, touched)
+        self.kept = f.shape[1] if self.aux is None else self.aux[0]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.f @ y[self.cols]
 
-    def add_schur(self, schur: np.ndarray, w2: np.ndarray) -> None:
-        """Add sum_k w2_k F[k, i] F[k, j] over the touched columns."""
-        if self.f.size:
-            g = self.f * np.sqrt(w2)[:, None]
-            schur[self.slot] += g.T @ g
+    def add_schur(self, schur, w2):
+        """Add sum_k w2_k F[k, i] F[k, j] over the kept columns.  A box pair
+        of rows a and b, F entries f at its auxiliary and g at its other
+        column, leaves w_a w_b (g_a f_b - g_b f_a)^2 / (w_a f_a^2 + w_b f_b^2)
+        there, 4 a^2 w_a w_b / (w_a + w_b) for t~ -+ a nu, free of the
+        cancellation that subtracting S_kJ D_J^-1 S_Jk would suffer when one
+        row is active and w_a >> w_b.  Returns what solve needs, D_J and
+        S_kJ's entries, or None without box pairs."""
+        if self.aux is None:
+            if self.f.size:
+                g = self.f * np.sqrt(w2)[:, None]
+                schur[self.slot] += g.T @ g
+            return None
+        _, rows, other, (fa, fb), (ga, gb) = self.aux
+        wa, wb = w2[rows]
+        d = wa * fa * fa + wb * fb * fb
+        diagonal = schur.reshape(-1)[:: self.kept + 1]
+        diagonal += np.bincount(other, wa * wb * (ga * fb - gb * fa) ** 2 / d, self.kept)
+        return d, wa * ga * fa + wb * gb * fb
+
+    def solve(self, factor, rhs, eliminated):
+        """dy of the Newton system whose kept block is factored in factor,
+        eliminated = add_schur's return: the kept rows solve for
+        rhs_k - S_kJ D_J^-1 rhs_J, then dy_J = D_J^-1 (rhs_J - S_Jk dy_k)."""
+        if eliminated is None:
+            return _cho_solve(factor, rhs)
+        (d, e), other, k = eliminated, self.aux[2], self.kept
+        dy = _cho_solve(factor, rhs[:k] - np.bincount(other, e * rhs[k:] / d, k))
+        return np.concatenate([dy, (rhs[k:] - e * dy[other]) / d])
 
 
-def _cone(index, f0, fs, dvec, tables):
+def _box_pairs(f, touched):
+    """(start, rows, other, f_aux, f_other) when the LP rows f come in box
+    pairs, None otherwise.  The auxiliaries are the columns start.., which
+    no matrix cone touches (touched, a mask over the columns); each is
+    touched by two rows, rows (2, count), and each row by its auxiliary and
+    one other column, the same for both, other (count,), before start.  So
+    the cones' Schur slots, all before start, stay valid, and the
+    auxiliaries' Schur block and their correction to the kept block are
+    diagonal; f_aux and f_other, (2, count), are the rows' F entries there.
+    The robust witness in data coordinates has them, its t~_i; in Gram
+    coordinates each box row touches every rotated direction, the exact
+    witness has no 1x1 rows, and the reconcile fit's bound is touched by
+    all its rows."""
+    nz = f != 0.0
+    free = np.flatnonzero((np.count_nonzero(nz, axis=0) != 2) | touched)
+    start = free[-1] + 1 if free.size else 0
+    if not 0 < start < f.shape[1]:
+        return None
+    rows = np.nonzero(nz[:, start:].T)[1].reshape(-1, 2).T
+    other = np.argmax(nz[rows, :start], axis=-1)
+    hits = np.count_nonzero(nz[rows], axis=-1)
+    if rows.size == len(f) and np.all(hits == 2) and np.all(nz[rows, other]) and np.array_equal(*other):
+        return start, rows, other[0], f[rows, np.arange(start, f.shape[1])], f[rows, other]
+    return None
+
+
+def _cone(index, f0, fs, dvec):
     """The _MatrixCone of block `index`, its F columns fs scaled by dvec.
     It is prepared once per read-only fs, for the latest dvec (_prepared),
     and kept without the dense columns of _scale; a later solve takes a
-    shallow copy, scales those alone, and swaps its pair tables for the
-    ones `tables` holds for the same pairs (the same bits), or registers
-    them.  Its slot tables hold scaled values, which dvec fixes."""
+    shallow copy, which shares the prepared cone's pair tables, and scales
+    those columns alone.  Its slot tables hold scaled values, which dvec
+    fixes."""
     entry = _prepared(fs)
     if not np.array_equal(entry.get("dvec"), dvec):
-        cone = _MatrixCone(index, f0, fs * dvec[:, None, None], tables)
+        cone = _MatrixCone(index, f0, fs * dvec[:, None, None])
         entry["dvec"], entry["cone"] = dvec, copy.copy(cone)
         entry["cone"].flat = entry["cone"].fs_dense = None
         return cone
     cone = copy.copy(entry["cone"])
     cone.index, cone.f0 = index, f0
     cone._scale(fs[cone.dense] * dvec[cone.dense, None, None])
-    if cone.pairs.size:
-        cone.pp_index, cone.pp_coef = _pair_tables(cone, tables, (cone.pp_index, cone.pp_coef))
     return cone
 
 
@@ -678,15 +708,12 @@ def _interior_point(
     dvec = 1.0 / np.sqrt(np.maximum(nrm2, 1e-16))
     dvec = np.minimum(dvec, 1e8)
     c = program.objective * dvec
-    tables = {}
-    cones = [_cone(k, f0, fs, dvec, tables) for k, f0, fs in matrix_blocks]
-    lp = _LpCone(lp_f0, lp_f * dvec[None, :])
-    # cones whose pairs share tables and Schur columns (I - H and I + H)
-    # add their pair-pair blocks through one gather
-    groups = {}
-    for i, cone in enumerate(cones):
-        if cone.pairs.size:
-            groups.setdefault((id(cone.pp_index), cone.pairs.tobytes()), []).append(i)
+    cones = [_cone(k, f0, fs, dvec) for k, f0, fs in matrix_blocks]
+    touched = np.zeros(m, dtype=bool)
+    for cone in cones:
+        touched[cone.cols] = True
+    lp = _LpCone(lp_f0, lp_f * dvec[None, :], touched)
+    groups = pairs.groups(cones)
     nlp = len(lp_index)
     ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
     # the Schur complement, its factor and the large intermediates of its
@@ -816,12 +843,15 @@ def _interior_point(
             wlp = np.sqrt(xlp / slp)
             vlp = np.sqrt(xlp * slp)
 
-            # entry (i, j) is Re tr(W Fi W Fj) summed over the cones
-            schur = _scratch(ws, "schur", (m, m))
+            # entry (i, j) is Re tr(W Fi W Fj) summed over the cones, over
+            # the kept columns
+            schur = _scratch(ws, "schur", (lp.kept, lp.kept))
             schur.fill(0.0)
-            lp.add_schur(schur, wlp**2)
-            for members in groups.values():
-                cones[members[0]].add_pair_schur(schur, [scals[i]["w"] for i in members], ws)
+            eliminated = lp.add_schur(schur, wlp**2)
+            for ref, members, image in groups:
+                wmats = [scals[i]["w"] for i in members]
+                image = image and (image[1], scals[image[0]]["w"])
+                cones[ref].add_pair_schur(schur, wmats, ws, image)
             for cone, sc in zip(cones, scals):
                 cone.add_schur(schur, sc["g"], sc["gh"])
 
@@ -851,11 +881,11 @@ def _interior_point(
                 gegs = [sc["g"] @ eb @ sc["gh"] for sc, eb in zip(scals, es)]
                 for cone, sc, rb, geg in zip(cones, scals, rd, gegs):
                     rhs[cone.cols] -= cone.moments(geg + sc["w"] @ rb @ sc["w"])
-                dy = _cho_solve(factor, rhs)
+                dy = lp.solve(factor, rhs, eliminated)
                 # one refinement pass against the operator the Schur
                 # complement stands for, so roundoff in both the entry-wise
-                # assembly and the factorization is corrected
-                dy += _cho_solve(factor, rhs - _schur_apply(dy))
+                # assembly, the elimination and the factorization is corrected
+                dy += lp.solve(factor, rhs - _schur_apply(dy), eliminated)
                 # dX = G E G^H - W dS W, so G^-1 dX G^-H = E - G^H dS G
                 dss, dxs, scaled = [], [], []
                 for cone, sc, rb, eb, geg in zip(cones, scals, rd, es, gegs):

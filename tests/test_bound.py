@@ -4,7 +4,6 @@ import gc
 import json
 import math
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -35,6 +34,9 @@ from entcert.fock import FockOperator, HilbertSpec, SqueezedParams, SubtractionP
 from entcert.negativity import exact_log_negativity
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import kernels  # noqa: E402
 
 
 def toy_detector(eta=0.1, amplitude=1.0):
@@ -860,8 +862,8 @@ def _counted_cone_builds(monkeypatch, dropped):
     builds = []
 
     class Counted(sdp._MatrixCone):
-        def __init__(self, index, f0, fs, tables):
-            super().__init__(index, f0, fs, tables)
+        def __init__(self, index, f0, fs):
+            super().__init__(index, f0, fs)
             builds.append((len(fs), all(ref() is None for ref in dropped)))
 
     monkeypatch.setattr(sdp, "_MatrixCone", Counted)
@@ -975,14 +977,7 @@ for eps in cli.TABLE_EPSILONS[1:]:
 """
 
 
-def _x86_with_avx2() -> bool:
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return False
-    try:
-        cpuinfo = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return False
-    return re.search(r"^flags\s*:.*\bavx2\b", cpuinfo, re.MULTILINE) is not None
+_x86_with_avx2 = kernels.x86_with_avx2
 
 
 @pytest.mark.skipif(not _x86_with_avx2(), reason="needs an x86-64 host with AVX2")

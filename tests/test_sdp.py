@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from entcert import bound, cli, sdp
+from entcert import bound, cli, pairs, sdp
 
 import oracles
 from test_bound import _x86_with_avx2
@@ -422,7 +422,7 @@ def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     kinds = kinds[order]
     fs = np.array([zoo[i][1] for i in order])
     m = len(fs)
-    cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {})
+    cone = sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs)
     assert np.array_equal(cone.pairs, np.flatnonzero(kinds == "pair"))
     assert np.array_equal(cone.dense, np.flatnonzero(kinds == "dense"))
     assert np.array_equal(cone.cols, np.concatenate([cone.pairs, cone.dense]))
@@ -453,7 +453,7 @@ def test_structured_schur_matches_dense(hermitian, ordering, monkeypatch):
     add(cone, sliced)
     monkeypatch.setattr(sdp, "_slot", lambda rows, cols: np.ix_(rows, cols))
     fancy = start.copy()
-    add(sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}), fancy)
+    add(sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs), fancy)
     assert np.array_equal(sliced, fancy)
 
     y = rng.normal(size=m)
@@ -668,7 +668,8 @@ def test_pair_tables_match_oracle(program, hermitian):
     # H^T1 - sum nu_i M_i, I + H and I - H (unscaled, and Jacobi-scaled as
     # the solver scales them) and of the reconcile fit's state block; the
     # one gather of I + H and I - H from W_1 (x) W_1 + W_2 (x) W_2 equals
-    # the sum of their per-cone entries to roundoff
+    # the sum of their per-cone entries to roundoff, and so does the one
+    # gather of all three, block A joining through the partial transpose
     rng = np.random.default_rng(79)
     d1, d2 = 2, 3
     n = d1 * d2
@@ -692,10 +693,7 @@ def test_pair_tables_match_oracle(program, hermitian):
         dvec = rng.uniform(0.1, 10.0, size=m)
         blocks = [fs * dvec[:, None, None] for fs in blocks]
 
-    tables = {}
-    cones = [
-        sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, tables) for k, fs in enumerate(blocks)
-    ]
+    cones = [sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs) for k, fs in enumerate(blocks)]
     ws = []
     for _ in cones:
         a = _random_hermitian(rng, n) if hermitian else rng.normal(size=(n, n))
@@ -710,9 +708,12 @@ def test_pair_tables_match_oracle(program, hermitian):
         ref = oracles.pair_schur_block(w, cone.r, cone.c, cone.v)
         assert np.array_equal(schur[np.ix_(p, p)], ref)
     if program != "reconcile":
-        # I + H and I - H carry the same pairs with opposite signs
-        assert cones[2].pp_index is cones[1].pp_index and cones[2].pp_coef is cones[1].pp_coef
-        assert cones[0].pp_index is not cones[1].pp_index
+        # I + H and I - H carry the same pairs with opposite signs, so I - H's
+        # tables serve both; block A's pairs are theirs moved by the partial
+        # transpose, so it shares no tables and joins their gather as its
+        # image
+        ((ref_cone, members, (image, sigma)),) = pairs.groups(cones)
+        assert (ref_cone, members, image) == (1, [1, 2], 0)
         p = cones[1].pairs
         assert np.array_equal(cones[2].pairs, p)
         schur = np.zeros((m, m))
@@ -721,25 +722,92 @@ def test_pair_tables_match_oracle(program, hermitian):
         assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(schur, schur.T)
         assert np.count_nonzero(schur) == np.count_nonzero(schur[np.ix_(p, p)])
+        schur = np.zeros((m, m))
+        cones[1].add_pair_schur(schur, ws[1:], image=(sigma, ws[0]))
+        ref = sum(oracles.pair_schur_block(w, c.r, c.c, c.v) for c, w in zip(cones, ws))
+        assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(schur, schur.T)
 
 
 def test_witness_program_gathers_i_minus_and_plus_h_once(monkeypatch):
     # the witness program's cones I - H and I + H share pair tables and
-    # Schur columns, so each iteration gathers their pair-pair block once
-    # from the sum of their W (x) W; block A gathers alone
+    # Schur columns, and block A's pairs are theirs moved by the partial
+    # transpose, so each iteration gathers the pair-pair block of all three
+    # once, from the sum of their W (x) W with block A's permuted
     calls = []
     add = sdp._MatrixCone.add_pair_schur
 
-    def record(self, schur, wmats, ws=None):
-        calls.append((self.index, len(wmats)))
-        add(self, schur, wmats, ws)
+    def record(self, schur, wmats, ws=None, image=None):
+        calls.append((self.index, len(wmats), image is not None))
+        add(self, schur, wmats, ws, image)
 
     monkeypatch.setattr(sdp._MatrixCone, "add_pair_schur", record)
     for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
         calls.clear()
         sol = sdp.solve(_small_witness_program(2, epsilon, cut), max_iter=3)
         assert sol.iterations == 3
-        assert calls == [(0, 1), (1, 2)] * 3
+        assert calls == [(1, 2, True)] * 3
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_merged_gather_gives_block_a_pair_block(n_max, epsilon):
+    # block A's pair-pair block, gathered through I - H's tables from
+    # sigma(W_A (x) W_A), equals the per-entry formula on A's own pairs
+    # (r, c, v), as given and Jacobi-scaled; with zero W for I -+ H the
+    # merged K is sigma(W_A (x) W_A) alone
+    cut = bound.GRAM_NULL_CUT if epsilon == 0.0 else None
+    program = _small_witness_program(n_max, epsilon, cut)
+    rng = np.random.default_rng(109)
+    n, m = program.block_sizes[0], program.n_vars
+    dvec = rng.uniform(0.1, 10.0, size=m)
+    for scale in (np.ones(m), dvec):
+        cones = [
+            sdp._MatrixCone(k, f0, fs * scale[:, None, None])
+            for k, (f0, fs) in enumerate(program.blocks[:3])
+        ]
+        ((ref_cone, members, (image, sigma)),) = pairs.groups(cones)
+        assert (ref_cone, members, image) == (1, [1, 2], 0)
+        a = _random_hermitian(rng, n)
+        w = _herm(a @ a.conj().T + 0.1 * np.eye(n))
+        schur = np.zeros((m, m))
+        zero = np.zeros_like(w)
+        cones[1].add_pair_schur(schur, [zero, zero], image=(sigma, w))
+        p, cone = cones[0].pairs, cones[0]
+        ref = oracles.pair_schur_block(w, cone.r, cone.c, cone.v)
+        assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("variant", ["sign", "diagonal"])
+def test_cone_with_no_entry_map_gathers_alone(variant):
+    # a cone on the Schur columns of I -+ H whose pairs are not theirs moved
+    # by one entry map that commutes with transposition gathers alone, with
+    # the bits of the per-entry formula: block A with one pair's sign
+    # flipped (values beyond one common sign), or with a diagonal pair of
+    # I - H sent to an off-diagonal entry of the same value
+    program = _small_witness_program(1, 0.0, bound.GRAM_NULL_CUT)
+    (f0, fs_a), (_, fs_b), (_, fs_c) = program.blocks[:3]
+    n = f0.shape[0]
+    fs_a = fs_a.copy()
+    if variant == "sign":
+        j = n  # the first off-diagonal real direction of H
+        fs_a[j] = -fs_a[j]
+    else:
+        j = 0  # E_00 of H: A's column is -E_00, v = -1/2
+        fs_a[j] = 0.0
+        fs_a[j, 0, 1] = fs_a[j, 1, 0] = -0.5
+    blocks = [fs_a, fs_b, fs_c]
+    cones = [sdp._MatrixCone(k, f0, fs) for k, fs in enumerate(blocks)]
+    assert np.array_equal(cones[0].pairs, cones[1].pairs)
+    assert pairs.image_index(cones[1], cones[0]) is None
+    assert pairs.groups(cones) == [[1, [1, 2], None], [0, [0], None]]
+    rng = np.random.default_rng(113)
+    a = _random_hermitian(rng, n)
+    w = _herm(a @ a.conj().T + 0.1 * np.eye(n))
+    schur = np.zeros((len(fs_a), len(fs_a)))
+    cones[0].add_pair_schur(schur, [w])
+    p, cone = cones[0].pairs, cones[0]
+    assert np.array_equal(schur[np.ix_(p, p)], oracles.pair_schur_block(w, cone.r, cone.c, cone.v))
 
 
 def _pd_matrix(rng, n, cond, hermitian):
@@ -810,7 +878,7 @@ def test_structured_schur_lp_rows_use_touched_columns():
     for zero, touched in (([1, 4, 8], [0, 2, 3, 5, 6, 7]), ([0, 1, 8], [2, 3, 4, 5, 6, 7])):
         f = rng.normal(size=(k, m))
         f[:, zero] = 0.0
-        lp = sdp._LpCone(rng.normal(size=k), f)
+        lp = sdp._LpCone(rng.normal(size=k), f, np.zeros(m, dtype=bool))
         assert np.array_equal(lp.cols, touched)
         schur = np.zeros((m, m))
         lp.add_schur(schur, w2)
@@ -892,19 +960,19 @@ def test_pair_scatter_gives_the_product_bits(hermitian):
         for fs in blocks:
             dvec = rng.uniform(0.1, 10.0, size=len(fs))
             for scaled in (fs, fs * dvec[:, None, None]):
-                cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled, {})
+                cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled)
                 (mixed if cone.dense.size else scatter).append((cone, scaled))
         assert len(scatter) == 8 and len(mixed) == 6
         # block A of the table point's robust rows: its 256 H columns go
         # through the slot tables, and only the 65 columns of nu keep a
         # real view
         fs_a = _witness_and_reconcile_blocks(3)[3]
-        cone = sdp._MatrixCone(0, np.eye(16, dtype=complex), fs_a, {})
+        cone = sdp._MatrixCone(0, np.eye(16, dtype=complex), fs_a)
         assert cone.pairs.size == 256 and cone.slots.shape == (2, 256)
         assert cone.flat.shape == (65, 512) and cone.cols.size == 321
     for n in (3, 6):
         fs = _random_pair_columns(rng, n, hermitian)
-        scatter.append((sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs, {}), fs))
+        scatter.append((sdp._MatrixCone(0, np.eye(n, dtype=fs.dtype), fs), fs))
     for cone, fs in scatter + mixed:
         n, m = fs.shape[1], len(fs)
         view = _dense_view(cone, fs)
@@ -932,7 +1000,7 @@ checked = 0
 for fs in test_sdp._witness_and_reconcile_blocks(3):
     dvec = rng.uniform(0.1, 10.0, size=len(fs))
     for scaled in (fs, fs * dvec[:, None, None]):
-        cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled, {})
+        cone = sdp._MatrixCone(0, np.eye(fs.shape[1], dtype=fs.dtype), scaled)
         view = test_sdp._dense_view(cone, scaled)[: cone.pairs.size]
         for _ in range(20):
             x = test_sdp._random_hermitian(rng, fs.shape[1])
@@ -970,7 +1038,7 @@ def test_colliding_pair_slots_sum_every_term():
     n = d1 * d2
     dirs = bound._unit_trace_basis(n)[1]
     fs = np.concatenate([oracles._partial_transpose_first(dirs, d1, d2), -bound._hermitian_basis(n)])
-    cone = sdp._MatrixCone(0, np.eye(n, dtype=complex), fs, {})
+    cone = sdp._MatrixCone(0, np.eye(n, dtype=complex), fs)
     slots = cone.slots.ravel().tolist()
     assert cone.dense.size and len(set(slots)) < len(slots) - n
     rng = np.random.default_rng(107)
@@ -1012,6 +1080,102 @@ def _small_witness_program(n_max, epsilon, cut):
     ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
     ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
     return bound._witness_program(ms, epsilon, cut)[0]
+
+
+def _lp_rows(program):
+    """(f0, F, touched) of the program's 1x1 blocks as the solver groups
+    them, unscaled, and the mask of the columns its matrix cones touch."""
+    m = program.n_vars
+    scalar = [(f0, fs) for f0, fs in program.blocks if f0.shape[0] == 1]
+    f0 = np.array([f0[0, 0] for f0, _ in scalar])
+    f = np.array([fs[:, 0, 0] for _, fs in scalar]).reshape(-1, m)
+    touched = np.zeros(m, dtype=bool)
+    for k, (b0, fs) in enumerate(program.blocks):
+        if b0.shape[0] > 1:
+            touched[sdp._MatrixCone(k, b0, fs).cols] = True
+    return f0, f, touched
+
+
+def test_box_elimination_matches_the_dense_newton_solve():
+    # the robust witness in data coordinates: its box auxiliaries t~_i are
+    # eliminated, so the Newton system is factored over the kept columns;
+    # the eliminated solve equals a dense solve of the full m x m system,
+    # the cones' part a random positive definite kept block, and each box
+    # pair t~ -+ a nu leaves 4 a^2 w_a w_b / (w_a + w_b) on nu's diagonal
+    program = _small_witness_program(2, 1e-2, None)
+    f0, f, touched = _lp_rows(program)
+    m, nt = program.n_vars, len(f) // 2
+    lp = sdp._LpCone(f0, f, touched)
+    kept = m - nt
+    assert lp.kept == kept
+    rng = np.random.default_rng(127)
+    w2 = 10.0 ** rng.uniform(-4.0, 4.0, size=len(f))
+
+    schur = np.zeros((kept, kept))
+    lp.add_schur(schur, w2)
+    # rows 2i and 2i + 1 are t~_i -+ a_i nu_i, a_i the datum
+    a = np.abs(f[0::2, :kept]).sum(axis=1)
+    nu = np.argmax(f[0::2, :kept] != 0.0, axis=1)
+    wa, wb = w2[0::2], w2[1::2]
+    expected = np.zeros(kept)
+    expected[nu] = 4.0 * a**2 * wa * wb / (wa + wb)
+    assert np.max(np.abs(np.diag(schur) - expected)) <= 1e-15 * np.max(expected)
+    assert np.count_nonzero(schur - np.diag(np.diag(schur))) == 0
+
+    r = rng.normal(size=(kept, kept))
+    cones = r @ r.T + kept * np.eye(kept)
+    full = (f * w2[:, None]).T @ f
+    full[:kept, :kept] += cones
+    schur = cones.copy()
+    eliminated = lp.add_schur(schur, w2)
+    factor = sdp._cho_factor(schur)
+    for _ in range(3):
+        rhs = rng.normal(size=m)
+        ref = np.linalg.solve(full, rhs)
+        dy = lp.solve(factor, rhs, eliminated)
+        assert np.max(np.abs(dy - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("program", ["data", "exact", "gram", "reconcile"])
+def test_only_box_auxiliaries_leave_the_cholesky(program, monkeypatch):
+    # the robust witness in data coordinates factors m - nt columns; the
+    # exact witness (no 1x1 rows), the robust witness in Gram coordinates
+    # (each box row touches every rotated direction) and the reconcile fit
+    # (its bound is touched by all its rows) factor their full m
+    sizes = []
+    factor = sdp._cho_factor
+
+    def record(schur, ws=None):
+        sizes.append(schur.shape)
+        return factor(schur, ws)
+
+    monkeypatch.setattr(sdp, "_cho_factor", record)
+    solved = []
+    solve = sdp.solve
+
+    def recorded(prog, *args, **kwargs):
+        solved.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", recorded)
+    if program == "reconcile":
+        cfg = replace(cli.ExperimentConfig(), n_max=2)
+        _, state, _ = cli.make_states(cfg)
+        det = cli.make_detector(cfg)
+        ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+        bound.reconcile_expectations(bound.MeasurementSet(ops, bound.simulate_expectations(state, ops)))
+        (prog,) = solved
+        nt = 0
+    else:
+        epsilon, cut = {"data": (1e-2, None), "exact": (0.0, bound.GRAM_NULL_CUT),
+                        "gram": (1e-6, bound.GRAM_NULL_CUT)}[program]
+        prog = _small_witness_program(2, epsilon, cut)
+        nt = sum(f0.shape[0] == 1 for f0, _ in prog.blocks) // 2
+        assert (nt > 0) == (epsilon > 0.0)
+        sdp.solve(prog, max_iter=2)
+    m = prog.n_vars
+    kept = m - nt if program == "data" else m
+    assert sizes and set(sizes) == {(kept, kept)}
 
 
 def test_workspace_reuse_gives_fresh_solve_bits(monkeypatch):
@@ -1057,9 +1221,9 @@ def test_prepared_cones_give_fresh_solve_bits(monkeypatch):
     groups = []
     add = cone.add_pair_schur
 
-    def record(self, schur, wmats, ws=None):
-        groups.append((self.index, len(wmats)))
-        add(self, schur, wmats, ws)
+    def record(self, schur, wmats, ws=None, image=None):
+        groups.append((self.index, len(wmats), image is not None))
+        add(self, schur, wmats, ws, image)
 
     monkeypatch.setattr(cone, "add_pair_schur", record)
 
@@ -1077,7 +1241,7 @@ def test_prepared_cones_give_fresh_solve_bits(monkeypatch):
         sol = sdp.solve(variant(copied))
         assert builds == built
         # every iteration but the last, which stops before the assembly
-        assert groups == [(0, 1), (1, 2)] * (sol.iterations - 1)
+        assert groups == [(1, 2, True)] * (sol.iterations - 1)
         assert sol.status == first.status == "optimal"
         assert sol.iterations == first.iterations
         assert np.array_equal(sol.y_star, first.y_star)
