@@ -282,22 +282,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return fock._freeze(basis)
 
 
-@lru_cache(maxsize=64)
-def _unit_trace_basis(n: int):
-    """Affine coordinates of the unit-trace n x n Hermitian matrices.
-
-    Returns (rho0, basis) with rho0 = I/n and basis the n^2 - 1 traceless
-    directions B_k = E_k - tr(E_k) I/n for the elements E_k, k >= 1, of
-    _hermitian_basis(n); rho0 + sum_k y_k B_k has unit trace for every real
-    y and reaches every unit-trace Hermitian matrix.  Both are read-only
-    and built once per n.
-    """
-    herm = _hermitian_basis(n)[1:]
-    rho0 = np.eye(n) / n
-    traces = np.real(np.einsum("kaa->k", herm))
-    return fock._freeze(rho0), fock._freeze(herm - traces[:, None, None] * rho0)
-
-
 # data derived from the operators alone, one dict per row range of a
 # read-only operator stack, dropped when the stack is collected
 _STACK_DATA = {}
@@ -693,45 +677,32 @@ def verify_bound(measurements: MeasurementSet, result: BoundResult):
 
 @_per_stack
 def _fit_windows(mats: np.ndarray):
-    """The reconcile fit's windows, from the operators alone.
+    """The reconcile fit's program data, from the operators alone.
 
-    Returns (vecs, kept, sig_eff, frows, offset): the Gram eigenvectors,
-    the directions k above GRAM_NULL_CUT, their floored norms, the F
-    columns of each window's two 1x1 blocks, shaped
-    (len(kept), 2, nb + 1, 1, 1), and the moments tr(M_i I/n) the targets
-    are measured from.
+    Returns (weights, fs, rows): the Gram directions u_k above
+    GRAM_NULL_CUT divided by their floored norms sig_k, as columns; the F
+    columns of the state block over y = (y0, w_1..w_K, v_1..v_K), I, then
+    M_k = sum_i weights[i, k] M_i, then zeros; and the F rows of the 1x1
+    blocks 1 - sum_k v_k, then v_k - w_k and v_k + w_k per window.
     """
-    rho0, basis = _unit_trace_basis(mats.shape[1])
-    nb = len(basis)
-    # Re tr(M_i B_k) is the dot product of the real views
-    amat = sdp._rv(mats).reshape(len(mats), -1) @ sdp._rv(basis).reshape(nb, -1).T
-    offset = np.real(np.einsum("iab,ba->i", mats, rho0))
     vecs, sig = _gram_rotation(mats)
-    kept = np.flatnonzero(sig > GRAM_NULL_CUT * sig.max())
+    kept = sig > GRAM_NULL_CUT * sig.max()
     # windows narrower than ~1e-9 of the leading direction claim more
     # precision than the truncated operator model carries, and under gross
     # data corruption they push the fit scale past what the interior-point
     # iteration can follow; flooring them keeps the program tame while
     # leaving realistic (noise-level) fits untouched
-    sig_eff = np.maximum(sig, 1e-9 * sig.max())[kept]
-    # |u_k . (Re tr(M B) y - target)| <= sig_k t, two rows per direction,
-    # each u_k . Re tr(M B) its own GEMV: one GEMM would round differently
-    frows = np.zeros((kept.size, 2, nb + 1, 1, 1))
-    for i, k in enumerate(kept):
-        frows[i, :, :nb, 0, 0] = (vecs[:, k] @ amat) * [[1.0], [-1.0]]
-    frows[:, :, nb, 0, 0] = -sig_eff[:, None]
-    return vecs, kept, sig_eff, frows, offset
-
-
-# the reconcile fit starts at rho = I/n with its fit bound this factor above
-# the largest sig-weighted deviation of I/n from the data, and at least the
-# floor, for data I/n already fits.  Over criterion 6's three 20-trial cases
-# the factors 10, 100 and 1000 took 384/353/347, 347/308/304 and 374/331/331
-# reconcile iterations, against 778/524/506 from the default start y = 0,
-# S = I; at 100 one witness solve moved from optimal to stalled on the
-# refitted data's last bits
-_FIT_START_FACTOR = 1000.0
-_FIT_START_FLOOR = 1.0
+    weights = vecs[:, kept] / np.maximum(sig, 1e-9 * sig.max())[kept]
+    nk, n = weights.shape[1], mats.shape[1]
+    fs = np.zeros((1 + 2 * nk, n, n), dtype=complex)
+    fs[0] = np.eye(n)
+    fs[1 : 1 + nk] = np.einsum("ik,iab->kab", weights, mats)
+    eye = np.eye(nk)
+    rows = np.zeros((1 + 2 * nk, 1 + 2 * nk))
+    rows[0, 1 + nk :] = 1.0
+    rows[1::2, 1:] = np.hstack([eye, -eye])
+    rows[2::2, 1:] = np.hstack([-eye, -eye])
+    return weights, fs, rows
 
 
 # on one BLAS thread, as the solve runs, so that the fitted moments do not
@@ -741,86 +712,56 @@ def reconcile_expectations(measurements: MeasurementSet):
     """Fit a physical state to the data and return its exact moments.
 
     Data recorded with miscalibrated detectors is in general reproducible by
-    no state through the nominal operators; the witness program on such data
-    is unbounded along near-dependent operator combinations and the solver
-    correctly reports infeasibility.  This preprocessing step finds the
-    state rho_hat (PSD, unit trace) minimizing the data deviation and swaps
-    each datum for the fitted value tr(rho_hat M_i), which is achievable by
-    construction.
-
-    The deviation is measured per Gram direction relative to that
-    direction's own operator norm: |u_k . (fitted - data)| <= sig_k * t.
-    A combination u with ||sum_i u_ik M_i|| = sig_k only constrains states
+    no state through the nominal operators, and the witness program on it
+    is unbounded along near-dependent operator combinations.  This step
+    finds the state rho_hat (PSD, unit trace) and the least t with
+    |u_k . (tr(M rho_hat) - m)| <= sig_k t for every kept Gram direction
+    u_k of norm sig_k, and swaps each datum for tr(rho_hat M_i), achievable
+    by construction.  A combination of norm sig_k constrains states only
     through a window of width about sig_k, and the witness multipliers grow
-    like 1/sig_k, so an unweighted fit that parks tiny-norm directions at a
-    uniform absolute deviation destroys several percent of the bound while
-    a sig-weighted one keeps the multiplier-weighted error uniformly small.
-    Returns the corrected MeasurementSet and a dict with the fit residual,
-    the largest datum shift, and the fit solve's status and iteration count
-    (fit_status, fit_iterations).
+    like 1/sig_k, so the sig-weighted fit keeps the multiplier-weighted
+    error uniformly small.  Returns the corrected MeasurementSet and a dict
+    with the fit residual t, the largest datum shift, and the fit solve's
+    status and iteration count (fit_status, fit_iterations).
 
-    The state is written rho = I/n + sum_k y_k B_k over the traceless
-    directions of _unit_trace_basis, so it has unit trace for every y and
-    the program needs no equality row: the PSD block is rho itself, and
-    each target is measured from the moments tr(M_i I/n) of the origin.
-    The origin with a fit bound t above every window's deviation there is
-    strictly feasible, so the program carries it as its interior point:
-    y = 0 and t = _FIT_START_FACTOR times the largest
-    |u_k . (data - tr(M I/n))| / sig_k, and at least _FIT_START_FLOOR.
-    The solve starts there instead of at the solver's infeasible default,
-    and a phase-noise trial's fit takes 15-20 iterations instead of 25-54.
+    The solver is given the fit's dual, over y0 for the unit trace and
+    w_k, v_k >= |w_k| per window, with M_k = sum_i u_ik M_i / sig_k:
 
-    Only the targets u_k . (data - tr(M I/n)) and the start bound depend on
-    the data.  The rest is derived once per read-only operator stack
-    (_per_stack): the Gram rotation, the overlaps Re tr(M_i B_k) and
-    tr(M_i I/n), the kept directions with their floored sig_k, and each
-    window's constraint row u_k . Re tr(M B); the basis once per dimension.
-    The state block's F columns are built per call, so the solver prepares
-    their cone afresh: kept with the stack, that cone and its block would
-    stay resident beside the witness solve, 2.8 MB at n_max = 3, for ~1 ms
-    of a trial.
+        maximize    y0 + sum_k (u_k . m / sig_k) w_k
+        subject to  -y0 I - sum_k w_k M_k >= 0,   1 - sum_k v_k >= 0,
+                    v_k - w_k >= 0,   v_k + w_k >= 0.
 
-    Intended for data that is nearly consistent already (detector noise or
-    miscalibration); the returned moments are always exactly physical, but
-    for grossly inconsistent input the weighted fit may not converge and
-    the result is then a best-effort state with a large fit_residual, which
-    callers should inspect.
+    Its certificate is the fit: rho_hat is the state block's X, and t the X
+    of the block 1 - sum_k v_k.  Dividing by sig_k fits the narrow windows
+    to the solver's residual tolerance in units of t.  rho_hat is projected
+    onto the PSD cone and normalized before its moments replace the data.
+    Only the objective depends on the data; the rest is derived once per
+    read-only operator stack (_fit_windows), so the solver prepares the
+    state block's cone once (sdp._prepared).
+
+    For grossly inconsistent input the fitted state may lie far from the
+    data; its moments are still exactly physical, and callers should
+    inspect fit_residual.
     """
-    n = measurements.space.dim
     mats = measurements.matrices
     mvec = measurements.expectations
-    rho0, basis = _unit_trace_basis(n)
-    nb = len(basis)
-    vecs, kept, sig_eff, frows, offset = _fit_windows(mats)
+    weights, fs, rows = _fit_windows(mats)
+    n, nk = mats.shape[1], weights.shape[1]
+    c = np.zeros(len(rows))
+    c[0] = 1.0
+    c[1 : 1 + nk] = weights.T @ mvec
+    blocks = [(np.zeros((n, n)), fs), (np.ones((1, 1)), rows[0, :, None, None])]
+    blocks += [(np.zeros((1, 1)), row[:, None, None]) for row in rows[1:]]
+    sol = sdp.solve(sdp.ConicProgram(c, blocks), gap_tol=1e-8)
 
-    c = np.zeros(nb + 1)
-    c[nb] = -1.0
-    fs_psd = np.zeros((nb + 1, n, n), dtype=complex)
-    np.negative(basis, out=fs_psd[:nb])
-    blocks = [(rho0, fs_psd)]
-    worst = 0.0
-    dev = mvec - offset
-    for k, s, pair in zip(kept, sig_eff, frows):
-        target = float(vecs[:, k] @ dev)
-        worst = max(worst, abs(target) / s)
-        blocks += [(np.full((1, 1), target), pair[0]), (np.full((1, 1), -target), pair[1])]
-    # rho = I/n (y = 0) with a fit bound above every window's deviation at
-    # I/n is strictly feasible, and the solve starts there
-    start = np.zeros(nb + 1)
-    start[nb] = max(_FIT_START_FACTOR * worst, _FIT_START_FLOOR)
-    program = sdp.ConicProgram(c, blocks, interior_point=start)
-    sol = sdp.solve(program, gap_tol=1e-8)
-
-    rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
-    rho = 0.5 * (rho + rho.conj().T)
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(sol.dual_certificate[0])
     w = np.clip(w, 0.0, None)
     rho = (v * w) @ v.conj().T
     rho /= np.trace(rho).real
     fitted = np.real(np.einsum("iab,ba->i", mats, rho))
     fitted[measurements.identity_index] = 1.0
     info = {
-        "fit_residual": float(-sol.objective_value),
+        "fit_residual": float(sol.dual_certificate[1][0, 0]),
         "max_shift": float(np.max(np.abs(fitted - mvec))),
         "fit_status": sol.status,
         "fit_iterations": sol.iterations,

@@ -122,9 +122,9 @@ def groups(cones):
     pairs match its own up to sign (I - H and I + H of the witness
     program), and at most one image, (cone index, sigma) of a cone whose
     pairs are the reference's moved by an entry map (image_index), block
-    A of the witness program.  A cone that is neither gathers alone, as the
-    reconcile fit's state block does.  Groups of more members come first,
-    so a lone cone joins one as its image."""
+    A of the witness program.  A cone that is neither gathers alone.
+    Groups of more members come first, so a lone cone joins one as its
+    image."""
     found = []
     for i, cone in enumerate(cones):
         if cone.pairs.size:

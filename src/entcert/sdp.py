@@ -12,17 +12,13 @@ block is solved on its own n x n Hermitian cone, with no real embedding;
 every inner product is Re tr(AB), taken over real views of the arrays.
 
 The solver runs a path-following iteration with Nesterov-Todd scaling and
-Mehrotra predictor-corrector steps, from X = I.  A program without an
-interior point starts at y = 0 with S = I, in general infeasible, and the
-slack residual S + sum_j y_j Fj - F0 is driven to zero on the way.  A
-program that carries a strictly feasible point y starts there, with
-S = F0 - sum_j y_j Fj and no slack residual: the bound pipeline's reconcile
-fit starts so, at rho = I/n, while its witness programs take the default
-start.  1x1 blocks
-are grouped into a single diagonal (linear-programming) cone so scalar
-constraints cost vector arithmetic only.  The dual certificate X returned
-with the solution verifies the objective bound independently: weak duality
-gives  c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
+Mehrotra predictor-corrector steps, from y = 0 with S = I and X = I, in
+general infeasible; the slack residual S + sum_j y_j Fj - F0 is driven to
+zero on the way.  1x1 blocks are grouped into a single diagonal
+(linear-programming) cone so scalar constraints cost vector arithmetic
+only.  The dual certificate X returned with the solution verifies the
+objective bound independently: weak duality gives
+c . y  <=  sum_b tr(F0_b X_b)  for any dual-feasible X.
 
 The NT scaling comes from Cholesky factors and one SVD (Todd, Toh &
 Tutuncu, SIAM J. Optim. 8, 1998): X = Lx Lx^H, S = Ls Ls^H and
@@ -182,17 +178,9 @@ class ConicProgram:
     the caller should not modify them afterwards.  The solver never writes
     to program data.  The Hermitian check of a read-only Fs array runs once
     per array (_prepared), as does solve's set-up of its cone.
-
-    interior_point, when given, is a y of length m at which every block
-    slack S_b(y) = F0_b - sum_j y_j Fj_b is positive definite, a strictly
-    feasible point of the program; solve starts its iteration there, and
-    refuses a point whose slack is not positive definite.  It is stored as
-    a read-only copy, and one of the wrong length or with a non-finite
-    entry is refused here.  Without one the iteration starts at y = 0 with
-    S = I, infeasible in general.
     """
 
-    def __init__(self, objective, blocks, interior_point=None):
+    def __init__(self, objective, blocks):
         self.objective = np.asarray(objective, dtype=float).reshape(-1)
         m = self.objective.size
         if m == 0:
@@ -225,14 +213,6 @@ class ConicProgram:
             )
         if not self.blocks:
             raise ValueError("program needs at least one block")
-        if interior_point is not None:
-            interior_point = np.array(interior_point, dtype=float)
-            if interior_point.shape != (m,):
-                raise ValueError(f"interior point must have shape ({m},)")
-            if not np.all(np.isfinite(interior_point)):
-                raise ValueError("interior point must be finite")
-            interior_point.setflags(write=False)
-        self.interior_point = interior_point
 
     @property
     def n_vars(self) -> int:
@@ -613,9 +593,8 @@ def _box_pairs(f, touched):
     auxiliaries' Schur block and their correction to the kept block are
     diagonal; f_aux and f_other, (2, count), are the rows' F entries there.
     The robust witness in data coordinates has them, its t~_i; in Gram
-    coordinates each box row touches every rotated direction, the exact
-    witness has no 1x1 rows, and the reconcile fit's bound is touched by
-    all its rows."""
+    coordinates each box row touches every rotated direction, and the exact
+    witness has no 1x1 rows."""
     nz = f != 0.0
     free = np.flatnonzero((np.count_nonzero(nz, axis=0) != 2) | touched)
     start = free[-1] + 1 if free.size else 0
@@ -658,12 +637,8 @@ def solve(
     max_iter: int = 200,
     feas_tol: float = 1e-8,
 ) -> SdpSolution:
-    """Run the interior-point iteration on `program`.
-
-    The iteration starts at program.interior_point when the program has
-    one, and at y = 0 with S = I otherwise; X starts at I either way.  A
-    ValueError refuses an interior point at which some block slack
-    F0_b - sum_j y_j Fj_b is not positive definite.
+    """Run the interior-point iteration on `program`, from y = 0, S = I
+    and X = I.
 
     Returns status ``optimal`` when the relative duality gap drops below
     gap_tol with both residuals below feas_tol; ``infeasible`` when a Farkas
@@ -722,20 +697,10 @@ def _interior_point(
     ws = {}
 
     xs = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
+    ss = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
     xlp = np.ones(nlp)
-    if program.interior_point is None:
-        ss = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
-        slp = np.ones(nlp)
-        y = np.zeros(m)
-    else:
-        # the supplied strictly feasible point, in the scaled variables
-        y = program.interior_point / dvec
-        ss = [_herm(cone.f0 - cone.apply(y)) for cone in cones]
-        slp = lp.f0 - lp.apply(y)
-        bad = [cone.index for cone, sb in zip(cones, ss) if not np.linalg.eigvalsh(sb)[0] > 0.0]
-        bad += [lp_index[k] for k in np.flatnonzero(~(slp > 0.0))]
-        if bad:
-            raise ValueError(f"interior point: block {min(bad)} slack not positive definite")
+    slp = np.ones(nlp)
+    y = np.zeros(m)
 
     scale_c = 1.0 + np.max(np.abs(c))
     scale_f = 1.0 + max(

@@ -6,9 +6,10 @@ constructions, exhaustive enumeration instead of closed-form combinatorics,
 displaced-parity traces instead of Laguerre kernels, and a cutting-plane
 method (LP relaxations via scipy HiGHS) instead of an interior-point SDP
 solver.  Tests compare package output against these oracles or against
-values frozen from them.  The one exception is the candidate search of the
-error-box oracle at the end, which runs the package's SDP solver; the
-checks that accept its states use plain numpy only.
+values frozen from them.  The two exceptions run the package's SDP solver:
+the candidate search of the error-box oracle, whose states are accepted by
+checks in plain numpy only, and the reconcile fit over the state's own
+coordinates at the end, which the fit's dual form is checked against.
 """
 
 from __future__ import annotations
@@ -304,6 +305,22 @@ def dense_exact_log_negativity(rho, d1: int, d2: int):
     return max(0.0, float(np.log2(trace_norm))), trace_norm, tuple(float(x) for x in w[w < 0.0])
 
 
+def unit_trace_basis(n: int):
+    """Affine coordinates of the unit-trace n x n Hermitian matrices.
+
+    Returns (rho0, basis) with rho0 = I/n and basis the n^2 - 1 traceless
+    directions B_k = E_k - tr(E_k) I/n for the elements E_k, k >= 1, of
+    entcert.bound._hermitian_basis(n); rho0 + sum_k y_k B_k has unit trace
+    for every real y and reaches every unit-trace Hermitian matrix.
+    """
+    from entcert import bound
+
+    herm = bound._hermitian_basis(n)[1:]
+    rho0 = np.eye(n) / n
+    traces = np.real(np.einsum("kaa->k", herm))
+    return rho0, herm - traces[:, None, None] * rho0
+
+
 def check_in_box_state(rho, mats, true_rho, eps, d1, d2) -> dict:
     """Accept rho as a state inside the eps error box of true_rho's moments.
 
@@ -342,10 +359,10 @@ def in_box_state_candidate(mats, true_rho, eps, d1, d2):
     P >= rho^T1, minimize 2 tr P - 1, which is ||rho^T1||_1 at the optimum,
     subject to |tr(rho M_i)/n_i - 1| <= 0.999 eps for every operator after
     the leading identity.  rho = I/n + sum_k y_k B_k runs over the traceless
-    directions of entcert.bound._unit_trace_basis, so its trace is 1 by
-    construction; P is written in entcert.bound._hermitian_basis.  The rows
-    are divided by n_i, so the box is met to the solver's residual in
-    relative terms even for data near 1e-10.  The solution is projected
+    directions of unit_trace_basis, so its trace is 1 by construction; P
+    is written in entcert.bound._hermitian_basis.  The rows are divided by
+    n_i, so the box is met to the solver's residual in relative terms even
+    for data near 1e-10.  The solution is projected
     onto the PSD cone and mixed with 1e-12 of the maximally mixed state so
     its smallest eigenvalue is strictly positive; the shrunk box leaves
     room for both moves.  Nothing here is trusted:
@@ -355,7 +372,7 @@ def in_box_state_candidate(mats, true_rho, eps, d1, d2):
 
     mats = np.asarray(mats)
     n = d1 * d2
-    rho0, dirs = bound._unit_trace_basis(n)
+    rho0, dirs = unit_trace_basis(n)
     herm = bound._hermitian_basis(n)
     nb, nh = len(dirs), len(herm)
     traces = np.real(np.einsum("kaa->k", herm))
@@ -396,3 +413,45 @@ def in_box_states(mats, true_rho, d1, d2):
         rho = in_box_state_candidate(mats, true_rho, eps, d1, d2)
         out[eps] = (rho, check_in_box_state(rho, mats, true_rho, eps, d1, d2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reconcile fit over the state's own coordinates
+
+
+def state_coordinate_fit(mats, data):
+    """The reconcile fit posed over the state's coordinates: its solve, the
+    fitted state and the fit bound t.
+
+    Over rho = I/n + sum_k y_k B_k (unit_trace_basis) and t, minimize t
+    subject to rho >= 0 and |u_k . (tr(M rho) - data)| <= sig_k t for the
+    Gram directions u_k above entcert.bound.GRAM_NULL_CUT, sig_k their norms
+    floored at 1e-9 of the largest, two 1x1 rows per direction.  This is
+    the program entcert.bound.reconcile_expectations solved before it
+    passed the solver the fit's dual, solved here from the solver's default
+    start: 256 solver variables at n = 16, one per coordinate of rho and t.
+    """
+    from entcert import bound, sdp
+
+    mats = np.asarray(mats)
+    n = mats.shape[1]
+    rho0, basis = unit_trace_basis(n)
+    nb = len(basis)
+    amat = np.real(np.einsum("iab,kba->ik", mats, basis))
+    offset = np.real(np.einsum("iab,ba->i", mats, rho0))
+    vecs, sig = bound._gram_rotation(mats)
+    kept = np.flatnonzero(sig > bound.GRAM_NULL_CUT * sig.max())
+    sig_eff = np.maximum(sig, 1e-9 * sig.max())[kept]
+    c = np.zeros(nb + 1)
+    c[nb] = -1.0
+    blocks = [(rho0, np.concatenate([-basis, np.zeros((1, n, n))]))]
+    for k, s in zip(kept, sig_eff):
+        target = float(vecs[:, k] @ (data - offset))
+        for sign in (1.0, -1.0):
+            f = np.zeros((nb + 1, 1, 1))
+            f[:nb, 0, 0] = sign * (vecs[:, k] @ amat)
+            f[nb, 0, 0] = -s
+            blocks.append((np.array([[sign * target]]), f))
+    sol = sdp.solve(sdp.ConicProgram(c, blocks), gap_tol=1e-8)
+    rho = rho0 + np.tensordot(sol.y_star[:nb], basis, axes=(0, 0))
+    return sol, 0.5 * (rho + rho.conj().T), -sol.objective_value

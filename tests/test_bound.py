@@ -1,6 +1,7 @@
 """Unit tests for measurement assembly and the witness-SDP bound pipeline."""
 
 import gc
+import inspect
 import json
 import math
 import os
@@ -605,7 +606,7 @@ def test_error_box_states_rebuild_and_check():
 
 def test_unit_trace_basis():
     for n in (2, 4, 16):
-        rho0, basis = bound._unit_trace_basis(n)
+        rho0, basis = oracles.unit_trace_basis(n)
         assert basis.shape == (n * n - 1, n, n)
         assert np.allclose(rho0, rho0.conj().T) and abs(np.trace(rho0) - 1.0) < 1e-15
         assert np.max(np.abs(basis - np.swapaxes(basis, 1, 2).conj())) == 0.0
@@ -676,9 +677,10 @@ def test_reconcile_miscalibrated_data():
 
 
 def test_reconcile_fits_start_inside_at_criterion_6_point():
-    # the fit starts at its interior point rho = I/n; at the criterion-6
-    # point both noise kinds' fits end optimal in at most 20 iterations
-    # (25-54 from the solver's default start)
+    # at the criterion-6 point both noise kinds' fits end optimal in at
+    # most 20 iterations: 17-20 for the fit's dual from the solver's
+    # default start on these draws, where the state-coordinate fit took
+    # 25-54
     state = table_point_state(0.9, apd=0.15)
     det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
     models = [
@@ -690,6 +692,51 @@ def test_reconcile_fits_start_inside_at_criterion_6_point():
             fit = res.info["reconciliation"]
             assert fit["fit_status"] == "optimal"
             assert fit["fit_iterations"] <= 20, fit
+
+
+def test_reconcile_dual_matches_state_coordinate_fit(monkeypatch):
+    # on seeded criterion-6 draws of both noise kinds, the fit's dual ends
+    # optimal at the state-coordinate fit's bound t, and its certificate's
+    # state is PSD with unit trace and meets every window to feas_tol
+    state = table_point_state(0.9, apd=0.15)
+    det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
+    fits = []
+    reconcile, solve = bound.reconcile_expectations, sdp.solve
+
+    def recorded(ms):
+        solves = []
+
+        def kept(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdp, "solve", kept)
+            out = reconcile(ms)
+        fits.append((ms, out[1], solves))
+        return out
+
+    monkeypatch.setattr(bound, "reconcile_expectations", recorded)
+    models = [
+        PhaseNoiseModel("static_calibration", epsilon=0.1, seed=22),
+        PhaseNoiseModel("phase_averaged", width=0.4, seed=23),
+    ]
+    for model in models:
+        noise_trials(state, det, det, model, trials=3)
+    assert len(fits) == 6
+    feas_tol = inspect.signature(sdp.solve).parameters["feas_tol"].default
+    for ms, info, (sol,) in fits:
+        old, _, t_old = oracles.state_coordinate_fit(ms.matrices, ms.expectations)
+        assert old.status == info["fit_status"] == sol.status == "optimal"
+        t = sol.dual_certificate[1][0, 0]
+        assert info["fit_residual"] == t
+        assert abs(t - t_old) <= 1e-8 * (1.0 + t_old), (t, t_old)
+        rho = sol.dual_certificate[0]
+        assert np.linalg.eigvalsh(rho)[0] >= 0.0
+        assert abs(np.trace(rho) - 1.0) <= feas_tol
+        weights = bound._fit_windows(ms.matrices)[0]
+        dev = weights.T @ (np.real(np.einsum("iab,ba->i", ms.matrices, rho)) - ms.expectations)
+        assert np.max(np.abs(dev)) - t <= feas_tol
 
 
 def test_reconcile_gross_corruption_stays_physical():
@@ -799,10 +846,10 @@ def _stack_keys(stack):
 
 def test_noise_trials_reuse_operator_data_bit_for_bit():
     # the operator checks, the Gram rotation, the witness blocks and the
-    # fit's windows are derived once per read-only operator stack, and the
-    # solver prepares the cones of their F arrays once; a trial on a warm
-    # entry, and one on copies of the operators that are never cached, give
-    # the bits of the trial that filled it
+    # fit's program data are derived once per read-only operator stack,
+    # and the solver prepares the cones of their F arrays once; a trial on
+    # a warm entry, and one on copies of the operators that are never
+    # cached, give the bits of the trial that filled it
     st = table_point_state(0.9, n_max=2)
     det = toy_detector()
     nominal = build_measurements(det, det, signal_cutoff=2)
@@ -843,11 +890,11 @@ def test_operator_data_dies_with_its_stack():
     stack = ops[0].matrix.base
     keys = _stack_keys(stack)
     assert len(keys) == 1
-    # the solver's prepared cones of the three witness blocks are kept with
-    # the blocks, and go with them
+    # the solver's prepared cones of the three witness blocks and of the
+    # fit's state block are kept with the blocks, and go with them
     arrays = [id(a) for value in bound._STACK_DATA[keys[0]].values() for a in value]
     prepared = [key for key in arrays if "cone" in sdp._PREPARED.get(key, {})]
-    assert len(prepared) == 3
+    assert len(prepared) == 4
     alive = weakref.ref(stack)
     del ops, ms, fixed, stack
     gc.collect()
@@ -871,15 +918,15 @@ def _counted_cone_builds(monkeypatch, dropped):
 
 
 def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
-    # eight noise trials on one stack prepare the three witness cones once;
-    # the fit's state block, n^2 rows, is built per call and so is its
-    # cone.  A change that defeats the reuse, such as a writable block,
-    # builds a set per trial
+    # eight noise trials on one stack prepare the three witness cones and
+    # the fit's state cone, one row per dual variable, once.  A change that
+    # defeats the reuse, such as a writable block, builds a set per trial
     cfg = replace(cli.ExperimentConfig(), transmission=0.9, apd_efficiency=0.15)
     _, state, _ = cli.make_states(cfg)
     det = cli.make_detector(cfg)
     nominal = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
     nh = nominal[0].space.dim ** 2
+    fit_rows = 1 + 2 * bound._fit_windows(nominal[0].matrix.base)[0].shape[1]
     model = PhaseNoiseModel("phase_averaged", width=0.4, samples=cfg.noise_samples)
     rng = np.random.default_rng(3)
     dropped = []
@@ -890,7 +937,7 @@ def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
         )
         assert res.info["null_cut"] == bound.GRAM_NULL_CUT
     rows = [rows for rows, _ in builds]
-    assert len([r for r in rows if r > nh]) == 3 and rows.count(nh) == 8
+    assert len([r for r in rows if r > nh]) == 3 and rows.count(fit_rows) == 1 and len(rows) == 4
     # the table's three robust rows solve one program shape, set up once,
     # after the exact row's blocks, and with them its cones, are dropped
     ms = MeasurementSet(nominal, simulate_expectations(state, nominal))

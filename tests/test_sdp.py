@@ -249,61 +249,6 @@ def test_program_rejects_non_hermitian_complex():
         sdp.ConicProgram([1.0], [(np.array([[1.0, 1j], [1j, 1.0]]), np.zeros((1, 2, 2)))])
 
 
-def _diagonal_toy(point=None):
-    # the 1 x 1 block 1 - y1 - y2, then S(y) = diag(1 - y1, 2 - y2)
-    scalar = (np.array([[1.0]]), np.ones((2, 1, 1)))
-    fs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    return sdp.ConicProgram([1.0, 1.0], [scalar, (np.diag([1.0, 2.0]), fs)], interior_point=point)
-
-
-@pytest.mark.parametrize(
-    "point, message",
-    [
-        ([1.0, -1.0], "block 1 slack"),  # diag(0, 3): singular
-        ([2.0, -2.0], "block 1 slack"),  # diag(-1, 4): indefinite
-        ([0.5, 0.5], "block 0 slack"),  # the 1 x 1 block is 0
-        ([0.0, 3.0], "block 0 slack"),  # both blocks fail; the first is named
-        ([np.nan, 0.0], "finite"),
-        ([0.0, np.inf], "finite"),
-        ([0.0], "shape"),
-        ([0.0, 0.0, 0.0], "shape"),
-        ([[0.0, 0.0]], "shape"),
-    ],
-)
-def test_interior_point_refused_unless_strictly_feasible(point, message):
-    with pytest.raises(ValueError, match=message):
-        sdp.solve(_diagonal_toy(point))
-
-
-def test_interior_point_is_read_only_program_data():
-    point = np.array([0.25, -0.5])
-    program = _diagonal_toy(point)
-    point[0] = 9.0
-    assert np.array_equal(program.interior_point, [0.25, -0.5])
-    assert not program.interior_point.flags.writeable
-    assert _diagonal_toy().interior_point is None
-
-
-@pytest.mark.parametrize("hermitian", [False, True])
-def test_interior_start_reaches_the_default_optimum(hermitian):
-    # y0 leaves (0.5 + u) I on every matrix block and box -+ y0_j on the
-    # scalar ones, so it is strictly feasible
-    rng = np.random.default_rng(31)
-    c, blocks, _, y0 = _random_program(rng, hermitian=hermitian)
-    default = sdp.solve(sdp.ConicProgram(c, blocks))
-    inside = sdp.solve(sdp.ConicProgram(c, blocks, interior_point=y0))
-    assert default.status == inside.status == "optimal"
-    # the first iterate is y0 itself, with no slack residual
-    first = inside.info["history"][0]
-    assert abs(first["primal_objective"] - float(c @ y0)) <= 1e-12 * (1.0 + abs(c @ y0))
-    assert first["res_slack"] <= 1e-15
-    assert default.info["history"][0]["res_slack"] > 1e-3
-    scale = 1.0 + abs(default.objective_value)
-    assert abs(inside.objective_value - default.objective_value) <= 1e-7 * scale
-    check = sdp.verify_solution(sdp.ConicProgram(c, blocks), inside)
-    assert check["psd_ok"] and check["weak_duality_ok"]
-
-
 # ---------------------------------------------------------------------------
 # complex Hermitian blocks
 
@@ -329,7 +274,7 @@ def test_unit_trace_fit_reaches_max_eigenvalue():
     rng = np.random.default_rng(53)
     for n in (2, 4):
         a = _random_hermitian(rng, n)
-        rho0, basis = bound._unit_trace_basis(n)
+        rho0, basis = oracles.unit_trace_basis(n)
         c = np.real(np.einsum("kab,ba->k", basis, a))
         prog = sdp.ConicProgram(c, [(rho0, -basis)])
         sol = sdp.solve(prog, gap_tol=1e-9)
@@ -498,20 +443,22 @@ def test_pipeline_schur_slots_are_slices(program, monkeypatch):
         # builds it at this budget
         epsilon, cut = (1e-2, None) if program == "witness-robust" else (0.0, bound.GRAM_NULL_CUT)
         sdp.solve(bound._witness_program(ms, epsilon, cut)[0], max_iter=1)
-    # the four class blocks of the witness program's block A (the reconcile
-    # fit's state block), the pair-pair blocks of I -+ H and the diagonal
-    # cone's block, which the robust program and the fit have
-    assert len(slots) == {"witness": 6, "witness-robust": 7, "reconcile": 5}[program]
+    # the four class blocks of the witness program's block A, the pair-pair
+    # blocks of I -+ H and the diagonal cone's block, which the robust
+    # program has; the fit's state block is one dense run (I and the
+    # windows' operators) beside the diagonal cone
+    assert len(slots) == {"witness": 6, "witness-robust": 7, "reconcile": 2}[program]
     for out in slots:
         assert all(isinstance(s, slice) for s in out), out
-    # every n x n cone takes each Hermitian basis direction as a pair column:
-    # the n^2 of H in the witness blocks, the n^2 - n off-diagonal ones of
-    # the fit's unit-trace basis (its n - 1 diagonal directions are dense).
-    # So the pair-pair tables, 4 npairs^2 entries, are never much smaller
-    # than W (x) W, n^4 entries, and the pairs never pay to go dense
+    # every n x n witness cone takes each of the n^2 Hermitian basis
+    # directions of H as a pair column, so the pair-pair tables, 4 npairs^2
+    # entries, are never much smaller than W (x) W, n^4 entries, and the
+    # pairs never pay to go dense
     n = ms.space.dim
     if program == "reconcile":
-        assert [list(cone.pairs) for cone in cones] == [list(range(n - 1, n * n - 1))]
+        (cone,) = cones
+        assert cone.pairs.size == 0 and list(cone.dense) == list(range(len(cone.dense)))
+        assert len(cone.dense) == 1 + bound._fit_windows(ms.matrices)[0].shape[1]
     else:
         assert len(cones) == 3
         for cone in cones:
@@ -666,16 +613,17 @@ def test_pair_tables_match_oracle(program, hermitian):
     # the pair-pair block gathered from W (x) W equals the complex per-entry
     # formula bit for bit on the columns of the witness program's blocks
     # H^T1 - sum nu_i M_i, I + H and I - H (unscaled, and Jacobi-scaled as
-    # the solver scales them) and of the reconcile fit's state block; the
-    # one gather of I + H and I - H from W_1 (x) W_1 + W_2 (x) W_2 equals
-    # the sum of their per-cone entries to roundoff, and so does the one
-    # gather of all three, block A joining through the partial transpose
+    # the solver scales them) and of the state-coordinate fit's state block
+    # (oracles.state_coordinate_fit); the one gather of I + H and I - H
+    # from W_1 (x) W_1 + W_2 (x) W_2 equals the sum of their per-cone
+    # entries to roundoff, and so does the one gather of all three, block A
+    # joining through the partial transpose
     rng = np.random.default_rng(79)
     d1, d2 = 2, 3
     n = d1 * d2
     basis = bound._hermitian_basis(n)
     if program == "reconcile":
-        blocks = [-bound._unit_trace_basis(n)[1]]
+        blocks = [-oracles.unit_trace_basis(n)[1]]
     else:
         herm = _random_hermitian if hermitian else lambda rng, n: _sym(rng.normal(size=(n, n)))
         dense = np.array([herm(rng, n) for _ in range(3)], dtype=complex)
@@ -930,8 +878,9 @@ def _dense_view(cone, fs):
 
 def _witness_and_reconcile_blocks(n_max):
     """The F arrays of the witness programs' blocks (A, I - H, I + H) at
-    epsilon 0 and 1e-2 and of the reconcile fit's state block, at the table
-    point's configuration with n_max photons."""
+    epsilon 0 and 1e-2 and of the state-coordinate fit's state block
+    (oracles.state_coordinate_fit), at the table point's configuration
+    with n_max photons."""
     cfg = replace(cli.ExperimentConfig(), n_max=n_max)
     _, state, _ = cli.make_states(cfg)
     det = cli.make_detector(cfg)
@@ -940,7 +889,7 @@ def _witness_and_reconcile_blocks(n_max):
     blocks = []
     for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
         blocks += [fs for _, fs in bound._witness_program(ms, epsilon, cut)[0].blocks[:3]]
-    basis = bound._unit_trace_basis(ms.space.dim)[1]
+    basis = oracles.unit_trace_basis(ms.space.dim)[1]
     return blocks + [np.concatenate([-basis, np.zeros_like(basis[:1])])]
 
 
@@ -951,8 +900,8 @@ def test_pair_scatter_gives_the_product_bits(hermitian):
     # and Jacobi-scaled, and random pair cones) each off-diagonal slot gets
     # one term and a diagonal one two halves, y d/2 + y d/2 = round(y d), so
     # the sum has the bits of the product with the dense real view.  Block
-    # A and the reconcile fit's state block mix pairs and dense rows: apply
-    # and moments there equal the product to 1e-14
+    # A and the state-coordinate fit's state block mix pairs and dense rows:
+    # apply and moments there equal the product to 1e-14
     rng = np.random.default_rng(83)
     scatter, mixed = [], []
     if hermitian:
@@ -1013,8 +962,9 @@ print(checked)
 
 @pytest.mark.parametrize("kernel", ["native", "Haswell", "Sandybridge"])
 def test_pair_moments_give_the_product_bits_on_every_kernel(kernel):
-    # on the table point's witness cones and reconcile state block, as given
-    # and Jacobi-scaled, in a child process whose OpenBLAS kernel is set
+    # on the table point's witness cones and state-coordinate fit's state
+    # block, as given and Jacobi-scaled, in a child process whose OpenBLAS
+    # kernel is set
     if kernel != "native" and not _x86_with_avx2():
         pytest.skip("needs an x86-64 host with AVX2")
     root = Path(__file__).resolve().parents[1]
@@ -1036,7 +986,7 @@ def test_colliding_pair_slots_sum_every_term():
     # every term, which a fancy-index += would not
     d1, d2 = 2, 3
     n = d1 * d2
-    dirs = bound._unit_trace_basis(n)[1]
+    dirs = oracles.unit_trace_basis(n)[1]
     fs = np.concatenate([oracles._partial_transpose_first(dirs, d1, d2), -bound._hermitian_basis(n)])
     cone = sdp._MatrixCone(0, np.eye(n, dtype=complex), fs)
     slots = cone.slots.ravel().tolist()
@@ -1141,7 +1091,7 @@ def test_only_box_auxiliaries_leave_the_cholesky(program, monkeypatch):
     # the robust witness in data coordinates factors m - nt columns; the
     # exact witness (no 1x1 rows), the robust witness in Gram coordinates
     # (each box row touches every rotated direction) and the reconcile fit
-    # (its bound is touched by all its rows) factor their full m
+    # (each v_k is touched by three rows) factor their full m
     sizes = []
     factor = sdp._cho_factor
 
