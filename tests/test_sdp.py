@@ -249,6 +249,36 @@ def test_program_rejects_non_hermitian_complex():
         sdp.ConicProgram([1.0], [(np.array([[1.0, 1j], [1j, 1.0]]), np.zeros((1, 2, 2)))])
 
 
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_interior_start_reaches_the_default_optimum(hermitian):
+    # y0 leaves (0.5 + u) I on every matrix block and box -+ y0_j on the
+    # scalar ones, so it is strictly feasible.  The program translated by
+    # y0 (z = y - y0, F0 -> F0 - sum_j y0_j Fj) starts its iteration there,
+    # at z = 0, and must reach the same optimum and certificate
+    rng = np.random.default_rng(31)
+    c, blocks, _, y0 = _random_program(rng, hermitian=hermitian)
+    moved = [(f0 - np.tensordot(y0, fs, axes=(0, 0)), fs) for f0, fs in blocks]
+    assert all(np.linalg.eigvalsh(f0)[0] > 0.0 for f0, _ in moved)
+    default = sdp.solve(sdp.ConicProgram(c, blocks))
+    inside = sdp.solve(sdp.ConicProgram(c, moved))
+    assert default.status == inside.status == "optimal"
+    assert inside.info["history"][0]["primal_objective"] == 0.0
+    scale = 1.0 + abs(default.objective_value)
+    shift = float(c @ y0)
+    assert abs(inside.objective_value + shift - default.objective_value) <= 1e-7 * scale
+    back = sdp.SdpSolution(
+        inside.y_star + y0,
+        inside.objective_value + shift,
+        inside.dual_certificate,
+        inside.duality_gap,
+        inside.status,
+        inside.iterations,
+        inside.info,
+    )
+    check = sdp.verify_solution(sdp.ConicProgram(c, blocks), back)
+    assert check["psd_ok"] and check["weak_duality_ok"]
+
+
 # ---------------------------------------------------------------------------
 # complex Hermitian blocks
 
