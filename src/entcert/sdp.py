@@ -29,6 +29,16 @@ from D^(-1/2) (G^-1 dX G^-H) D^(-1/2), unitarily similar to Lx^-1 dX Lx^-H,
 and the same for S, with no triangular inverse formed.  An iterate whose
 Cholesky factorization fails ends the solve as a numerical failure.
 
+A Mehrotra step shorter than 0.8 is followed by one centrality corrector
+(Gondzio, Comput. Optim. Appl. 6, 137, 1996; Colombo & Gondzio, Comput.
+Optim. Appl. 41, 277, 2008).  At the trial step a = min(1, 1.5 alpha +
+0.1), each matrix cone's scaled product herm((D + a dX^)(D + a dS^)), dX^
+and dS^ the scaled directions, has its eigenvalues clipped into
+[0.1, 10] sigma mu, none lowered by more than 10 sigma mu; the clipped part
+B adds 2B/(d_i + d_j) to E, and the diagonal cone does the same
+elementwise.  The direction is solved once more with the same Schur factor
+and kept when its step is at least 1.01 times the Mehrotra step.
+
 The Schur complement Re tr(W Fi W Fj) is assembled from the sparsity of
 the data, following the same paper.  At set-up each block's F columns are
 sorted once into three classes: *zero* (Fj vanishes on the block), *pair*
@@ -123,6 +133,17 @@ _STALL_GAIN = 1e-3
 
 # fraction of the step to the cone boundary taken each iteration
 _FRACTION_TO_BOUNDARY = 0.98
+
+# centrality corrector (Gondzio, Comput. Optim. Appl. 6, 137, 1996): tried
+# when the Mehrotra step is below _CORRECTOR_BELOW, aimed at the trial step
+# a*alpha + b for (a, b) = _CORRECTOR_TRIAL, capped at 1, with the trial
+# products' eigenvalues clipped into _CORRECTOR_BAND times sigma*mu (none
+# lowered by more than the band's top), and kept when its step is at least
+# _CORRECTOR_GAIN times the Mehrotra step
+_CORRECTOR_BELOW = 0.8
+_CORRECTOR_TRIAL = (1.5, 0.1)
+_CORRECTOR_BAND = (0.1, 10.0)
+_CORRECTOR_GAIN = 1.01
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -269,6 +290,23 @@ def _max_step_psd(d: np.ndarray, dmat: np.ndarray) -> float:
     if lmin >= 0.0:
         return np.inf
     return -1.0 / lmin
+
+
+def _clipped(p: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """clip(p, lo, hi) - p, bounded below by -hi as in Gondzio (1996), so
+    that one large trial product cannot swamp the correction."""
+    return np.maximum(np.clip(p, lo, hi) - p, -hi)
+
+
+def _centring(d: np.ndarray, dxh: np.ndarray, dsh: np.ndarray, a: float, lo: float, hi: float):
+    """The centrality correction of E for one matrix cone at the scaled
+    point diag(d) > 0, scaled directions dxh and dsh: the trial product
+    P = herm((D + a dxh)(D + a dsh)) = V diag(lam) V^H, its clipped part
+    B = V diag(_clipped(lam, lo, hi)) V^H, and E = 2B/(d_i + d_j), which
+    solves (DE + ED)/2 = B entrywise; zero when every lam is in [lo, hi]."""
+    lam, v = np.linalg.eigh(_herm((np.diag(d) + a * dxh) @ (np.diag(d) + a * dsh)))
+    b = (v * _clipped(lam, lo, hi)) @ v.conj().T
+    return 2.0 * b / (d[:, None] + d[None, :])
 
 
 def _max_step_pos(x: np.ndarray, dx: np.ndarray) -> float:
@@ -642,19 +680,23 @@ def solve(
 
     Returns status ``optimal`` when the relative duality gap drops below
     gap_tol with both residuals below feas_tol; ``infeasible`` when a Farkas
-    ray or objective divergence is detected; ``stalled`` when the gap is
+    ray is detected or c . y passes 1e10; ``stalled`` when the gap is
     below gap_tol but the worst residual has not improved by 0.1% for 5
     iterations, typically a residual parked just above feas_tol by
     roundoff; ``max_iterations`` or ``numerical_failure`` otherwise.
     Every status but ``infeasible`` carries the best iterate seen, the one
     with the smallest worst of gap and residuals.  ``info`` holds the
     iteration history, the returned iterate's dual objective and its
-    ``weak_duality_violation``, max(0, primal - dual), and
+    ``weak_duality_violation``, max(0, primal - dual),
     ``ridge_retries``, the number of Cholesky factorizations of the Schur
     complement that failed over the solve, each retried with a larger
-    diagonal ridge.  The solve runs with numpy's OpenBLAS at one thread, so
-    its result does not depend on the caller's thread count, which is
-    restored on return.
+    diagonal ridge, and ``correctors``, the number of steps the centrality
+    corrector gave.  Each history entry holds the iterate's mu, gaps,
+    residuals and objectives, ``step``, the step length taken from it (0
+    from the last), and ``corrector``, whether the corrector gave that
+    step.  The solve runs with numpy's OpenBLAS at one thread, so its
+    result does not depend on the caller's thread count, which is restored
+    on return.
     """
     with one_blas_thread():
         return _interior_point(program, gap_tol, max_iter, feas_tol)
@@ -757,6 +799,10 @@ def _interior_point(
                     "res_slack": res_y,
                     "primal_objective": pobj,
                     "dual_objective": dobj,
+                    # the step taken from this iterate, and whether the
+                    # centrality corrector gave it
+                    "step": 0.0,
+                    "corrector": False,
                 }
             )
 
@@ -789,7 +835,7 @@ def _interior_point(
                     status = STATUS_INFEASIBLE
                     detail = "constraints infeasible (Farkas certificate)"
                     break
-            if pobj > _DIV_OBJ or np.max(np.abs(y)) > _DIV_OBJ:
+            if pobj > _DIV_OBJ:
                 status = STATUS_INFEASIBLE
                 detail = "objective diverges (dual side infeasible)"
                 break
@@ -873,6 +919,13 @@ def _interior_point(
                     ad = min(ad, _max_step_psd(sc["d"], dsh))
                 return ap, ad
 
+            def _alpha(direction):
+                # equal primal/dual step: both residuals then contract at
+                # least as fast as mu, so the gap cannot outrun the
+                # infeasibility
+                ap, ad = _steps(*direction[3:])
+                return min(1.0, _FRACTION_TO_BOUNDARY * ap, _FRACTION_TO_BOUNDARY * ad)
+
             # predictor: aim straight at the boundary (sigma = 0), E = -D
             d_aff = _direction([-np.diag(sc["d"]) for sc in scals], -vlp)
             ap_aff, ad_aff = _steps(*d_aff[3:])
@@ -902,12 +955,28 @@ def _interior_point(
                 b[np.diag_indices_from(b)] += sigma * mu - d * d
                 es_cor.append(2.0 * b / (d[:, None] + d[None, :]))
             elp_cor = (sigma * mu - xlp * slp - d_aff[3] * d_aff[4]) / vlp
-            dy, dxs, dss, dxlp, dslp, scaled = _direction(es_cor, elp_cor)
+            step = _direction(es_cor, elp_cor)
+            alpha = _alpha(step)
 
-            # equal primal/dual step: both residuals then contract at least
-            # as fast as mu, so the gap cannot outrun the infeasibility
-            ap, ad = _steps(dxlp, dslp, scaled)
-            alpha = min(1.0, _FRACTION_TO_BOUNDARY * ap, _FRACTION_TO_BOUNDARY * ad)
+            # after a short step, one centrality corrector: the part of the
+            # trial products outside the band around sigma*mu, clipped in
+            # each cone, corrects E, solved with the same factor; kept only
+            # if it lengthens the step
+            if alpha < _CORRECTOR_BELOW:
+                a = min(1.0, _CORRECTOR_TRIAL[0] * alpha + _CORRECTOR_TRIAL[1])
+                band = [f * sigma * mu for f in _CORRECTOR_BAND]
+                trial = (xlp + a * step[3]) * (slp + a * step[4])
+                es_gc = [
+                    eb + _centring(sc["d"], dxh, dsh, a, *band)
+                    for eb, sc, (dxh, dsh) in zip(es_cor, scals, step[5])
+                ]
+                retry = _direction(es_gc, elp_cor + _clipped(trial, *band) / vlp)
+                alpha_gc = _alpha(retry)
+                if alpha_gc >= _CORRECTOR_GAIN * alpha:
+                    step, alpha = retry, alpha_gc
+                    history[-1]["corrector"] = True
+            history[-1]["step"] = alpha
+            dy, dxs, dss, dxlp, dslp, _ = step
             if alpha < 1e-10:
                 stalls += 1
                 if stalls >= 5:
@@ -952,6 +1021,7 @@ def _interior_point(
             "weak_duality_violation": float(np.maximum(0.0, pobj - dobj_best)),
             "detail": detail,
             "ridge_retries": ridge_retries,
+            "correctors": sum(h["corrector"] for h in history),
         },
     )
 

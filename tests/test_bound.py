@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import itertools
 import json
 import math
 import os
@@ -678,20 +679,65 @@ def test_reconcile_miscalibrated_data():
 
 def test_reconcile_fits_start_inside_at_criterion_6_point():
     # at the criterion-6 point both noise kinds' fits end optimal in at
-    # most 20 iterations: 17-20 for the fit's dual from the solver's
-    # default start on these draws, where the state-coordinate fit took
-    # 25-54
+    # most 20 iterations on seeds 20-25: 16-18 for the fit's dual from the
+    # solver's default start with the centrality corrector, 17-21 without
+    # it, where the state-coordinate fit took 25-54
     state = table_point_state(0.9, apd=0.15)
     det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
     models = [
-        PhaseNoiseModel("static_calibration", epsilon=0.1, seed=20),
-        PhaseNoiseModel("phase_averaged", width=0.4, seed=21),
+        model
+        for seed in range(20, 26)
+        for model in (
+            PhaseNoiseModel("static_calibration", epsilon=0.1, seed=seed),
+            PhaseNoiseModel("phase_averaged", width=0.4, seed=seed),
+        )
     ]
     for model in models:
         for res in noise_trials(state, det, det, model, trials=3):
             fit = res.info["reconciliation"]
             assert fit["fit_status"] == "optimal"
             assert fit["fit_iterations"] <= 20, fit
+
+
+class _Signs:
+    """Stands in for the trial's random stream: random() gives each static
+    draw's sign in turn, + as 0.25 and - as 0.75."""
+
+    def __init__(self, signs):
+        self.draws = [0.25 if sign == "+" else 0.75 for sign in signs]
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_static_sign_patterns_end_optimal_on_the_first_rung(monkeypatch):
+    # a static draw at the criterion-6 point is one sign per mode and LO
+    # setting, 16 patterns in all; each ends optimal on the first null-cut
+    # rung, in at most 30 witness iterations: the most any pattern takes
+    # on any OpenBLAS kernel tools/kernels.py runs, Haswell's +-++ (13-24
+    # natively with the centrality corrector, 18-31 without it).  Under
+    # Sandybridge one pattern stalls, with or without the corrector
+    state = table_point_state(0.9, apd=0.15)
+    det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
+    model = PhaseNoiseModel("static_calibration", epsilon=0.1)
+    nominal = build_measurements(det, det, signal_cutoff=3)
+    rungs = []
+    witness_rung = bound._witness_rung
+
+    def recorded(*args, **kwargs):
+        sol, res = witness_rung(*args, **kwargs)
+        rungs.append((args[2], sol.status, sol.iterations))
+        return sol, res
+
+    monkeypatch.setattr(bound, "_witness_rung", recorded)
+    for signs in ("".join(p) for p in itertools.product("+-", repeat=4)):
+        rungs.clear()
+        res = bound.noisy_bound(state, det, det, model, rng=_Signs(signs), nominal_ops=nominal)
+        assert res.info["verified"]
+        assert len(rungs) == 1, (signs, rungs)
+        cut, status, iterations = rungs[0]
+        assert cut == bound.GRAM_NULL_CUT and status == sdp.STATUS_OPTIMAL, (signs, rungs)
+        assert iterations <= 30, (signs, rungs)
 
 
 def test_reconcile_dual_matches_state_coordinate_fit(monkeypatch):

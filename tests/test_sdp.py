@@ -823,6 +823,67 @@ def test_nt_scaling_identities(hermitian, cond):
         assert abs(step + 1.0 / lmin) <= (1e-12 + 1e-15 * cond) * step
 
 
+def _trial_point(rng, n, hermitian, spread):
+    # a scaled point D and scaled directions whose trial product at a = 0.7
+    # has eigenvalues spread about 1 by the size of the directions
+    d = rng.uniform(0.5, 2.0, n)
+    dxh, dsh = (
+        spread * (_random_hermitian(rng, n) if hermitian else _sym(rng.normal(size=(n, n))))
+        for _ in range(2)
+    )
+    return d, dxh, dsh, 0.7
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_centring_is_zero_inside_the_band(hermitian):
+    # a trial product whose eigenvalues all lie in [lo, hi] gets no
+    # correction, to the last bit
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        d, dxh, dsh, a = _trial_point(rng, 6, hermitian, 0.01)
+        lam = np.linalg.eigvalsh(_herm((np.diag(d) + a * dxh) @ (np.diag(d) + a * dsh)))
+        assert lam[0] > 0.0
+        assert not np.any(sdp._centring(d, dxh, dsh, a, 0.5 * lam[0], 2.0 * lam[-1]))
+    # the diagonal cone's elementwise part, the same way
+    trial = rng.uniform(0.2, 5.0, 9)
+    assert not np.any(sdp._clipped(trial, 0.1, 10.0))
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_centring_solves_the_lyapunov_equation(hermitian):
+    # otherwise E solves (DE + ED)/2 = B entrywise, B the clipped part of
+    # the trial product P, formed from the eigendecomposition the solver
+    # takes; and P + B has each eigenvalue of P moved into [lo, hi],
+    # lowered by at most hi
+    rng = np.random.default_rng(43)
+    lo, hi = 0.75, 1.25
+    for _ in range(5):
+        d, dxh, dsh, a = _trial_point(rng, 8, hermitian, 1.0)
+        p = _herm((np.diag(d) + a * dxh) @ (np.diag(d) + a * dsh))
+        lam, v = np.linalg.eigh(p)
+        assert lam[0] < lo and lam[-1] > 2.0 * hi
+        moved = np.maximum(np.clip(lam, lo, hi), lam - hi)
+        b = (v * (moved - lam)) @ v.conj().T
+        e = sdp._centring(d, dxh, dsh, a, lo, hi)
+        assert np.max(np.abs(0.5 * (d[:, None] * e + e * d[None, :]) - b)) <= 1e-14
+        assert np.allclose(np.linalg.eigvalsh(p + b), np.sort(moved), rtol=0.0, atol=1e-13)
+    trial = np.array([-1.0, 0.5, 0.9, 1.1, 2.0, 5.0])
+    assert np.array_equal(sdp._clipped(trial, lo, hi), [1.75, 0.25, 0.0, 0.0, -0.75, -1.25])
+
+
+def test_history_records_steps_and_kept_correctors():
+    # every iterate records the step taken from it, none from the last, and
+    # whether the centrality corrector gave it; info["correctors"] counts
+    # the kept ones, and the table's witness keeps some
+    sol = sdp.solve(_table_witness_program())
+    assert sol.status == sdp.STATUS_OPTIMAL
+    history = sol.info["history"]
+    assert len(history) == sol.iterations
+    assert history[-1]["step"] == 0.0 and history[-1]["corrector"] is False
+    assert all(0.0 < h["step"] <= 1.0 for h in history[:-1])
+    assert sol.info["correctors"] == sum(h["corrector"] for h in history) > 0
+
+
 def test_non_positive_definite_iterate_ends_with_the_best_iterate(monkeypatch):
     # an iterate whose Cholesky factorization fails ends the solve as a
     # numerical failure, with no fallback, and the solve returns the best

@@ -66,11 +66,17 @@ def test_solvelog_records_and_compares(tmp_path, capsys):
     assert kept["null_cut"] in [r["null_cut"] for r in records if r["kind"] == "rung"]
     for r in records:
         assert r["kind"] == "verify" or (r["status"] and r["iterations"] > 0)
+    # the last iterate takes no step, so no solve keeps more correctors
+    # than it has iterations less one
+    assert all(0 <= r["correctors"] < r["iterations"] for r in records if r["kind"] == "solve")
     assert records[-1]["verified"] and records[-1]["lower_bound"] == kept["lower_bound"]
     value = float.fromhex(kept["lower_bound"])
 
     assert solvelog.main([str(log), str(log)]) == 0
-    assert "records that moved: 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "records that moved: 0" in out
+    correctors = sum(r["correctors"] for r in records if r["kind"] == "solve")
+    assert f"; correctors {correctors}; statuses" in out
     moved = tmp_path / "moved.jsonl"
     kept["lower_bound"] = (value + 2.0**-20).hex()
     moved.write_text("".join(json.dumps(r) + "\n" for r in records))

@@ -10,11 +10,12 @@ of each witness bound with its kept rung (``bound``), of
 ``reconcile_expectations`` (``reconcile``) and of ``verify_bound``
 (``verify``), as each call returns.  Each line holds the test's node id,
 the kind, the call's path and the result's fields: status, iterations,
-the rung's null cut and every float as ``float.hex``, so a compare sees
-each changed bit.  The path names the call by its ordinal among the
-calls of its kind within the enclosing logged call, or within the test,
-as ``bound#2/rung#0/solve#0``; so a ladder that runs one more rung moves
-the paths of that bound's own calls alone.  Solves run in child processes
+a solve's kept centrality correctors (``info["correctors"]``), the rung's
+null cut and every float as ``float.hex``, so a compare sees each changed
+bit.  The path names the call by its ordinal among the calls of its kind
+within the enclosing logged call, or within the test, as
+``bound#2/rung#0/solve#0``; so a ladder that runs one more rung moves the
+paths of that bound's own calls alone.  Solves run in child processes
 are not logged.  Give the log in the one-argument form: pytest counts a
 separate LOG argument among the paths that fix its root directory, and the
 test ids, which are relative to it, would then differ between checkouts.
@@ -22,8 +23,8 @@ test ids, which are relative to it, would then differ between checkouts.
 Run as a script, it matches the records of two logs on (test, path) and
 prints every record whose fields differ, with |delta| of each float, then
 the records found in one log only, and a summary per log: records per
-kind, solve iterations and statuses, and the largest |delta| of each
-float field.  The exit code is 0, or 2 without two logs.
+kind, solve iterations, correctors and statuses, and the largest |delta|
+of each float field.  The exit code is 0, or 2 without two logs.
 """
 
 import functools
@@ -47,6 +48,8 @@ def _solve_fields(args, sol):
     return {
         "status": sol.status, "iterations": sol.iterations,
         "objective": _hex(sol.objective_value), "n_vars": args["program"].n_vars,
+        # None in a log of a solver that keeps no count
+        "correctors": sol.info.get("correctors"),
     }
 
 
@@ -217,6 +220,7 @@ def summary(records: dict) -> dict:
     return {
         "kinds": Counter(r["kind"] for r in records.values()),
         "iterations": sum(r["iterations"] for r in solves),
+        "correctors": sum(r.get("correctors") or 0 for r in solves),
         "statuses": Counter(r["status"] for r in solves),
     }
 
@@ -247,7 +251,10 @@ def main(argv=None) -> int:
         s = summary(records)
         kinds = ", ".join(f"{k} {v}" for k, v in sorted(s["kinds"].items()))
         statuses = ", ".join(f"{k} {v}" for k, v in sorted(s["statuses"].items()))
-        print(f"{label}: {kinds}; solve iterations {s['iterations']}; statuses {statuses}")
+        print(
+            f"{label}: {kinds}; solve iterations {s['iterations']}; "
+            f"correctors {s['correctors']}; statuses {statuses}"
+        )
     print(f"records that moved: {len(found)}")
     for name, delta in sorted(largest.items()):
         print(f"largest |d| {name}: {delta:.3g}")
