@@ -134,12 +134,12 @@ NOISE_KINDS = ("static_calibration", "phase_averaged")
 class PhaseNoiseModel:
     """Local-oscillator phase noise used when generating data.
 
-    Both kinds act on the LO as a list of coherent components.
-    static_calibration perturbs each nominal setting once per trial, giving
-    a one-component LO: theta = 0 becomes +-epsilon/10 and theta = pi/2
-    becomes (pi/2)(1 +- epsilon/10), signs drawn independently per mode and
-    per setting.  phase_averaged replaces the LO by an equal-weight mixture
-    of `samples` coherent states with phase offsets drawn uniformly from an
+    Both kinds shift the LO phase of each nominal setting by offsets drawn
+    once per trial.  static_calibration draws one offset: theta = 0 becomes
+    +-epsilon/10 and theta = pi/2 becomes (pi/2)(1 +- epsilon/10), signs
+    drawn independently per mode and per setting.  phase_averaged replaces
+    the LO by an equal-weight mixture of `samples` coherent states with
+    phase offsets drawn uniformly from an
     interval of full width `width` (or of standard deviation `width` when
     width_is_std is set), redrawn per mode and per setting.
     """
@@ -185,15 +185,12 @@ class BoundResult:
 # measurement assembly and simulation
 
 
-def _mode_elements(det, phases, signal_cutoff, lo_components_per_phase):
+def _mode_elements(det, phases, signal_cutoff):
     """Ordered single-mode operator stack: DEFAULT_OUTCOMES within each
     phase setting, shape (len(phases) * len(DEFAULT_OUTCOMES), d, d)."""
     ops = []
-    for idx, phase in enumerate(phases):
-        comps = None if lo_components_per_phase is None else lo_components_per_phase[idx]
-        povm = homodyne_povm(
-            replace(det, lo_phase=float(phase)), signal_cutoff, lo_components=comps
-        )
+    for phase in phases:
+        povm = homodyne_povm(replace(det, lo_phase=float(phase)), signal_cutoff)
         row = {e.outcome: k for k, e in enumerate(povm.elements)}
         for beta in DEFAULT_OUTCOMES:
             if beta not in row:
@@ -202,39 +199,13 @@ def _mode_elements(det, phases, signal_cutoff, lo_components_per_phase):
     return np.concatenate(ops)
 
 
-def build_measurements(
-    det1: DetectorConfig,
-    det2: DetectorConfig,
-    phases: Sequence[float] = DEFAULT_PHASES,
-    *,
-    signal_cutoff: int = 3,
-    lo_components1=None,
-    lo_components2=None,
-):
-    """All products of the two single-mode click POVM subsets, plus identity.
-
-    Per mode the ordered element list runs over DEFAULT_OUTCOMES (0, 1, 2, 3)
-    within each phase setting, e.g. for phases (0, pi/2):
-    {P_{0,0}, P_{1,0}, P_{2,0}, P_{3,0}, P_{0,pi/2}, .., P_{3,pi/2}}.
-    The joint operator with 1-based index (j, k) sits at list position
-    (j-1)*P + k, after the identity at position 0, where P is the per-mode
-    element count.  lo_components1 / lo_components2 give, per phase setting,
-    the LO of that mode as a list of (weight, amplitude) components (see
-    detector.homodyne_povm); a noise-perturbed mode keeps its nominal phase
-    labels and ordering and carries the perturbed LO there.  Two equal
-    detectors with no LO components share one single-mode element list.
-
-    The operators wrap the rows of one read-only (1 + P^2, d^2, d^2) stack,
-    the identity first; one broadcast multiply forms every product, each
-    entry the single product np.kron(a, b) computes.
-    """
-    a = _mode_elements(det1, phases, signal_cutoff, lo_components1)
-    if det2 == det1 and lo_components1 is None and lo_components2 is None:
-        b = a
-    else:
-        b = _mode_elements(det2, phases, signal_cutoff, lo_components2)
-    space = HilbertSpec((signal_cutoff, signal_cutoff))
+def _products(a, b):
+    """The identity, then every product of a row of a with a row of b,
+    a-major: FockOperator views of the rows of one read-only
+    (1 + P1 P2, d1 d2, d1 d2) stack.  One broadcast multiply forms every
+    product, each entry the single product np.kron computes."""
     (p1, d1, _), (p2, d2, _) = a.shape, b.shape
+    space = HilbertSpec((d1 - 1, d2 - 1))
     stack = np.empty((1 + p1 * p2, space.dim, space.dim), dtype=complex)
     stack[0] = np.eye(space.dim)
     np.multiply(
@@ -244,6 +215,28 @@ def build_measurements(
     )
     stack.setflags(write=False)
     return [FockOperator._view(space, mat) for mat in stack]
+
+
+def build_measurements(
+    det1: DetectorConfig,
+    det2: DetectorConfig,
+    phases: Sequence[float] = DEFAULT_PHASES,
+    *,
+    signal_cutoff: int = 3,
+):
+    """All products of the two single-mode click POVM subsets, plus identity.
+
+    Per mode the ordered element list runs over DEFAULT_OUTCOMES (0, 1, 2, 3)
+    within each phase setting, e.g. for phases (0, pi/2):
+    {P_{0,0}, P_{1,0}, P_{2,0}, P_{3,0}, P_{0,pi/2}, .., P_{3,pi/2}}.
+    The joint operator with 1-based index (j, k) sits at list position
+    (j-1)*P + k, after the identity at position 0, where P is the per-mode
+    element count.  Two equal detectors share one single-mode element list.
+    The operators wrap the rows of one read-only stack (_products).
+    """
+    a = _mode_elements(det1, phases, signal_cutoff)
+    b = a if det2 == det1 else _mode_elements(det2, phases, signal_cutoff)
+    return _products(a, b)
 
 
 def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:
@@ -776,28 +769,39 @@ def reconcile_expectations(measurements: MeasurementSet):
 def apply_phase_noise(det: DetectorConfig, model: PhaseNoiseModel, rng):
     """One noise draw for a single detector at its current nominal phase.
 
-    Returns the LO as a list of (weight, amplitude) components: one
-    component at the perturbed phase for static_calibration, the LO mixture
-    for phase_averaged, and [(1.0, det.lo_alpha)] for zero noise.
+    Returns the draw's LO phase offsets: one for static_calibration,
+    `samples` equally weighted ones for phase_averaged, and [0.0] for zero
+    noise.
     """
     if model.kind == "static_calibration":
         if model.epsilon == 0.0:
-            return [(1.0, det.lo_alpha)]
+            return [0.0]
         sign = 1.0 if rng.random() < 0.5 else -1.0
+        step = model.epsilon / 10.0
         theta0 = det.lo_phase
-        if abs(theta0) < 1e-12:
-            theta = sign * model.epsilon / 10.0
-        else:
-            theta = theta0 * (1.0 + sign * model.epsilon / 10.0)
-        # through DetectorConfig, so the phase is wrapped into [0, 2 pi)
-        return [(1.0, replace(det, lo_phase=theta).lo_alpha)]
+        return [sign * step if abs(theta0) < 1e-12 else sign * theta0 * step]
     if model.width == 0.0:
-        return [(1.0, det.lo_alpha)]
+        return [0.0]
     half = math.sqrt(3.0) * model.width if model.width_is_std else model.width / 2.0
-    deltas = rng.uniform(-half, half, model.samples)
-    weight = 1.0 / model.samples
-    amp = abs(det.lo_amplitude)
-    return [(weight, amp * np.exp(1j * (det.lo_phase + d))) for d in deltas]
+    return rng.uniform(-half, half, model.samples)
+
+
+def _dephased(elements, offsets_per_phase):
+    """The single-mode stack of _mode_elements under one noise draw per
+    phase setting.
+
+    An LO phase offset delta rotates the signal mode, so each element A of
+    a setting becomes the entrywise product A o Phi, with
+    Phi_jk = mean_s exp(i delta_s (j - k)) over the setting's offsets,
+    formed as V^T conj(V) / N from V[s, j] = exp(i delta_s j).  A zero
+    offset leaves every bit."""
+    n = np.arange(elements.shape[-1])
+    phis = []
+    for deltas in offsets_per_phase:
+        v = np.exp(1j * np.multiply.outer(deltas, n))
+        phis.append(v.T @ v.conj() / len(deltas))
+    blocks = elements.reshape(len(phis), -1, *elements.shape[1:])
+    return (blocks * np.array(phis)[:, None]).reshape(elements.shape)
 
 
 def noisy_bound(
@@ -815,9 +819,10 @@ def noisy_bound(
 
     The expectation values come from the true (noise-perturbed) operators
     while the witness program is built on the nominal operators, modeling an
-    experimenter unaware of the miscalibration.  Each noise draw is an LO
-    component list per mode and setting (one component for a static draw),
-    passed to build_measurements as lo_components1 / lo_components2.  The
+    experimenter unaware of the miscalibration.  Each noise draw gives the
+    LO phase offsets of one mode and setting (apply_phase_noise, mode 1's
+    settings first), and the true operators are the products of the
+    nominal single-mode elements under those offsets (_dephased).  The
     data is first reconciled to the nearest physical moment vector
     (reconcile_expectations); without that step the mismatch makes the
     witness program unbounded.  info["verified"] records verify_bound's
@@ -829,16 +834,11 @@ def noisy_bound(
     # the data simulation, the reconcile fit and the witness run on one BLAS
     # thread, as the solves do, so that no idle worker thread spins beside them
     with sdp.one_blas_thread():
-        comps1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
-        comps2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
-        true_ops = build_measurements(
-            det1,
-            det2,
-            phases=phases,
-            signal_cutoff=cutoff,
-            lo_components1=comps1,
-            lo_components2=comps2,
-        )
+        offsets1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
+        offsets2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
+        a = _mode_elements(det1, phases, cutoff)
+        b = a if det2 == det1 else _mode_elements(det2, phases, cutoff)
+        true_ops = _products(_dephased(a, offsets1), _dephased(b, offsets2))
         data = simulate_expectations(state, true_ops)
         ms, fit_info = reconcile_expectations(MeasurementSet(nominal_ops, data))
         result = lower_bound_negativity_robust(ms, robust_epsilon)

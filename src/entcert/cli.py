@@ -92,7 +92,7 @@ class ExperimentConfig:
     )
     noise_epsilon: float = _setting("noise", 0.0, "static calibration error scale")
     noise_width: float = _setting("noise", 0.0, "phase averaging width (radians)")
-    noise_samples: int = _setting("noise", 100, "coherent components per averaged LO")
+    noise_samples: int = _setting("noise", 100, "LO phase samples per averaged setting")
     width_is_std: bool = _setting("noise", False, "interpret width as a standard deviation")
     trials: int = _setting("noise", 20, "noise trials per point")
     seed: int | None = _setting("noise", None, "noise seed (required for noise runs)")

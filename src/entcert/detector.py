@@ -11,21 +11,17 @@ signal-mode POVM element for click count k at setting gamma is
     Pi_{k,gamma} = Tr_LO[ (|alpha><alpha| (x) 1) U† (1 (x) Pi_k) U ]
 
 which reproduces Tr(rho Pi_{k,gamma}) for every signal state rho, with
-bins + 1 outcomes per setting.  The LO is always a list of coherent
-components (w_j, alpha_j) with sum_j w_j = 1, a pure LO being one
-component; the element is linear in the LO state, so
-
-    Pi_{k,gamma} = sum_j w_j Tr_LO[ (|alpha_j><alpha_j| (x) 1) U† (1 (x) Pi_k) U ]
-
-on one LO cutoff chosen for the largest |alpha_j|.  Every LO is contracted
-through its density matrix sigma = sum_j w_j |alpha_j><alpha_j|: each
-output photon pair (na, nb) carries the signal operator U_r† sigma U_r, and
-the elements are click-weighted sums of those, so the contraction costs the
-same for any component count.  Wigner functions of POVM elements are
-evaluated from the Fock-basis displacement kernel (associated Laguerre
-polynomials).  Every binomial coefficient, in the loss and convolution
-matrices and in the Laguerre polynomials, comes from one exact Pascal
-table, and log n! from fock.log_factorials, so no scipy module is imported.
+bins + 1 outcomes per setting.  The LO is contracted through its density
+matrix sigma = |alpha><alpha| on a cutoff chosen for |alpha|: each output
+photon pair (na, nb) carries the signal operator U_r† sigma U_r, and the
+elements are click-weighted sums of those.  A phase offset delta of the LO
+rotates the signal mode, Pi(theta + delta) = U_delta† Pi(theta) U_delta, so
+a noisy LO needs no POVM of its own (bound.apply_phase_noise).  Wigner
+functions of POVM elements are evaluated from the Fock-basis displacement
+kernel (associated Laguerre polynomials).  Every binomial coefficient, in
+the loss and convolution matrices and in the Laguerre polynomials, comes
+from one exact Pascal table, and log n! from fock.log_factorials, so no
+scipy module is imported.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .fock import (
     HilbertSpec,
     adaptive_lo_cutoff,
     beam_splitter_unitary,
-    coherent_amplitudes_batch,
+    coherent_amplitudes,
     log_factorials,
 )
 
@@ -239,51 +235,30 @@ def _bs_columns(reflectivity: float, lo_cutoff: int, signal_cutoff: int) -> np.n
     return out
 
 
-def homodyne_povm(
-    det: DetectorConfig,
-    signal_cutoff: int,
-    lo_components=None,
-) -> PovmSet:
+def homodyne_povm(det: DetectorConfig, signal_cutoff: int) -> PovmSet:
     """Signal-mode POVM of one weak-homodyne setting: one element per
     click count 0..bins of the TMD on the signal-aligned arm.
 
-    The LO is a list of coherent components, given as (weight, complex
-    amplitude) pairs with finite nonnegative weights summing to 1 and
-    finite amplitudes; None means the pure LO [(1.0, det.lo_alpha)].  One
-    LO cutoff, chosen by adaptive_lo_cutoff for the largest amplitude,
-    keeps every component's tail mass below TAIL_TOL.  PovmSet raises when
-    the POVM misses completeness by more than TOL_COMPLETE.
+    The LO is the coherent state det.lo_alpha on the cutoff that
+    adaptive_lo_cutoff chooses for its amplitude.  PovmSet raises when the
+    POVM misses completeness by more than TOL_COMPLETE.
 
-    Every LO, pure or mixed, is contracted through its density matrix:
-    s = sum_k w_k conj(v_k) v_k^T (transposed); q[na, nb] = U_r^H s U_r,
-    with U_r the (LO, signal) -> output columns of output pair
-    r = (na, nb), is the signal operator that output pair carries; and each
-    element is a click-weighted sum of the q blocks over the unread LO-arm
-    count na.  One batched matmul covers all output photon pairs and one
-    product all outcomes, whatever the component count.
+    The LO is contracted through its density matrix s = conj(v) v^T:
+    q[na, nb] = U_r^H s U_r, with U_r the (LO, signal) -> output columns of
+    output pair r = (na, nb), is the signal operator that output pair
+    carries, and each element is a click-weighted sum of the q blocks over
+    the unread LO-arm count na.  One batched matmul covers all output
+    photon pairs and one product all outcomes.
     """
-    if lo_components is None:
-        lo_components = [(1.0, det.lo_alpha)]
-    weights = np.array([w for w, _ in lo_components], dtype=float)
-    amps = np.array([a for _, a in lo_components], dtype=complex)
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-10):
-        raise ValueError("LO component weights must be nonnegative and sum to 1")
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("LO component amplitudes must be finite")
-    lo_cutoff = adaptive_lo_cutoff(np.max(np.abs(amps)))
-
+    lo_cutoff = adaptive_lo_cutoff(det.lo_amplitude)
     pad = lo_cutoff + signal_cutoff
     d_pad, d_sig = pad + 1, signal_cutoff + 1
     clicks = click_matrix(det.tmd, pad)
 
     u_cols = _bs_columns(float(det.reflectivity), lo_cutoff, int(signal_cutoff))
     u_r = u_cols.reshape(d_pad * d_pad, lo_cutoff + 1, d_sig)
-    # a zero-weight component is no part of the LO state: dropping it keeps
-    # the shape of the product below, and with it OpenBLAS's choice of
-    # kernel, the same as for the LO without it
-    kept = weights > 0
-    vecs = coherent_amplitudes_batch(amps[kept], lo_cutoff)[0]
-    s = (vecs.conj().T * weights[kept]) @ vecs
+    vec = coherent_amplitudes(det.lo_alpha, lo_cutoff)[0][None]
+    s = vec.conj().T @ vec
     q = (u_r.conj().transpose(0, 2, 1) @ (s @ u_r)).reshape(d_pad, d_pad, d_sig, d_sig)
     ops = (clicks @ q.sum(axis=0).reshape(d_pad, -1)).reshape(-1, d_sig, d_sig)
 

@@ -262,39 +262,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int):
     return vec / np.sqrt(norm_sq), tail
 
 
-def coherent_amplitudes_batch(alphas, cutoff: int):
-    """coherent_amplitudes for a sequence of amplitudes on one cutoff.
-
-    Returns (vecs, tails): row j of vecs and tails[j] are the vector and
-    tail mass of coherent_amplitudes(alphas[j], cutoff), bit for bit.  As
-    there, |alpha| and |alpha|^2 / 2 are Python floats (the C library's
-    hypot and pow; numpy's vectorised absolute value and square can differ
-    from them in the last bit); every other step is one array expression
-    over all amplitudes.  Raises ValueError for a non-finite amplitude.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    alphas = [complex(a) for a in alphas]
-    for alpha in alphas:
-        if not cmath.isfinite(alpha):
-            raise ValueError(f"coherent amplitude {alpha} is not finite")
-    mags = [abs(a) for a in alphas]
-    zero = [m == 0 for m in mags]
-    n = np.arange(cutoff + 1)
-    # a vacuum row (alpha = 0) is computed at |alpha| = 1 and then set to
-    # |0>, which has no tail
-    logmag = (
-        n * np.log([m or 1.0 for m in mags])[:, None]
-        - 0.5 * log_factorials(cutoff)
-        - np.array([0.5 * m**2 for m in mags])[:, None]
-    )
-    vecs = np.exp(logmag + 1j * n * np.angle(alphas)[:, None])
-    if any(zero):
-        vecs[zero] = np.eye(1, cutoff + 1)
-    norm_sq = np.sum(np.abs(vecs) ** 2, axis=1)
-    return vecs / np.sqrt(norm_sq)[:, None], np.maximum(0.0, 1.0 - norm_sq)
-
-
 @lru_cache(maxsize=64)
 def adaptive_lo_cutoff(amplitude: float) -> int:
     """Smallest cutoff (at least 12) with coherent tail mass below TAIL_TOL,

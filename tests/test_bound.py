@@ -118,13 +118,13 @@ def test_build_measurements_ordering():
 
 
 def test_equal_detectors_share_one_element_list(monkeypatch):
-    # two equal detectors without LO components build the single-mode
-    # elements once: one homodyne_povm per phase, the operators of two
-    # separate builds bit for bit
+    # two equal detectors build the single-mode elements once: one
+    # homodyne_povm per phase, the operators of two separate builds bit for
+    # bit
     det = toy_detector()
     phases = (0.0, math.pi / 2.0)
-    ops1 = bound._mode_elements(det, phases, 2, None)
-    ops2 = bound._mode_elements(replace(det), phases, 2, None)
+    ops1 = bound._mode_elements(det, phases, 2)
+    ops2 = bound._mode_elements(replace(det), phases, 2)
     calls = []
 
     def counting(*args, **kwargs):
@@ -139,42 +139,38 @@ def test_equal_detectors_share_one_element_list(monkeypatch):
     assert all(np.array_equal(op.matrix, e) for op, e in zip(ops, expected))
 
 
-def _single_mode(det, phases, cutoff, comps_per_phase):
+def _single_mode(det, phases, cutoff):
     """np.kron's inputs: the DEFAULT_OUTCOMES elements of each phase's POVM."""
     mats = []
-    for idx, phase in enumerate(phases):
-        comps = None if comps_per_phase is None else comps_per_phase[idx]
-        povm = homodyne_povm(replace(det, lo_phase=phase), cutoff, lo_components=comps)
+    for phase in phases:
+        povm = homodyne_povm(replace(det, lo_phase=phase), cutoff)
         by_outcome = {e.outcome: e.operator.matrix for e in povm.elements}
         mats.extend(by_outcome[b] for b in bound.DEFAULT_OUTCOMES)
-    return mats
+    return np.array(mats)
 
 
 def _phase_averaged(det, phases, seed):
+    """_single_mode under a 100-sample phase average of full width 0.4 per
+    setting."""
     rng = np.random.default_rng(seed)
-    return [
-        [(0.01, det.lo_amplitude * np.exp(1j * (p + t))) for t in rng.uniform(-0.2, 0.2, 100)]
-        for p in phases
-    ]
+    offsets = [rng.uniform(-0.2, 0.2, 100) for _ in phases]
+    return bound._dephased(_single_mode(det, phases, 3), offsets)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_build_measurements_bytes_equal_np_kron(mixed):
     # every product operator is np.kron of the single-mode elements, bit for
     # bit: for two equal detectors, and for two modes with their own
-    # detectors and 100-component LOs
+    # detectors under 100-sample phase averages
     phases = bound.DEFAULT_PHASES
     det1 = toy_detector(eta=0.9, amplitude=1.0)
-    det2 = det1
-    comps1 = comps2 = None
     if mixed:
         det2 = DetectorConfig(2.5, 0.0, 0.9, TmdConfig(bins=10, efficiency=0.7))
-        comps1, comps2 = _phase_averaged(det1, phases, 1), _phase_averaged(det2, phases, 2)
-    ops = build_measurements(
-        det1, det2, phases, signal_cutoff=3, lo_components1=comps1, lo_components2=comps2
-    )
-    a = _single_mode(det1, phases, 3, comps1)
-    b = _single_mode(det2, phases, 3, comps2)
+        a, b = _phase_averaged(det1, phases, 1), _phase_averaged(det2, phases, 2)
+        ops = bound._products(a, b)
+    else:
+        a = b = _single_mode(det1, phases, 3)
+        ops = build_measurements(det1, det1, phases, signal_cutoff=3)
     expected = [np.eye(16, dtype=complex)] + [np.kron(x, y) for x in a for y in b]
     assert len(ops) == len(expected) == 65
     for op, e in zip(ops, expected):
@@ -659,15 +655,9 @@ def test_reconcile_miscalibrated_data():
     st = table_point_state(0.9, n_max=2)
     det = toy_detector()
     nominal = build_measurements(det, det, signal_cutoff=2)
-    true_ops = build_measurements(
-        det,
-        det,
-        phases=(0.05, math.pi / 2.0 + 0.05),
-        signal_cutoff=2,
-        lo_components2=[
-            [(1.0, replace(det, lo_phase=p).lo_alpha)] for p in (-0.03, math.pi / 2.0 - 0.03)
-        ],
-    )
+    shifted = bound._mode_elements(det, (0.05, math.pi / 2.0 + 0.05), 2)
+    dephased = bound._dephased(bound._mode_elements(det, bound.DEFAULT_PHASES, 2), [[-0.03]] * 2)
+    true_ops = bound._products(shifted, dephased)
     data = simulate_expectations(st, true_ops)
     ms = MeasurementSet(nominal, data)
     fixed, info = reconcile_expectations(ms)
@@ -713,10 +703,9 @@ class _Signs:
 def test_static_sign_patterns_end_optimal_on_the_first_rung(monkeypatch):
     # a static draw at the criterion-6 point is one sign per mode and LO
     # setting, 16 patterns in all; each ends optimal on the first null-cut
-    # rung, in at most 30 witness iterations: the most any pattern takes
-    # on any OpenBLAS kernel tools/kernels.py runs, Haswell's +-++ (13-24
-    # natively with the centrality corrector, 18-31 without it).  Under
-    # Sandybridge one pattern stalls, with or without the corrector
+    # rung, in at most 30 witness iterations, on every OpenBLAS kernel
+    # tools/kernels.py runs: 13-22 natively (AVX-512), 13-27 under Haswell
+    # (+--+) and 13-25 under Sandybridge
     state = table_point_state(0.9, apd=0.15)
     det = DetectorConfig(1.0, 0.0, 0.5, TmdConfig(8, 0.1))
     model = PhaseNoiseModel("static_calibration", epsilon=0.1)
@@ -819,50 +808,94 @@ def test_static_noise_phase_values():
     model = PhaseNoiseModel(kind="static_calibration", epsilon=0.1)
     rng = np.random.default_rng(2)
     delta = model.epsilon / 10.0
-    # a draw is one component at the perturbed phase, its amplitude taken
-    # from the perturbed DetectorConfig bit for bit (phase wrapped mod 2 pi)
-    allowed0 = {replace(det0, lo_phase=t).lo_alpha: t for t in (delta, -delta)}
-    allowed90 = {
-        replace(det90, lo_phase=t).lo_alpha: t
-        for t in (math.pi / 2.0 * (1.0 + delta), math.pi / 2.0 * (1.0 - delta))
-    }
+    # a draw is one offset, +-epsilon/10 at theta = 0 and +-theta epsilon/10
+    # elsewhere, its sign taken from one random() of the stream per draw
+    signs = np.random.default_rng(2)
+    allowed0 = {delta: 1.0, -delta: -1.0}
+    allowed90 = {math.pi / 2.0 * delta: 1.0, -math.pi / 2.0 * delta: -1.0}
     seen0, seen90 = set(), set()
     for _ in range(10):
-        [(w0, a0)] = apply_phase_noise(det0, model, rng)
-        [(w90, a90)] = apply_phase_noise(det90, model, rng)
-        assert w0 == w90 == 1.0
-        assert a0 in allowed0 and a90 in allowed90
-        seen0.add(allowed0[a0])
-        seen90.add(allowed90[a90])
+        [d0] = apply_phase_noise(det0, model, rng)
+        [d90] = apply_phase_noise(det90, model, rng)
+        assert d0 in allowed0 and d90 in allowed90
+        for allowed, d in ((allowed0, d0), (allowed90, d90)):
+            assert allowed[d] == (1.0 if signs.random() < 0.5 else -1.0)
+        seen0.add(d0)
+        seen90.add(d90)
     assert len(seen0) == 2 and len(seen90) == 2  # both signs drawn
-    # zero noise leaves the nominal LO
+    # zero noise leaves the nominal LO and draws nothing
     calm = PhaseNoiseModel(kind="static_calibration", epsilon=0.0)
-    assert apply_phase_noise(det0, calm, rng) == [(1.0, det0.lo_alpha)]
+    assert apply_phase_noise(det0, calm, None) == [0.0]
 
 
 def test_phase_averaged_components():
+    # a draw is `samples` offsets uniform over the full width, or over
+    # +-sqrt(3) width when width is a standard deviation: the stream's next
+    # uniform() call
     det = toy_detector(amplitude=0.8)
     model = PhaseNoiseModel(kind="phase_averaged", width=0.4, samples=40, seed=3)
-    comps = apply_phase_noise(det, model, np.random.default_rng(model.seed))
-    assert len(comps) == 40
-    weights = np.array([w for w, _ in comps])
-    assert np.allclose(weights, 1.0 / 40)
-    offsets = np.array([np.angle(a) - det.lo_phase for _, a in comps])
-    offsets = (offsets + np.pi) % (2.0 * np.pi) - np.pi
-    assert np.all(np.abs(offsets) <= 0.2 + 1e-12)
-    assert np.allclose([abs(a) for _, a in comps], 0.8)
+    offsets = apply_phase_noise(det, model, np.random.default_rng(model.seed))
+    assert len(offsets) == 40
+    assert np.array_equal(offsets, np.random.default_rng(3).uniform(-0.2, 0.2, 40))
+    assert np.all(np.abs(offsets) <= 0.2)
     wide = PhaseNoiseModel(
         kind="phase_averaged", width=0.2, samples=400, seed=3, width_is_std=True
     )
-    comps = apply_phase_noise(det, wide, np.random.default_rng(wide.seed))
-    offsets = np.array([np.angle(a) - det.lo_phase for _, a in comps])
-    offsets = (offsets + np.pi) % (2.0 * np.pi) - np.pi
+    offsets = apply_phase_noise(det, wide, np.random.default_rng(wide.seed))
     half = math.sqrt(3.0) * 0.2
-    assert np.all(np.abs(offsets) <= half + 1e-12)
+    assert np.array_equal(offsets, np.random.default_rng(3).uniform(-half, half, 400))
+    assert np.all(np.abs(offsets) <= half)
     assert np.max(np.abs(offsets)) > 0.5 * half  # spread fills the interval
     calm = PhaseNoiseModel(kind="phase_averaged", width=0.0)
-    comps = apply_phase_noise(det, calm, np.random.default_rng(calm.seed))
-    assert comps == [(1.0, det.lo_alpha)]
+    assert apply_phase_noise(det, calm, None) == [0.0]
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2.0, 0.3])
+def test_phase_noise_is_one_elementwise_product(theta):
+    # reference computed at run time: a 100-sample phase average equals the
+    # equal-weight sum of 100 pure-LO POVMs at theta + delta_s, and a static
+    # draw equals the pure-LO POVM at the drawn phase
+    det = replace(toy_detector(), lo_phase=theta)
+    outcomes = list(bound.DEFAULT_OUTCOMES)
+
+    def pure(phase):
+        return homodyne_povm(replace(det, lo_phase=phase), 3).matrices[outcomes]
+
+    nominal = bound._mode_elements(det, (theta,), 3)
+    averaged = PhaseNoiseModel("phase_averaged", width=0.4, seed=11)
+    deltas = apply_phase_noise(det, averaged, np.random.default_rng(averaged.seed))
+    assert len(deltas) == 100
+    expected = sum(pure(theta + d) for d in deltas) / 100
+    assert np.max(np.abs(bound._dephased(nominal, [deltas]) - expected)) <= 1e-14
+    static = PhaseNoiseModel("static_calibration", epsilon=0.1)
+    for sign in (1.0, -1.0):
+        drawn = sign * 0.01 if theta == 0.0 else theta * (1.0 + sign * 0.01)
+        offsets = apply_phase_noise(det, static, _Signs("+" if sign > 0 else "-"))
+        assert np.max(np.abs(bound._dephased(nominal, [offsets]) - pure(drawn))) <= 1e-14
+
+
+def test_zero_phase_noise_leaves_every_bit(monkeypatch):
+    # a trial without noise simulates its data on the nominal operators
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    nominal = build_measurements(det, det, signal_cutoff=2)
+    seen = []
+    simulate = bound.simulate_expectations
+
+    def recorded(state, ops):
+        seen.append(ops)
+        return simulate(state, ops)
+
+    monkeypatch.setattr(bound, "simulate_expectations", recorded)
+    calm = [
+        PhaseNoiseModel("static_calibration", epsilon=0.0),
+        PhaseNoiseModel("phase_averaged", width=0.0),
+    ]
+    for model in calm:
+        bound.noisy_bound(st, det, det, model, rng=None, nominal_ops=nominal)
+    assert len(seen) == 2
+    for ops in seen:
+        assert [op.matrix.tobytes() for op in ops] == [op.matrix.tobytes() for op in nominal]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])

@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,80 +195,6 @@ def test_homodyne_phase_covariance():
     for a, b in zip(base.elements, moved.elements):
         expect = rot @ a.operator.matrix @ rot.conj().T
         assert np.max(np.abs(b.operator.matrix - expect)) < 1e-8
-
-
-def test_homodyne_mixed_lo_components():
-    # a mixture is the weighted sum of the pure-LO POVMs of its components.
-    # Each pure POVM takes the LO cutoff of its own amplitude; the 1.0 and 0.6
-    # components share the minimum cutoff, and next to the 2.5 component only
-    # amplitudes of at most 0.5 appear, whose tails beyond that minimum are
-    # below 1e-17, so all POVMs agree on one truncation to roundoff
-    assert fock.adaptive_lo_cutoff(2.5) > fock.adaptive_lo_cutoff(1.0) == 12
-    mixtures = [
-        [(0.5, 1.0), (0.3, 1.0 * np.exp(1j * 0.5)), (0.2, 0.6 * np.exp(1j * 0.1))],
-        [(0.6, 0.5 * np.exp(1j * 0.4)), (0.4, 0.0)],
-        [(0.25, 2.5 * np.exp(1j * 0.2)), (0.5, 0.5 * np.exp(-1j * 0.7)), (0.25, 0.3)],
-    ]
-    det = _det()
-    for comps in mixtures:
-        mixed = detector.homodyne_povm(det, 3, lo_components=comps)
-        pures = [detector.homodyne_povm(_det(amp=abs(a), phase=np.angle(a)), 3) for _, a in comps]
-        assert len(mixed.elements) == 9
-        for i, m in enumerate(mixed.elements):
-            expect = sum(w * p.elements[i].operator.matrix for (w, _), p in zip(comps, pures))
-            assert all(p.elements[i].outcome == m.outcome for p in pures)
-            assert np.max(np.abs(m.operator.matrix - expect)) < 1e-12
-        assert mixed.completeness_deficit() < 1e-6
-
-
-@pytest.mark.parametrize("setting", [0.0, np.pi / 2])
-@pytest.mark.parametrize("error", [0.01, -0.01])
-def test_homodyne_one_component_list_is_the_shifted_pure_lo(setting, error):
-    # a static phase error travels as a one-component LO on the nominal setting
-    nominal = _det(phase=setting)
-    shifted = replace(nominal, lo_phase=setting + error)
-    one = detector.homodyne_povm(nominal, 3, lo_components=[(1.0, shifted.lo_alpha)])
-    pure = detector.homodyne_povm(shifted, 3)
-    for a, b in zip(one.elements, pure.elements):
-        assert a.outcome == b.outcome
-        assert np.array_equal(a.operator.matrix, b.operator.matrix)
-    # None is the one-component list of the setting's own LO, bit for bit
-    listed = detector.homodyne_povm(shifted, 3, lo_components=[(1.0, shifted.lo_alpha)])
-    for a, b in zip(listed.elements, pure.elements):
-        assert a.outcome == b.outcome
-        assert np.array_equal(a.operator.matrix, b.operator.matrix)
-
-
-@pytest.mark.parametrize("amp", [0.0, 1.0, 2.5])
-def test_homodyne_component_count_selects_no_path(amp):
-    # every LO takes one contraction: zero-weight components (no larger
-    # than the LO, so the LO cutoff stays) change no bit, and four equal
-    # quarters of the LO give the pure LO to roundoff (a separate
-    # one-component path differs from it by up to 3.3e-16)
-    det = _det(amp=amp, phase=0.7)
-    pure = detector.homodyne_povm(det, 3)
-    padded = [(1.0, det.lo_alpha), (0.0, 0.5 * det.lo_alpha), (0.0, 0.3j * amp)]
-    quarters = [(0.25, det.lo_alpha)] * 4
-    for comps, tol in [(padded, 0.0), (quarters, 2e-16)]:
-        povm = detector.homodyne_povm(det, 3, lo_components=comps)
-        for a, b in zip(povm.elements, pure.elements):
-            assert a.outcome == b.outcome
-            assert np.max(np.abs(a.operator.matrix - b.operator.matrix)) <= tol
-
-
-@pytest.mark.parametrize(
-    "comps",
-    [
-        [(float("nan"), 1.0)],
-        [(0.5, 1.0), (float("nan"), 0.5)],
-        [(float("inf"), 1.0)],
-        [(1.0, complex(float("nan"), 0.0))],
-        [(0.5, 1.0), (0.5, float("inf"))],
-    ],
-)
-def test_homodyne_rejects_non_finite_lo_components(comps):
-    with pytest.raises(ValueError, match="LO component"):
-        detector.homodyne_povm(_det(), 3, lo_components=comps)
 
 
 @pytest.mark.parametrize(

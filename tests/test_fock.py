@@ -79,22 +79,6 @@ def test_fock_operator_view_checks_shape_and_dtype():
         FockOperator._view(space, real)
 
 
-@pytest.mark.parametrize("cutoff", [0, 4, 12, 19, 30])
-def test_coherent_amplitudes_batch_matches_single_calls(cutoff):
-    # a phase-averaged LO's amplitudes, a vacuum component among them:
-    # every row bit for bit the single call's vector and tail
-    rng = np.random.default_rng(cutoff)
-    alphas = list(1.7 * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))) + [0.0, 2.5, -0.3j]
-    vecs, tails = fock.coherent_amplitudes_batch(alphas, cutoff)
-    assert vecs.shape == (len(alphas), cutoff + 1)
-    for alpha, vec, tail in zip(alphas, vecs, tails):
-        ref_vec, ref_tail = fock.coherent_amplitudes(alpha, cutoff)
-        assert vec.tobytes() == ref_vec.tobytes()
-        assert tail == ref_tail
-    with pytest.raises(ValueError, match="not finite"):
-        fock.coherent_amplitudes_batch([1.0, complex(0.0, np.inf)], cutoff)
-
-
 def test_coherent_vacuum():
     vec, tail = fock.coherent_amplitudes(0.0, 4)
     assert tail == 0.0
