@@ -16,7 +16,6 @@ in the robustness studies.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -275,30 +274,19 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return fock._freeze(basis)
 
 
-# data derived from the operators alone, one dict per row range of a
-# read-only operator stack, dropped when the stack is collected
-_STACK_DATA = {}
-
-
 def _per_stack(fn):
     """Compute fn(mats, *args), a tuple of arrays, once per args and per
-    read-only operator stack that mats views, as MeasurementSet.matrices
-    views build_measurements' stack.  A stack keeps fn's value for the
-    latest args alone: the one before is dropped before the next is
-    computed, so one witness shape at a time stays resident.
-    weakref.finalize drops the entry with the stack, so no value may
-    reference mats; mats that own their data or view a writable array are
-    computed afresh each call.  The arrays are read-only and computed on one
-    BLAS thread, as the solves run."""
+    read-only operator stack, as MeasurementSet.matrices views
+    build_measurements' stack, in the entry that sdp._prepared keeps for
+    mats until the stack is collected, so no value may reference the stack.
+    An entry keeps fn's value for the latest args alone: the one before is
+    dropped before the next is computed, so one witness shape at a time
+    stays resident.  mats that are, or view, a writable array are computed
+    afresh each call.  The arrays are read-only and computed on one BLAS
+    thread, as the solves run."""
 
     def cached(mats, *args):
-        stack, entry = mats.base, {}
-        if stack is not None and not stack.flags.writeable:
-            key = (id(stack), mats.ctypes.data, mats.shape, mats.strides)
-            if key not in _STACK_DATA:
-                _STACK_DATA[key] = {}
-                weakref.finalize(stack, _STACK_DATA.pop, key, None)
-            entry = _STACK_DATA[key]
+        entry = sdp._prepared(mats)
         name = (fn, *args)
         if name not in entry:
             for old in [key for key in entry if key[0] is fn]:
@@ -431,9 +419,10 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     What depends on the operators alone is derived once per read-only
     operator stack (_per_stack), for the latest null cut and box count: the
     Gram rotation, R, and the F columns of blocks A, I - H and I + H
-    (_witness_blocks), read-only, so that the solver prepares their cones
-    once (sdp._prepared).  A trial's program differs from the last only in
-    the data-weighted objective and box rows.
+    (_witness_blocks), three read-only views of one array.  The solver
+    keeps each view's prepared cone in its own sdp._prepared entry, dropped
+    with that array.  A trial's program differs from the last only in the
+    data-weighted objective and box rows.
     """
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
@@ -729,8 +718,9 @@ def reconcile_expectations(measurements: MeasurementSet):
     to the solver's residual tolerance in units of t.  rho_hat is projected
     onto the PSD cone and normalized before its moments replace the data.
     Only the objective depends on the data; the rest is derived once per
-    read-only operator stack (_fit_windows), so the solver prepares the
-    state block's cone once (sdp._prepared).
+    read-only operator stack (_fit_windows), read-only, so the solver keeps
+    the state block's prepared cone in the sdp._prepared entry of its F
+    array until that array is dropped.
 
     For grossly inconsistent input the fitted state may lie far from the
     data; its moments are still exactly physical, and callers should

@@ -136,16 +136,6 @@ class TruncatedState:
         return self.vector[rows] * self.vector.conj()[cols]
 
     @classmethod
-    def _trusted(cls, space: HilbertSpec, matrix: np.ndarray) -> "TruncatedState":
-        # Skip validate() (shape, Hermiticity, trace and eigenvalues) for
-        # matrices that are valid states by construction; exact_log_negativity
-        # re-checks Hermiticity and finiteness itself.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "_matrix", _freeze(np.asarray(matrix, dtype=complex)))
-        return obj
-
-    @classmethod
     def from_vector(cls, space: HilbertSpec, vec: np.ndarray) -> "TruncatedState":
         """Pure state |v><v| / <v|v>, held as the normalised vector v,
         read-only.  Raises ValueError for a non-finite or null vector."""

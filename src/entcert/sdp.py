@@ -74,14 +74,14 @@ direction takes one refinement pass against
 dy -> Re tr(Fi W (sum_j dy_j Fj) W).
 
 Set-up that depends on a block's F array alone runs once per array that
-neither it nor the array it views can write (_prepared), and is kept until
-the array is collected (weakref.finalize): ConicProgram's Hermitian check
-and, for the latest Jacobi scaling vector, the prepared cone with its
-column classes, slot tables and Schur slots, and its pair tables once it
-has led a gather.  A later solve places the prepared cone and forms only
-the scaled copy of its dense columns, which is not kept between solves.
-A writable array is set up afresh each solve, and both ways give the same
-bits.
+neither it nor the array it views can write (_prepared, the one cache of
+what is derived from a read-only array, which bound._per_stack shares),
+and is kept until the array it views is collected (weakref.finalize):
+ConicProgram's Hermitian check and, for the latest Jacobi scaling vector,
+the prepared cone, whole: its column classes, slot tables, Schur slots and
+scaled dense columns, and its pair tables once it has led a gather.  A
+later solve places a shallow copy of it.  A writable array is set up
+afresh each solve, and both ways give the same bits.
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, SVD and Cholesky of the solve
@@ -116,10 +116,8 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 STATUS_STALLED = "stalled"
 
-# divergence thresholds for infeasibility / unboundedness detection
-_DIV_TRACE = 1e7
+# primal objective past which the dual side is declared infeasible
 _DIV_OBJ = 1e10
-_CERT_TOL = 1e-7
 
 # lack-of-progress stop in the manner of SDPT3 (Toh, Todd & Tutuncu, Optim.
 # Methods Softw. 11, 1999): once the gap has met gap_tol, the solve has
@@ -161,21 +159,22 @@ def _hermitian_deviation(fs: np.ndarray) -> float:
     return dev
 
 
-# what the solver derives from one read-only F array alone, one dict per
-# array, dropped by weakref.finalize when the array is collected
+# what is derived from one read-only array alone, one dict per view, keyed
+# on the array it views and the view's place there, dropped with that array
 _PREPARED = {}
 
 
 def _prepared(a):
-    """The dict in _PREPARED of what is derived from the array a alone,
-    kept until a is collected; a fresh dict, kept nowhere, when a or the
-    array it views can be written.  Nothing kept may reference a."""
+    """The dict in _PREPARED of what is derived from the view a alone, kept
+    until the array it views (or a) is collected; a fresh dict, kept nowhere,
+    when either can be written.  Nothing kept may reference that array."""
     base = a.base if isinstance(a.base, np.ndarray) else a
     if a.flags.writeable or base.flags.writeable:
         return {}
-    if id(a) not in _PREPARED:
-        weakref.finalize(a, _PREPARED.pop, id(a), None)
-    return _PREPARED.setdefault(id(a), {})
+    key = (id(base), a.ctypes.data, a.shape, a.strides)
+    if key not in _PREPARED:
+        weakref.finalize(base, _PREPARED.pop, key, None)
+    return _PREPARED.setdefault(key, {})
 
 
 def _rv(a: np.ndarray) -> np.ndarray:
@@ -485,7 +484,8 @@ class _MatrixCone:
         self.slots = np.array([self.r * n + self.c, self.c * n + self.r])
         if np.iscomplexobj(fs):
             self.slots = 2 * self.slots + (self.v.imag != 0.0)
-        self._scale(fs[self.dense])
+        self.fs_dense = fs[self.dense]
+        self.flat = _rv(self.fs_dense).reshape(self.dense.size, _rv(f0).size)
         self.tables = {}
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
         # dense-pair entries
@@ -493,12 +493,6 @@ class _MatrixCone:
         self.dd_slot = _slot(self.dense, self.dense)
         self.pd_slot = _slot(self.pairs, self.dense)
         self.dp_slot = _slot(self.dense, self.pairs)
-
-    def _scale(self, fs_dense):
-        """Keep the scaled dense columns that the products read, and their
-        real view flat, (len(dense), n*n*[1 or 2])."""
-        self.fs_dense = fs_dense
-        self.flat = _rv(fs_dense).reshape(self.dense.size, _rv(self.f0).size)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j Fj on the real view: the product with the dense rows,
@@ -649,19 +643,15 @@ def _box_pairs(f, touched):
 def _cone(index, f0, fs, dvec):
     """The _MatrixCone of block `index`, its F columns fs scaled by dvec.
     It is prepared once per read-only fs, for the latest dvec (_prepared),
-    and kept without the dense columns of _scale; a later solve takes a
-    shallow copy, which shares the prepared cone's pair tables, and scales
-    those columns alone.  Its slot tables hold scaled values, which dvec
-    fixes."""
+    and kept whole, scaled dense columns included, since dvec fixes every
+    value it holds.  Each solve takes a shallow copy, which shares the
+    prepared cone's arrays and pair tables and carries this block's index
+    and F0, so one F array in two blocks still gives two cones."""
     entry = _prepared(fs)
     if not np.array_equal(entry.get("dvec"), dvec):
-        cone = _MatrixCone(index, f0, fs * dvec[:, None, None])
-        entry["dvec"], entry["cone"] = dvec, copy.copy(cone)
-        entry["cone"].flat = entry["cone"].fs_dense = None
-        return cone
+        entry["dvec"], entry["cone"] = dvec, _MatrixCone(index, f0, fs * dvec[:, None, None])
     cone = copy.copy(entry["cone"])
     cone.index, cone.f0 = index, f0
-    cone._scale(fs[cone.dense] * dvec[cone.dense, None, None])
     return cone
 
 
@@ -679,11 +669,12 @@ def solve(
     and X = I.
 
     Returns status ``optimal`` when the relative duality gap drops below
-    gap_tol with both residuals below feas_tol; ``infeasible`` when a Farkas
-    ray is detected or c . y passes 1e10; ``stalled`` when the gap is
+    gap_tol with both residuals below feas_tol; ``infeasible`` when c . y
+    passes 1e10, the objective diverging; ``stalled`` when the gap is
     below gap_tol but the worst residual has not improved by 0.1% for 5
     iterations, typically a residual parked just above feas_tol by
-    roundoff; ``max_iterations`` or ``numerical_failure`` otherwise.
+    roundoff, or a program with no feasible y; ``max_iterations`` or
+    ``numerical_failure`` otherwise.
     Every status but ``infeasible`` carries the best iterate seen, the one
     with the smallest worst of gap and residuals.  ``info`` holds the
     iteration history, the returned iterate's dual objective and its
@@ -773,8 +764,7 @@ def _interior_point(
             # residuals of both constraint systems
             rd = [_herm(sb + cone.apply(y) - cone.f0) for cone, sb in zip(cones, ss)]
             rd_lp = slp + lp.apply(y) - lp.f0
-            moments = _moments(xs, xlp)
-            r_p = c - moments
+            r_p = c - _moments(xs, xlp)
 
             gap_abs = sum(_inner(xb, sb) for xb, sb in zip(xs, ss)) + float(xlp @ slp)
             # roundoff can push the gap below zero once it is spent
@@ -827,14 +817,6 @@ def _interior_point(
                 status = STATUS_OPTIMAL
                 break
 
-            # Farkas-style infeasibility: dual trace diverges while the scaled
-            # moments vanish and the scaled dual objective stays negative
-            tau = sum(float(np.trace(xb).real) for xb in xs) + float(np.sum(xlp))
-            if tau > _DIV_TRACE:
-                if np.max(np.abs(moments)) / tau < _CERT_TOL and dobj / tau < -_CERT_TOL:
-                    status = STATUS_INFEASIBLE
-                    detail = "constraints infeasible (Farkas certificate)"
-                    break
             if pobj > _DIV_OBJ:
                 status = STATUS_INFEASIBLE
                 detail = "objective diverges (dual side infeasible)"

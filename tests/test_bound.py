@@ -920,7 +920,13 @@ def test_noise_trials_deterministic():
 
 
 def _stack_keys(stack):
-    return [key for key in bound._STACK_DATA if key[0] == id(stack)]
+    return [key for key in sdp._PREPARED if key[0] == id(stack)]
+
+
+def _prepared_key(a):
+    """The key of a read-only array's entry in sdp._PREPARED."""
+    base = a if a.base is None else a.base
+    return (id(base), a.ctypes.data, a.shape, a.strides)
 
 
 def test_noise_trials_reuse_operator_data_bit_for_bit():
@@ -942,12 +948,12 @@ def test_noise_trials_reuse_operator_data_bit_for_bit():
         results.append(bound.noisy_bound(st, det, det, model, rng=rng, nominal_ops=ops))
         if len(results) == 1:
             (key,) = _stack_keys(stack)
-            names = {name[0].__name__ for name in bound._STACK_DATA[key]}
+            names = {name[0].__name__ for name in sdp._PREPARED[key]}
             assert names == {
                 "_gram_rotation", "_rotated_operators", "_fit_windows", "_operator_checks",
                 "_witness_blocks",
             }
-            cached = [a for value in bound._STACK_DATA[key].values() for a in value]
+            cached = [a for value in sdp._PREPARED[key].values() for a in value]
             assert not any(a.flags.writeable for a in cached)
     cold = results[0]
     for res in results[1:]:
@@ -971,14 +977,14 @@ def test_operator_data_dies_with_its_stack():
     assert len(keys) == 1
     # the solver's prepared cones of the three witness blocks and of the
     # fit's state block are kept with the blocks, and go with them
-    arrays = [id(a) for value in bound._STACK_DATA[keys[0]].values() for a in value]
+    arrays = [_prepared_key(a) for value in sdp._PREPARED[keys[0]].values() for a in value]
     prepared = [key for key in arrays if "cone" in sdp._PREPARED.get(key, {})]
     assert len(prepared) == 4
     alive = weakref.ref(stack)
     del ops, ms, fixed, stack
     gc.collect()
     assert alive() is None
-    assert not any(key in bound._STACK_DATA for key in keys)
+    assert not any(key in sdp._PREPARED for key in keys)
     assert not any(key in sdp._PREPARED for key in prepared)
 
 
@@ -1022,7 +1028,7 @@ def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
     ms = MeasurementSet(nominal, simulate_expectations(state, nominal))
     lower_bound_negativity(ms)
     (key,) = _stack_keys(nominal[0].matrix.base)
-    (exact,) = [v for k, v in bound._STACK_DATA[key].items() if k[0].__name__ == "_witness_blocks"]
+    (exact,) = [v for k, v in sdp._PREPARED[key].items() if k[0].__name__ == "_witness_blocks"]
     dropped.extend(weakref.ref(fs) for fs in exact)
     del exact
     builds.clear()
@@ -1039,17 +1045,55 @@ def test_writable_operator_matrices_are_never_cached():
     ops = [FockOperator(op.space, op.matrix) for op in build_measurements(det, det, signal_cutoff=2)]
     ms = MeasurementSet(ops, simulate_expectations(st, ops))
     assert ms.matrices.flags.writeable
-    before = set(bound._STACK_DATA)
+    before = set(sdp._PREPARED)
     fixed, _ = reconcile_expectations(ms)
     lower_bound_negativity(fixed)
-    assert set(bound._STACK_DATA) <= before
+    assert set(sdp._PREPARED) <= before
     first, second = bound._gram_rotation(ms.matrices), bound._gram_rotation(ms.matrices)
     assert first[0] is not second[0] and np.array_equal(first[0], second[0])
     # a read-only view of a writable array is not cached either
     view = ms.matrices[:]
     view.setflags(write=False)
     bound._gram_rotation(view)
-    assert set(bound._STACK_DATA) <= before
+    assert set(sdp._PREPARED) <= before
+
+
+def test_prepared_entries_are_keyed_on_the_base_and_the_view():
+    # the three block views that _witness_blocks returns from one array get
+    # an entry each, kept while any of them lives and dropped with that
+    # array; a read-only view of a writable array gets a fresh dict, kept
+    # nowhere, on every call
+    det = toy_detector()
+    ops = build_measurements(det, det, signal_cutoff=2)
+    stack = ops[0].matrix.base
+    views = bound._witness_blocks(stack, 3, 3, bound.GRAM_NULL_CUT, 0)
+    base = views[0].base
+    assert all(view.base is base for view in views)
+    before = set(sdp._PREPARED)
+    entries = [sdp._prepared(view) for view in views]
+    keys = [key for key in sdp._PREPARED if key[0] == id(base)]
+    assert len(keys) == 3 and set(keys) == set(sdp._PREPARED) - before
+    assert len({id(entry) for entry in entries}) == 3
+    assert all(sdp._prepared(view) is entry for view, entry in zip(views, entries))
+    assert sdp._prepared(base[1][:]) is entries[1]
+    alive = weakref.ref(base)
+    del views, base, entries
+    gc.collect()
+    # the stack's own entry keeps the views
+    assert alive() is not None and all(key in sdp._PREPARED for key in keys)
+    del ops, stack
+    gc.collect()
+    assert alive() is None
+    assert not any(key in sdp._PREPARED for key in keys)
+
+    writable = np.zeros((2, 3, 3))
+    view = writable[:]
+    view.setflags(write=False)
+    before = set(sdp._PREPARED)
+    first = sdp._prepared(view)
+    first["kept"] = True
+    assert sdp._prepared(view) == {} and sdp._prepared(view) is not first
+    assert set(sdp._PREPARED) == before
 
 
 def test_noise_trials_need_at_least_one_trial():

@@ -12,6 +12,17 @@ from entcert.negativity import closed_form_squeezed_ln, exact_log_negativity
 import oracles
 
 
+def _trusted(space, matrix):
+    """A TruncatedState holding matrix, read-only, without validate() (shape,
+    Hermiticity, trace and eigenvalues): for matrices that are not states,
+    or states by construction.  exact_log_negativity re-checks Hermiticity
+    and finiteness itself."""
+    obj = object.__new__(TruncatedState)
+    object.__setattr__(obj, "space", space)
+    object.__setattr__(obj, "_matrix", fock._freeze(np.asarray(matrix, dtype=complex)))
+    return obj
+
+
 def test_product_state_zero():
     rng = np.random.default_rng(21)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -60,7 +71,7 @@ def _permuted_block_state(rng, cutoffs):
         start += size
     y += 2.0 * np.eye(d)  # keeps the trace away from zero
     z = oracles._partial_transpose_first(y, *space.dims)
-    return TruncatedState._trusted(space, z / np.trace(z).real), sorted(set(sizes))
+    return _trusted(space, z / np.trace(z).real), sorted(set(sizes))
 
 
 def _dense_random_state(rng, cutoffs):
@@ -109,7 +120,7 @@ def test_local_rotation_invariance():
     base = exact_log_negativity(st).log_negativity
     rot = np.diag(np.exp(1j * np.arange(4) * 0.83))
     for u in (np.kron(rot, np.eye(4)), np.kron(np.eye(4), rot)):
-        rotated = TruncatedState._trusted(st.space, u @ st.matrix @ u.conj().T)
+        rotated = _trusted(st.space, u @ st.matrix @ u.conj().T)
         assert abs(exact_log_negativity(rotated).log_negativity - base) < 1e-9
 
 
@@ -141,7 +152,7 @@ def _trusted_variant(state, entries):
     mat = state.matrix.copy()
     for (i, j), value in entries.items():
         mat[i, j] = value
-    return TruncatedState._trusted(state.space, mat)
+    return _trusted(state.space, mat)
 
 
 def test_matches_dense_oracle_bit_for_bit():
@@ -229,7 +240,7 @@ def test_non_finite_rejected(value):
 
 def test_non_hermitian_rejected():
     mat = np.triu(np.ones((4, 4))) / 2.5
-    bad = TruncatedState._trusted(HilbertSpec((1, 1)), mat)
+    bad = _trusted(HilbertSpec((1, 1)), mat)
     dense = np.max(np.abs(mat - mat.conj().T))
     with pytest.raises(ValueError, match=f"not Hermitian: deviation {dense:.3e}"):
         exact_log_negativity(bad)

@@ -93,7 +93,10 @@ def test_separable_toy_single_diagonal_block():
     assert abs(sol.objective_value - 2.0) < 1e-7
 
 
-def test_infeasible_program_detected():
+def test_infeasible_program_stalls():
+    # y <= -1 and y >= 0: no y is feasible.  The solver seeks no Farkas
+    # certificate; the gap converges while the scaled slack residual stays
+    # parked near 1/3, so the solve stalls and is never reported optimal
     prog = sdp.ConicProgram(
         [1.0],
         [
@@ -101,7 +104,10 @@ def test_infeasible_program_detected():
             (np.array([[0.0]]), np.array([[[-1.0]]])),
         ],
     )
-    assert sdp.solve(prog).status == "infeasible"
+    sol = sdp.solve(prog)
+    assert sol.status == "stalled"
+    assert sol.iterations == 13
+    assert sol.info["history"][-1]["res_slack"] > 0.3
 
 
 def test_unbounded_program_reported_infeasible():
@@ -1288,6 +1294,29 @@ def test_prepared_cones_give_fresh_solve_bits(monkeypatch):
         assert np.array_equal(sol.y_star, first.y_star)
         for x, x_first in zip(sol.dual_certificate, first.dual_certificate):
             assert np.array_equal(x, x_first)
+
+
+def test_one_read_only_array_in_two_blocks_gives_two_cones():
+    # two blocks on one read-only F array share its prepared cone, and each
+    # takes its own copy of it, with its own index and F0: the solve, first
+    # and again on the prepared cone, gives the bits of one on two writable
+    # copies
+    fs = np.zeros((2, 3, 3))
+    fs[0] = np.diag([1.0, -1.0, 0.0])
+    fs[1, 0, 1] = fs[1, 1, 0] = 1.0
+    fs[1, 2, 2] = 0.5
+    fs.setflags(write=False)
+
+    def solved(first, second):
+        return sdp.solve(sdp.ConicProgram([1.0, 0.5], [(np.eye(3), first), (2.0 * np.eye(3), second)]))
+
+    fresh = solved(fs.copy(), fs.copy())
+    assert fresh.status == "optimal"
+    for sol in (solved(fs, fs), solved(fs, fs)):
+        assert sol.status == fresh.status and sol.iterations == fresh.iterations
+        assert np.array_equal(sol.y_star, fresh.y_star)
+        for x, x_fresh in zip(sol.dual_certificate, fresh.dual_certificate):
+            assert np.array_equal(x, x_fresh)
 
 
 _NO_MASKED_ARRAYS = """
