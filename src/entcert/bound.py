@@ -17,7 +17,6 @@ in the robustness studies.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -231,11 +230,23 @@ def build_measurements(
     The joint operator with 1-based index (j, k) sits at list position
     (j-1)*P + k, after the identity at position 0, where P is the per-mode
     element count.  Two equal detectors share one single-mode element list.
-    The operators wrap the rows of one read-only stack (_products).
+    The operators wrap the rows of one read-only stack (_products), whose
+    sdp._prepared entry keeps the single-mode lists under the settings
+    they were built for, for noisy_bound.  The model is built on one BLAS
+    thread, as the solves run: the eigh calls of the beam-splitter
+    unitaries stall at two threads, and give the same bits at one.
     """
-    a = _mode_elements(det1, phases, signal_cutoff)
-    b = a if det2 == det1 else _mode_elements(det2, phases, signal_cutoff)
-    return _products(a, b)
+    with sdp.one_blas_thread():
+        a = fock._freeze(_mode_elements(det1, phases, signal_cutoff))
+        b = a if det2 == det1 else fock._freeze(_mode_elements(det2, phases, signal_cutoff))
+        ops = _products(a, b)
+    sdp._prepared(ops[0].matrix.base)[_modes_key(det1, det2, phases, signal_cutoff)] = (a, b)
+    return ops
+
+
+def _modes_key(det1, det2, phases, cutoff):
+    """The key of the single-mode lists in their product stack's entry."""
+    return (_mode_elements, det1, det2, tuple(map(float, phases)), cutoff)
 
 
 def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:
@@ -255,23 +266,20 @@ def simulate_expectations(state: TruncatedState, ops) -> np.ndarray:
 # witness SDP
 
 
-@lru_cache(maxsize=64)
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Real-linear basis of n x n Hermitian matrices, n^2 elements,
-    read-only and built once per n."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    k = 0
-    for p in range(n):
-        basis[k, p, p] = 1.0
-        k += 1
-    for p in range(n):
-        for q in range(p + 1, n):
-            basis[k, p, q] = basis[k, q, p] = 1.0
-            k += 1
-            basis[k, p, q] = 1j
-            basis[k, q, p] = -1j
-            k += 1
-    return fock._freeze(basis)
+def _hermitian_basis(n: int, out=None) -> np.ndarray:
+    """Real-linear basis of n x n Hermitian matrices, n^2 elements: E_pp,
+    then E_pq + E_qp and i E_pq - i E_qp for each p < q in row-major order,
+    written into out, a zeroed (n^2, n, n) complex array, if one is given.
+    The witness takes it from the operator stack (_ball_blocks)."""
+    basis = np.zeros((n * n, n, n), dtype=complex) if out is None else out
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1.0
+    p, q = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(p.size)
+    basis[k, p, q] = basis[k, q, p] = 1.0
+    basis[k + 1, p, q] = 1j
+    basis[k + 1, q, p] = -1j
+    return basis
 
 
 def _per_stack(fn):
@@ -370,21 +378,34 @@ def _rotated_operators(mats: np.ndarray, null_cut: float):
 
 
 @_per_stack
-def _witness_blocks(mats, d1, d2, null_cut, nt):
-    """F columns of the witness blocks A, I - H and I + H over
-    y = (H parameters, z, t~) with nt aux variables, for nu = R z as in
-    _witness_program: R = _rotated_operators(null_cut), or the identity for
-    null_cut None.  Three read-only views of one array."""
-    basis = _hermitian_basis(d1 * d2)
+def _witness_blocks(mats, d1, d2, null_cut):
+    """(F,): the F columns of witness block A,
+    sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0, over y = (H parameters, z),
+    for nu = R z as in _witness_program: R = _rotated_operators(null_cut),
+    or the identity for null_cut None.  The box variables' columns are
+    zero on it and left out."""
+    basis = _ball_blocks(mats)[0]
     nh = len(basis)
     if null_cut is not None:
         mats = np.einsum("ik,iab->kab", _rotated_operators(mats, null_cut)[0], mats)
-    fs = np.zeros((3, nh + len(mats) + nt, d1 * d2, d1 * d2), dtype=complex)
-    # A: sum_k h_k B_k^{T1} - sum_i nu_i M_i >= 0, then I -+ H >= 0
-    np.negative(fock.partial_transpose_array(basis, d1, d2), out=fs[0, :nh])
-    fs[0, nh : nh + len(mats)] = mats
-    for k, sign in ((1, 1.0), (2, -1.0)):
-        np.multiply(basis, sign, out=fs[k, :nh])
+    fs = np.empty((nh + len(mats), d1 * d2, d1 * d2), dtype=complex)
+    np.negative(fock.partial_transpose_array(basis, d1, d2), out=fs[:nh])
+    fs[nh:] = mats
+    return (fs,)
+
+
+@_per_stack
+def _ball_blocks(mats):
+    """The F columns of the witness blocks I - H >= 0 and I + H >= 0 over
+    H's parameters alone, the Hermitian basis B_k and -B_k, two read-only
+    views of one array; the first is also the basis that block A and the
+    witness H are formed from.  They are the same for every witness program
+    on the operator stack, so its ladder rungs and robust rows share them,
+    and the cones, pair tables and sigma the solver prepares for them."""
+    n = mats.shape[1]
+    fs = np.zeros((2, n * n, n, n), dtype=complex)
+    _hermitian_basis(n, out=fs[0])
+    np.multiply(fs[0], -1.0, out=fs[1])
     return tuple(fock._freeze(fs))
 
 
@@ -417,12 +438,16 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     dimension of the n x n Hermitian operators.
 
     What depends on the operators alone is derived once per read-only
-    operator stack (_per_stack), for the latest null cut and box count: the
-    Gram rotation, R, and the F columns of blocks A, I - H and I + H
-    (_witness_blocks), three read-only views of one array.  The solver
-    keeps each view's prepared cone in its own sdp._prepared entry, dropped
-    with that array.  A trial's program differs from the last only in the
-    data-weighted objective and box rows.
+    operator stack (_per_stack): the Gram rotation; R and block A's F
+    columns over H and z (_witness_blocks), for the latest null cut; and
+    the F columns of I - H and I + H over H alone (_ball_blocks), the same
+    for every program on the stack.  Each block's F array has rows for the
+    leading variables alone (sdp.ConicProgram).  The solver keeps each
+    array's prepared cone in its own sdp._prepared entry, dropped with that
+    array, so the ladder rungs and robust rows of one stack share the
+    cones of I -+ H, their pair tables and sigma.  A trial's program
+    differs from the last only in the data-weighted objective and box
+    rows.
     """
     space = measurements.space
     d1, d2 = (c + 1 for c in space.cutoffs)
@@ -443,7 +468,8 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     # even where the multipliers are huge and the data tiny
     c[nh + nk : nvar] = -epsilon
 
-    fs_a, fs_b, fs_c = _witness_blocks(mats, d1, d2, null_cut, nt)
+    (fs_a,) = _witness_blocks(mats, d1, d2, null_cut)
+    fs_b, fs_c = _ball_blocks(mats)
     blocks = [(np.zeros((n, n)), fs_a), (np.eye(n), fs_b), (np.eye(n), fs_c)]
 
     # scalar boxes t~_i >= +-n_i nu_i with nu_i = R[i] z: per boxed datum
@@ -459,7 +485,7 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     zero = np.zeros((1, 1))
     blocks.extend((zero, row[:, None, None]) for row in rows.reshape(2 * nt, nvar))
 
-    return sdp.ConicProgram(c, blocks), _hermitian_basis(n), t_for, rot
+    return sdp.ConicProgram(c, blocks), fs_b, t_for, rot
 
 
 def _polish_witness(h, nu, mats, identity_index, d1, d2):
@@ -571,7 +597,7 @@ _WITNESS_GAP_TOL = 1e-7
 
 def _witness_rung(measurements, epsilon, null_cut):
     """One witness solve and its certified bound.  The program goes with
-    this call, so the next rung's _witness_blocks frees its arrays."""
+    this call, so the next rung's _witness_blocks frees block A's array."""
     program, basis, t_for, rot = _witness_program(measurements, epsilon, null_cut)
     sol = sdp.solve(program, gap_tol=_WITNESS_GAP_TOL)
     return sol, _finish_bound(measurements, epsilon, sol, basis, t_for, rot)
@@ -812,10 +838,12 @@ def noisy_bound(
     experimenter unaware of the miscalibration.  Each noise draw gives the
     LO phase offsets of one mode and setting (apply_phase_noise, mode 1's
     settings first), and the true operators are the products of the
-    nominal single-mode elements under those offsets (_dephased).  The
-    data is first reconciled to the nearest physical moment vector
-    (reconcile_expectations); without that step the mismatch makes the
-    witness program unbounded.  info["verified"] records verify_bound's
+    nominal single-mode elements under those offsets (_dephased).  Those
+    elements are the ones build_measurements kept with nominal_ops' stack
+    when it built them for these detectors, phases and cutoff, and are
+    built afresh otherwise.  The data is first reconciled to the nearest
+    physical moment vector (reconcile_expectations); without that step the
+    mismatch makes the witness program unbounded.  info["verified"] records verify_bound's
     verdict on the reconciled set the bound was certified against.
     """
     cutoff = state.space.cutoffs[0]
@@ -826,8 +854,12 @@ def noisy_bound(
     with sdp.one_blas_thread():
         offsets1 = [apply_phase_noise(replace(det1, lo_phase=float(p)), model, rng) for p in phases]
         offsets2 = [apply_phase_noise(replace(det2, lo_phase=float(p)), model, rng) for p in phases]
-        a = _mode_elements(det1, phases, cutoff)
-        b = a if det2 == det1 else _mode_elements(det2, phases, cutoff)
+        mats = _rows_of_one_stack([op.matrix for op in nominal_ops]) if nominal_ops else None
+        kept = {} if mats is None else sdp._prepared(mats)
+        a, b = kept.get(_modes_key(det1, det2, phases, cutoff), (None, None))
+        if a is None:
+            a = _mode_elements(det1, phases, cutoff)
+            b = a if det2 == det1 else _mode_elements(det2, phases, cutoff)
         true_ops = _products(_dephased(a, offsets1), _dephased(b, offsets2))
         data = simulate_expectations(state, true_ops)
         ms, fit_info = reconcile_expectations(MeasurementSet(nominal_ops, data))

@@ -75,8 +75,7 @@ class ExperimentConfig:
         "state",
         3,
         "per-mode Fock cutoff; a bound's memory grows like (n_max+1)^8: "
-        "about 0.5 GB at 5 and 1.4 GB at 6, while 8 needs about 6 GB for the "
-        "witness program alone",
+        "about 0.3 GB at 5 and over 1 GB at 6, while 8 needs about 8 GB",
     )
     transmission: float = _setting("state", 0.95, "subtraction BS transmission")
     apd_efficiency: float = _setting("state", 0.20, "subtraction APD efficiency")

@@ -10,7 +10,10 @@ linear in K, so the cones of one program whose pairs share Schur columns
 are gathered once (groups): cones whose pairs match up to sign through
 the tables of the first, and one cone whose pairs are theirs moved by an
 entry map through a permutation sigma of K's indices (image_index), as
-the witness program's block A is the partial transpose of I - H.
+the witness program's block A is the partial transpose of I - H.  The
+tables and sigma are kept in the reference cone's dict `tables`, so a
+prepared cone, shared by every program of one operator stack, finds them
+once.
 """
 
 import numpy as np
@@ -38,21 +41,24 @@ def tables(cone):
     n, r, c, v = cone.f0.shape[0], cone.r, cone.c, cone.v
     im = v.imag != 0.0
     a = np.where(im, v.imag, v.real)
+    # both tables are written in place, with no temporary of their size.
     # v_i v_j is -|v_i v_j| when both are imaginary and picks Im K with a
     # sign flip, Re(i x K) = -x Im K, when one is; v_i conj(v_j) is positive
     # for two imaginaries and gives -Im K or +Im K as v_i or v_j is the
     # imaginary one
-    mixed = im[:, None] ^ im[None, :]
-    sign1 = np.where(im[:, None] | im[None, :], -1.0, 1.0)
-    sign2 = np.where(im[:, None] & ~im[None, :], -1.0, 1.0)
-    mag = np.outer(a, a)
-    coef = np.array([sign1 * mag, sign2 * mag])
-    row = c * n**3 + r
-    flat = np.array([row[:, None] + (r * n**2 + c * n)[None, :],
-                     row[:, None] + (c * n**2 + r * n)[None, :]])
+    coef = np.empty((2, v.size, v.size))
+    np.multiply.outer(a, a, out=coef[0])
+    coef[1] = coef[0]
+    np.negative(coef[0], out=coef[0], where=im[:, None] | im[None, :])
+    np.negative(coef[1], out=coef[1], where=im[:, None] & ~im[None, :])
+    index = np.empty((2, v.size, v.size), dtype=np.intp)
+    row = (c * n**3 + r)[:, None]
+    np.add(row, r * n**2 + c * n, out=index[0])
+    np.add(row, c * n**2 + r * n, out=index[1])
     if np.iscomplexobj(v):
-        flat = 2 * flat + mixed
-    cone.tables["pp"] = (flat.astype(np.intp), coef)
+        index *= 2
+        index += im[:, None] ^ im[None, :]
+    cone.tables["pp"] = (index, coef)
     return cone.tables["pp"]
 
 
@@ -116,6 +122,19 @@ def image_index(ref, cone):
     return (x[:, None, None, :] + y[None, :, :, None]).reshape(-1)
 
 
+def _kept_image(ref, cone):
+    """image_index(ref, cone), kept in ref's tables for the latest pairs
+    of the image cone, so that every program whose cones are those of one
+    prepared ref and an image with the same pairs (the witness programs of
+    one operator stack) finds sigma once."""
+    key = (cone.f0.shape, cone.v.dtype.str)
+    key += tuple(a.tobytes() for a in (cone.pairs, cone.r, cone.c, cone.v))
+    held = ref.tables.get("image")
+    if held is None or held[0] != key:
+        held = ref.tables["image"] = (key, image_index(ref, cone))
+    return held[1]
+
+
 def groups(cones):
     """The pair-pair gathers of one iteration, [reference, members, image]
     per gather: the reference's tables serve the members, cones whose
@@ -141,7 +160,7 @@ def groups(cones):
     merged = []
     for group in sorted(found, key=lambda group: -len(group[1])):
         for other in merged if len(group[1]) == 1 else ():
-            sigma = None if other[2] else image_index(cones[other[0]], cones[group[0]])
+            sigma = None if other[2] else _kept_image(cones[other[0]], cones[group[0]])
             if sigma is not None:
                 other[2] = (group[0], sigma)
                 break

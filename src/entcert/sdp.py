@@ -7,9 +7,11 @@ Programs are stated in the bounded maximization form
 
 over real y (the dual form of SDPA: Fujisawa, Kojima & Nakata, Math.
 Program. 79, 1997), with each block's F matrices real symmetric or complex
-Hermitian.  A block's iterates take the dtype of its data, so a complex
-block is solved on its own n x n Hermitian cone, with no real embedding;
-every inner product is Re tr(AB), taken over real views of the arrays.
+Hermitian.  A block may give F matrices for the leading variables alone;
+those of the rest are zero on it.  A block's iterates take the dtype of
+its data, so a complex block is solved on its own n x n Hermitian cone,
+with no real embedding; every inner product is Re tr(AB), taken over real
+views of the arrays.
 
 The solver runs a path-following iteration with Nesterov-Todd scaling and
 Mehrotra predictor-corrector steps, from y = 0 with S = I and X = I, in
@@ -77,11 +79,14 @@ Set-up that depends on a block's F array alone runs once per array that
 neither it nor the array it views can write (_prepared, the one cache of
 what is derived from a read-only array, which bound._per_stack shares),
 and is kept until the array it views is collected (weakref.finalize):
-ConicProgram's Hermitian check and, for the latest Jacobi scaling vector,
-the prepared cone, whole: its column classes, slot tables, Schur slots and
-scaled dense columns, and its pair tables once it has led a gather.  A
-later solve places a shallow copy of it.  A writable array is set up
-afresh each solve, and both ways give the same bits.
+ConicProgram's Hermitian check and, for the latest Jacobi scaling of the
+variables the array has rows for, the prepared cone, whole: its column
+classes, slot tables, Schur slots and scaled pair values and dense
+columns, scaled without a scaled copy of the array, and its pair tables
+and sigma once it has led a gather.  A later solve places a shallow copy
+of it, so the witness programs of one operator stack share the cones of
+I -+ H, whose F arrays cover H's columns alone.  A writable array is set
+up afresh each solve, and both ways give the same bits.
 
 Each solve runs on one BLAS thread, in the OpenBLAS that numpy's wheel
 bundles, the one runtime every matmul, SVD and Cholesky of the solve
@@ -90,11 +95,13 @@ solve, and multithreaded kernels split sums differently, so the iterate,
 and with it the status, would depend on the machine's core count.  solve
 sets the runtime to one thread through its ctypes handle and restores the
 caller's count when it returns; where no handle is found it runs at the
-caller's count.  The Schur complement is factored by LAPACK's dpotrf and
-solved by two BLAS dtrsv calls from the same library, through ctypes with
-its 64-bit Fortran integers, or, where numpy bundles no OpenBLAS, from
-scipy.linalg.cython_lapack and cython_blas; the handles are looked up once,
-when this module is imported.
+caller's count.  The Schur complement is factored in place by LAPACK's
+dpotrf, which overwrites one triangle and leaves the other, so that a
+failed factorization restores the matrix from it and a saved diagonal
+for the ridge retry, and solved by two BLAS dtrsv calls from the same
+library, through ctypes with its 64-bit Fortran integers, or, where numpy
+bundles no OpenBLAS, from scipy.linalg.cython_lapack and cython_blas; the
+handles are looked up once, when this module is imported.
 """
 
 import contextlib
@@ -192,7 +199,10 @@ class ConicProgram:
     """Block-diagonal SDP data in the maximization form documented above.
 
     blocks is a sequence of (F0, Fs) pairs with F0 shaped (n, n) and Fs
-    shaped (m, n, n), real symmetric or complex Hermitian.  Data within
+    shaped (k, n, n), k <= m, real symmetric or complex Hermitian: Fs[j]
+    is Fj on the block, and the Fj of the trailing m - k variables are
+    zero there, so blocks over the leading variables alone, such as the
+    witness program's I -+ H over H's, need no zero rows.  Data within
     TOL_SYM of Hermitian is stored as its Hermitian part; exactly Hermitian
     arrays of the block's dtype are stored as given, without a copy, so
     the caller should not modify them afterwards.  The solver never writes
@@ -213,8 +223,8 @@ class ConicProgram:
             if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
                 raise ValueError(f"block {k}: F0 must be square")
             n = f0.shape[0]
-            if fs.shape != (m, n, n):
-                raise ValueError(f"block {k}: Fs must have shape (m, n, n)")
+            if fs.ndim != 3 or fs.shape[1:] != (n, n) or len(fs) > m:
+                raise ValueError(f"block {k}: Fs must have shape (k, n, n) with k <= m")
             if n == 1 and dtype == float:
                 # real 1x1 data is symmetric
                 self.blocks.append((f0, fs))
@@ -395,21 +405,27 @@ def _scratch(ws, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return ws[key]
 
 
-def _cho_factor(schur: np.ndarray, ws=None):
-    """Upper Cholesky factor U, U^T U = schur, in the upper triangle of a
-    Fortran-order copy (in the workspace ws if given) that dtrsv reads as
-    it is, the strict lower triangle unread; None when schur is not
-    positive definite.  schur itself is left as it was."""
-    # a copy of schur, transposed, is schur.T laid out in Fortran order;
-    # dpotrf factors it
-    factor = _scratch(ws, "factor", schur.shape)
-    np.copyto(factor, schur)
-    factor = factor.T
-    n, info = _FORTRAN_INT(factor.shape[0]), _FORTRAN_INT()
+def _cho_factor(schur: np.ndarray):
+    """Upper Cholesky factor U, U^T U = schur, of the C-order symmetric
+    schur, factored in place: dpotrf on schur.T, the same memory in Fortran
+    order, reads and overwrites the lower triangle of schur with U, which
+    dtrsv reads as it is, and leaves the strict upper triangle as it was.
+    Returns schur.T; None when schur is not positive definite, with schur
+    restored from that triangle and its diagonal, saved here, which gives
+    it back bit for bit when it is symmetric bit for bit, as every Schur
+    complement the solver assembles is."""
+    n = schur.shape[0]
+    if schur.dtype != np.float64 or not schur.flags.c_contiguous or schur.shape != (n, n):
+        raise ValueError("dpotrf needs a square C-contiguous float64 matrix")
+    diagonal = schur.diagonal().copy()
+    factor = schur.T
+    n, info = _FORTRAN_INT(n), _FORTRAN_INT()
     _DPOTRF(b"U", n, factor.ctypes.data, n, info)
     if info.value < 0:
         raise _NumericalProblem(f"dpotrf failed with info {info.value}")
     if info.value > 0:
+        np.copyto(schur, factor, where=np.tri(n.value, k=-1, dtype=bool))
+        np.fill_diagonal(schur, diagonal)
         return None
     return factor
 
@@ -457,10 +473,11 @@ class _MatrixCone:
     (slots, a), and the dense columns through their real view flat.  The
     Schur entries of pairs are gathered from the real view of W (x) W
     through the tables of pairs.tables, built only for a cone that leads a
-    gather (pairs.groups).
+    gather (pairs.groups).  Given dvec, it is the cone of the columns
+    dvec_j Fj, and only the values it keeps are scaled.
     """
 
-    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray):
+    def __init__(self, index: int, f0: np.ndarray, fs: np.ndarray, dvec=None):
         m, n, _ = fs.shape
         self.index = index
         self.f0 = f0
@@ -474,8 +491,15 @@ class _MatrixCone:
         self.pairs = np.flatnonzero(is_pair)
         self.r = r[self.pairs]
         self.c = c[self.pairs]
-        self.v = np.where(self.r == self.c, 0.5 * v[self.pairs], v[self.pairs])
         self.dense = np.flatnonzero((count > 0) & ~is_pair)
+        # the kept values alone are scaled by dvec, Fj to dvec_j Fj, the
+        # products that scaling all of fs would give them
+        v = v[self.pairs]
+        self.fs_dense = fs[self.dense]
+        if dvec is not None:
+            v = v * dvec[self.pairs]
+            self.fs_dense *= dvec[self.dense, None, None]
+        self.v = np.where(self.r == self.c, 0.5 * v, v)
         self.cols = np.concatenate([self.pairs, self.dense])
         # the real-view slots of v at (r, c) and conj(v) at (c, r), real or
         # imaginary parts as v is, and the values there, exact since one
@@ -484,7 +508,6 @@ class _MatrixCone:
         self.slots = np.array([self.r * n + self.c, self.c * n + self.r])
         if np.iscomplexobj(fs):
             self.slots = 2 * self.slots + (self.v.imag != 0.0)
-        self.fs_dense = fs[self.dense]
         self.flat = _rv(self.fs_dense).reshape(self.dense.size, _rv(f0).size)
         self.tables = {}
         # Schur sub-blocks of the pair-pair, dense-dense, pair-dense and
@@ -641,15 +664,20 @@ def _box_pairs(f, touched):
 
 
 def _cone(index, f0, fs, dvec):
-    """The _MatrixCone of block `index`, its F columns fs scaled by dvec.
-    It is prepared once per read-only fs, for the latest dvec (_prepared),
-    and kept whole, scaled dense columns included, since dvec fixes every
-    value it holds.  Each solve takes a shallow copy, which shares the
-    prepared cone's arrays and pair tables and carries this block's index
-    and F0, so one F array in two blocks still gives two cones."""
+    """The _MatrixCone of block `index`, its F columns fs scaled by the
+    leading len(fs) entries of dvec, those of the variables fs has rows
+    for.  It is prepared once per read-only fs, for the latest such entries
+    (_prepared), and kept whole, scaled dense columns included, since they
+    fix every value it holds: programs that share fs and those entries,
+    such as the witness programs of one operator stack on I -+ H, share
+    one cone, its pair tables and sigma.  Each solve takes a shallow copy,
+    which shares the prepared cone's arrays and pair tables and carries
+    this block's index and F0, so one F array in two blocks still gives
+    two cones."""
     entry = _prepared(fs)
+    dvec = dvec[: len(fs)]
     if not np.array_equal(entry.get("dvec"), dvec):
-        entry["dvec"], entry["cone"] = dvec, _MatrixCone(index, f0, fs * dvec[:, None, None])
+        entry["dvec"], entry["cone"] = dvec, _MatrixCone(index, f0, fs, dvec)
     cone = copy.copy(entry["cone"])
     cone.index, cone.f0 = index, f0
     return cone
@@ -704,15 +732,18 @@ def _interior_point(
     ]
     lp_index = [k for k, (f0, _) in enumerate(program.blocks) if f0.shape[0] == 1]
     lp_f0 = np.array([program.blocks[k][0][0, 0].real for k in lp_index])
-    lp_f = np.array([program.blocks[k][1][:, 0, 0].real for k in lp_index]).reshape(-1, m)
+    lp_f = np.zeros((len(lp_index), m))
+    for row, k in zip(lp_f, lp_index):
+        fs = program.blocks[k][1]
+        row[: len(fs)] = fs[:, 0, 0].real
 
     # Jacobi column scaling equilibrates the Schur complement; variables
     # coupling only to low-norm constraint matrices otherwise force huge
     # multipliers and wreck its conditioning
     nrm2 = np.einsum("kj,kj->j", lp_f, lp_f)
     for _, _, fs in matrix_blocks:
-        flat = _rv(fs).reshape(m, -1)
-        nrm2 += np.einsum("jk,jk->j", flat, flat)
+        flat = _rv(fs).reshape(len(fs), -1)
+        nrm2[: len(fs)] += np.einsum("jk,jk->j", flat, flat)
     dvec = 1.0 / np.sqrt(np.maximum(nrm2, 1e-16))
     dvec = np.minimum(dvec, 1e8)
     c = program.objective * dvec
@@ -724,9 +755,9 @@ def _interior_point(
     groups = pairs.groups(cones)
     nlp = len(lp_index)
     ntot = sum(cone.f0.shape[0] for cone in cones) + nlp
-    # the Schur complement, its factor and the large intermediates of its
-    # assembly, allocated in the first iteration and reused by the rest, so
-    # an iteration maps no fresh pages for them
+    # the Schur complement, factored in place, and the large intermediates
+    # of its assembly, allocated in the first iteration and reused by the
+    # rest, so an iteration maps no fresh pages for them
     ws = {}
 
     xs = [np.eye(cone.f0.shape[0], dtype=cone.f0.dtype) for cone in cones]
@@ -854,7 +885,7 @@ def _interior_point(
             factor = None
             ridge = 1e-14 * (1.0 + np.max(np.diag(schur)))
             for attempt in range(4):
-                factor = _cho_factor(schur, ws)
+                factor = _cho_factor(schur)
                 if factor is not None:
                     break
                 ridge_retries += 1
@@ -1022,11 +1053,12 @@ def verify_solution(program: ConicProgram, solution: SdpSolution):
     dual_obj = 0.0
     moments = np.zeros(program.n_vars)
     for (f0, fs), xb in zip(program.blocks, solution.dual_certificate):
-        slack = f0 - np.tensordot(y, fs, axes=(0, 0))
+        k = len(fs)
+        slack = f0 - np.tensordot(y[:k], fs, axes=(0, 0))
         slack_min = min(slack_min, float(np.linalg.eigvalsh(_herm(slack))[0]))
         cert_min = min(cert_min, float(np.linalg.eigvalsh(_herm(xb))[0]))
         dual_obj += _inner(f0, xb)
-        moments += _rv(fs).reshape(program.n_vars, -1) @ _rv(xb).reshape(-1)
+        moments[:k] += _rv(fs).reshape(k, -1) @ _rv(xb).reshape(-1)
     primal_obj = float(program.objective @ y)
     moment_residual = float(np.max(np.abs(program.objective - moments)))
     return {

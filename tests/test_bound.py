@@ -932,16 +932,18 @@ def _prepared_key(a):
 def test_noise_trials_reuse_operator_data_bit_for_bit():
     # the operator checks, the Gram rotation, the witness blocks and the
     # fit's program data are derived once per read-only operator stack,
-    # and the solver prepares the cones of their F arrays once; a trial on
-    # a warm entry, and one on copies of the operators that are never
-    # cached, give the bits of the trial that filled it
+    # beside the single-mode lists the stack was built from, and the solver
+    # prepares the cones of their F arrays once; a trial on a warm entry,
+    # and one on copies of the operators that are never cached, give the
+    # bits of the trial that filled it
     st = table_point_state(0.9, n_max=2)
     det = toy_detector()
     nominal = build_measurements(det, det, signal_cutoff=2)
     stack = nominal[0].matrix.base
     copies = [FockOperator(op.space, op.matrix) for op in nominal]
     model = PhaseNoiseModel("phase_averaged", width=0.4, samples=20)
-    assert not _stack_keys(stack)
+    (key,) = _stack_keys(stack)
+    assert [name[0].__name__ for name in sdp._PREPARED[key]] == ["_mode_elements"]
     results = []
     for ops in (nominal, nominal, copies):
         rng = np.random.default_rng(7)
@@ -950,8 +952,8 @@ def test_noise_trials_reuse_operator_data_bit_for_bit():
             (key,) = _stack_keys(stack)
             names = {name[0].__name__ for name in sdp._PREPARED[key]}
             assert names == {
-                "_gram_rotation", "_rotated_operators", "_fit_windows", "_operator_checks",
-                "_witness_blocks",
+                "_mode_elements", "_gram_rotation", "_rotated_operators", "_fit_windows",
+                "_operator_checks", "_witness_blocks", "_ball_blocks",
             }
             cached = [a for value in sdp._PREPARED[key].values() for a in value]
             assert not any(a.flags.writeable for a in cached)
@@ -975,8 +977,8 @@ def test_operator_data_dies_with_its_stack():
     stack = ops[0].matrix.base
     keys = _stack_keys(stack)
     assert len(keys) == 1
-    # the solver's prepared cones of the three witness blocks and of the
-    # fit's state block are kept with the blocks, and go with them
+    # the solver's prepared cones of block A, of I - H and I + H and of the
+    # fit's state block are kept with their F arrays, and go with them
     arrays = [_prepared_key(a) for value in sdp._PREPARED[keys[0]].values() for a in value]
     prepared = [key for key in arrays if "cone" in sdp._PREPARED.get(key, {})]
     assert len(prepared) == 4
@@ -994,8 +996,8 @@ def _counted_cone_builds(monkeypatch, dropped):
     builds = []
 
     class Counted(sdp._MatrixCone):
-        def __init__(self, index, f0, fs):
-            super().__init__(index, f0, fs)
+        def __init__(self, index, f0, fs, dvec=None):
+            super().__init__(index, f0, fs, dvec)
             builds.append((len(fs), all(ref() is None for ref in dropped)))
 
     monkeypatch.setattr(sdp, "_MatrixCone", Counted)
@@ -1003,9 +1005,10 @@ def _counted_cone_builds(monkeypatch, dropped):
 
 
 def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
-    # eight noise trials on one stack prepare the three witness cones and
-    # the fit's state cone, one row per dual variable, once.  A change that
-    # defeats the reuse, such as a writable block, builds a set per trial
+    # eight noise trials on one stack prepare the cones of block A, with
+    # rows for H and nu, of I - H and I + H, with rows for H alone, and of
+    # the fit's state block once.  A change that defeats the reuse, such
+    # as a writable block, builds a set per trial
     cfg = replace(cli.ExperimentConfig(), transmission=0.9, apd_efficiency=0.15)
     _, state, _ = cli.make_states(cfg)
     det = cli.make_detector(cfg)
@@ -1022,11 +1025,15 @@ def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
         )
         assert res.info["null_cut"] == bound.GRAM_NULL_CUT
     rows = [rows for rows, _ in builds]
-    assert len([r for r in rows if r > nh]) == 3 and rows.count(fit_rows) == 1 and len(rows) == 4
-    # the table's three robust rows solve one program shape, set up once,
-    # after the exact row's blocks, and with them its cones, are dropped
+    assert len([r for r in rows if r > nh]) == 1 and rows.count(nh) == 2
+    assert rows.count(fit_rows) == 1 and len(rows) == 4
+    # the table's rows prepare no more cone of I -+ H, and its three robust
+    # rows solve one block A, set up once, after the exact row's block A,
+    # and with it its cone, is dropped
+    builds.clear()
     ms = MeasurementSet(nominal, simulate_expectations(state, nominal))
     lower_bound_negativity(ms)
+    assert nh not in [rows for rows, _ in builds]
     (key,) = _stack_keys(nominal[0].matrix.base)
     (exact,) = [v for k, v in sdp._PREPARED[key].items() if k[0].__name__ == "_witness_blocks"]
     dropped.extend(weakref.ref(fs) for fs in exact)
@@ -1034,7 +1041,7 @@ def test_witness_cones_are_prepared_once_per_stack(monkeypatch):
     builds.clear()
     for eps in cli.TABLE_EPSILONS[1:]:
         lower_bound_negativity_robust(ms, eps)
-    assert [gone for _, gone in builds] == [True] * 3
+    assert builds == [(nh + len(nominal), True)]
 
 
 def test_writable_operator_matrices_are_never_cached():
@@ -1059,21 +1066,21 @@ def test_writable_operator_matrices_are_never_cached():
 
 
 def test_prepared_entries_are_keyed_on_the_base_and_the_view():
-    # the three block views that _witness_blocks returns from one array get
-    # an entry each, kept while any of them lives and dropped with that
-    # array; a read-only view of a writable array gets a fresh dict, kept
-    # nowhere, on every call
+    # the two block views that _ball_blocks returns from one array get an
+    # entry each, kept while any of them lives and dropped with that array;
+    # a read-only view of a writable array gets a fresh dict, kept nowhere,
+    # on every call
     det = toy_detector()
     ops = build_measurements(det, det, signal_cutoff=2)
     stack = ops[0].matrix.base
-    views = bound._witness_blocks(stack, 3, 3, bound.GRAM_NULL_CUT, 0)
+    views = bound._ball_blocks(stack)
     base = views[0].base
     assert all(view.base is base for view in views)
     before = set(sdp._PREPARED)
     entries = [sdp._prepared(view) for view in views]
     keys = [key for key in sdp._PREPARED if key[0] == id(base)]
-    assert len(keys) == 3 and set(keys) == set(sdp._PREPARED) - before
-    assert len({id(entry) for entry in entries}) == 3
+    assert len(keys) == 2 and set(keys) == set(sdp._PREPARED) - before
+    assert len({id(entry) for entry in entries}) == 2
     assert all(sdp._prepared(view) is entry for view, entry in zip(views, entries))
     assert sdp._prepared(base[1][:]) is entries[1]
     alive = weakref.ref(base)
@@ -1094,6 +1101,98 @@ def test_prepared_entries_are_keyed_on_the_base_and_the_view():
     first["kept"] = True
     assert sdp._prepared(view) == {} and sdp._prepared(view) is not first
     assert set(sdp._PREPARED) == before
+
+
+def test_witness_programs_of_one_stack_share_the_ball_cones():
+    # two ladder rungs of the exact program and a robust row place the one
+    # F array of I - H and of I + H kept with the stack, and the solver
+    # prepares their cones, I - H's pair tables and sigma once for all of
+    # them; they go with the stack
+    cfg = replace(cli.ExperimentConfig(), n_max=2)
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = MeasurementSet(ops, simulate_expectations(state, ops))
+    nh = ms.space.dim**2
+    prepared = []
+    for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (0.0, 1e-8), (1e-3, None)):
+        program = bound._witness_program(ms, epsilon, cut)[0]
+        sdp.solve(program, max_iter=2)
+        balls = [fs for _, fs in program.blocks[1:3]]
+        assert [len(fs) for fs in balls] == [nh, nh]
+        cones = [sdp._PREPARED[_prepared_key(fs)]["cone"] for fs in balls]
+        prepared.append((balls, cones, cones[0].tables["pp"], cones[0].tables["image"]))
+    first = prepared[0]
+    for later in prepared[1:]:
+        assert all(a is b for a, b in zip(later[0], first[0]))
+        assert all(a is b for a, b in zip(later[1], first[1]))
+        assert later[2] is first[2] and later[3] is first[3]
+    keys = [_prepared_key(fs) for fs in first[0]]
+    cone = weakref.ref(first[1][0])
+    del ops, ms, program, balls, cones, prepared, first, later
+    gc.collect()
+    assert cone() is None and not any(key in sdp._PREPARED for key in keys)
+
+
+def test_build_measurements_runs_on_one_blas_thread(monkeypatch):
+    # the beam-splitter eigh calls of a fresh model build stall at two
+    # OpenBLAS threads; the build runs at one and gives the bits of a build
+    # at the caller's count, which it restores
+    if sdp._OPENBLAS is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    ((get, put),) = sdp._THREAD_CONTROLS
+    det = cli.make_detector(cli.ExperimentConfig())
+    mode_elements = bound._mode_elements
+    inside = []
+
+    def recorded(*args):
+        inside.append(get())
+        return mode_elements(*args)
+
+    saved = get()
+    try:
+        put(2)
+        detector._bs_columns.cache_clear()
+        a = mode_elements(det, bound.DEFAULT_PHASES, 3)
+        ref = bound._products(a, a)[0].matrix.base
+        detector._bs_columns.cache_clear()
+        monkeypatch.setattr(bound, "_mode_elements", recorded)
+        ops = build_measurements(det, det, signal_cutoff=3)
+        assert inside == [1] and get() == 2
+    finally:
+        put(saved)
+    assert ops[0].matrix.base.tobytes() == ref.tobytes()
+
+
+def test_noise_trials_reuse_the_single_mode_lists(monkeypatch):
+    # build_measurements keeps its single-mode lists with the stack, so a
+    # 3-trial run calls homodyne_povm for the two phases of its build
+    # alone; copies of the operators are no stack, and each trial builds
+    # the lists again, with the same bits
+    st = table_point_state(0.9, n_max=2)
+    det = toy_detector()
+    model = PhaseNoiseModel("phase_averaged", width=0.4, samples=20, seed=4)
+    calls = []
+    povm = bound.homodyne_povm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return povm(*args, **kwargs)
+
+    monkeypatch.setattr(bound, "homodyne_povm", counted)
+    kept = noise_trials(st, det, det, model, trials=3)
+    assert len(calls) == 2
+    ops = build_measurements(det, det, signal_cutoff=2)
+    copies = [FockOperator(op.space, op.matrix) for op in ops]
+    calls.clear()
+    rng = np.random.default_rng(model.seed)
+    fresh = [bound.noisy_bound(st, det, det, model, rng=rng, nominal_ops=copies) for _ in range(3)]
+    assert len(calls) == 6
+    for res, ref in zip(kept, fresh):
+        assert res.lower_bound == ref.lower_bound and res.solver_status == ref.solver_status
+        assert res.info["reconciliation"] == ref.info["reconciliation"]
+        assert res.multipliers.tobytes() == ref.multipliers.tobytes()
+        assert res.witness_H.tobytes() == ref.witness_H.tobytes()
 
 
 def test_noise_trials_need_at_least_one_trial():

@@ -508,22 +508,24 @@ def test_cho_solve_matches_scipy(m):
     # factor, the same dpotrf in the same runtime; its strict lower
     # triangle is not read.  It goes to two dtrsv calls, U^T z = b and then
     # U x = z, that give scipy's two dtrsv calls bit for bit and scipy's
-    # dpotrs-based cho_solve to roundoff; factoring leaves the matrix as it
-    # was and returns None for one that is not positive definite; a
-    # non-finite right-hand side ends the solve as a numerical problem,
-    # where cho_solve raises ValueError
+    # dpotrs-based cho_solve to roundoff; factoring in place overwrites
+    # the matrix's lower triangle alone, and a matrix that is not positive
+    # definite gets None and is given back bit for bit; a non-finite
+    # right-hand side ends the solve as a numerical problem, where
+    # cho_solve raises ValueError
     rng = np.random.default_rng(89)
     a = rng.normal(size=(m, m))
     spd = a @ a.T + m * np.eye(m)
     kept = spd.copy()
     factor = sdp._cho_factor(spd)
-    assert np.array_equal(spd, kept)
+    assert np.shares_memory(factor, spd)
+    assert np.array_equal(np.triu(spd, 1), np.triu(kept, 1))
     upper = np.triu(factor)
-    ref, info = scipy.linalg.lapack.dpotrf(spd.T, lower=0)
+    ref, info = scipy.linalg.lapack.dpotrf(kept.T, lower=0)
     assert info == 0 and upper.tobytes(order="F") == ref.tobytes(order="F")
-    assert upper.tobytes() == np.linalg.cholesky(spd, upper=True).tobytes()
+    assert upper.tobytes() == np.linalg.cholesky(kept, upper=True).tobytes()
     assert factor.flags.f_contiguous
-    assert np.max(np.abs(upper.T @ upper - spd)) <= 1e-12 * np.max(np.abs(spd))
+    assert np.max(np.abs(upper.T @ upper - kept)) <= 1e-12 * np.max(np.abs(kept))
     b = rng.normal(size=m)
     x = sdp._cho_solve(factor, b)
     z = scipy.linalg.blas.dtrsv(factor, b, lower=0, trans=1)
@@ -533,7 +535,13 @@ def test_cho_solve_matches_scipy(m):
     b[m // 2] = np.nan
     with pytest.raises(sdp._NumericalProblem):
         sdp._cho_solve(factor, b)
-    assert sdp._cho_factor(spd - 2 * m * np.eye(m)) is None
+    # indefinite in its last pivot alone, so dpotrf overwrites all but one
+    # column before it fails
+    indefinite = kept.copy()
+    indefinite[-1, -1] = -1.0
+    before = indefinite.copy()
+    assert sdp._cho_factor(indefinite) is None
+    assert indefinite.tobytes() == before.tobytes()
 
 
 def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
@@ -545,14 +553,14 @@ def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
     a = rng.normal(size=(120, 120))
     spd = a @ a.T + 120 * np.eye(120)
     b = rng.normal(size=120)
-    factor = sdp._cho_factor(spd)
+    factor = sdp._cho_factor(spd.copy())
     x = sdp._cho_solve(factor, b)
     dpotrf, dtrsv, fint = sdp._lapack(None)
     assert fint is ctypes.c_int
     monkeypatch.setattr(sdp, "_DPOTRF", dpotrf)
     monkeypatch.setattr(sdp, "_DTRSV", dtrsv)
     monkeypatch.setattr(sdp, "_FORTRAN_INT", fint)
-    fallback = sdp._cho_factor(spd)
+    fallback = sdp._cho_factor(spd.copy())
     assert fallback.tobytes(order="F") == factor.tobytes(order="F")
     assert sdp._cho_solve(fallback, b).tobytes() == x.tobytes()
     assert sdp._cho_factor(-spd) is None
@@ -561,7 +569,8 @@ def test_cython_lapack_fallback_gives_the_same_bits(monkeypatch):
 def test_ridge_retry_factors_the_assembled_matrix(monkeypatch):
     # two identical F columns make every Schur complement singular; each
     # failed factorization is retried on the assembled matrix plus a ridge
-    # on its diagonal, which a factor written into the matrix would spoil
+    # on its diagonal, restored from the triangle that dpotrf leaves and
+    # the saved diagonal after the factor was written into it
     fs = np.array([np.diag([1.0, -1.0])] * 2)
     prog = sdp.ConicProgram([1.0, 1.0], [(np.eye(2), fs)])
     calls = []
@@ -585,6 +594,91 @@ def test_ridge_retry_factors_the_assembled_matrix(monkeypatch):
     expected = mats[first].copy()
     expected[np.diag_indices_from(expected)] += 1e-14 * (1.0 + np.max(np.diag(expected)))
     assert np.array_equal(mats[first + 1], expected)
+
+
+def test_in_place_ridge_retry_gives_the_bits_of_a_copied_factor(monkeypatch):
+    # on the singular program above dpotrf fails in some iterations; the
+    # retry on the matrix restored in place gives the factors, ridge retries
+    # and solution of a path that factors a copy and leaves the assembled
+    # matrix untouched
+    fs = np.array([np.diag([1.0, -1.0])] * 2)
+    prog = sdp.ConicProgram([1.0, 1.0], [(np.eye(2), fs)])
+    factor = sdp._cho_factor
+    runs = {}
+    for name, fn in (("in place", factor), ("copy", lambda schur: factor(schur.copy()))):
+        seen = []
+
+        def record(schur, fn=fn, seen=seen):
+            out = fn(schur)
+            seen.append(None if out is None else np.triu(out).tobytes())
+            return out
+
+        monkeypatch.setattr(sdp, "_cho_factor", record)
+        runs[name] = (sdp.solve(prog, gap_tol=1e-9), seen)
+    (sol, seen), (ref, ref_seen) = runs["in place"], runs["copy"]
+    assert seen.count(None) == sol.info["ridge_retries"] >= 1
+    assert seen == ref_seen and sol.info["ridge_retries"] == ref.info["ridge_retries"]
+    assert sol.status == ref.status and sol.iterations == ref.iterations
+    assert sol.y_star.tobytes() == ref.y_star.tobytes()
+
+
+def test_pipeline_schur_complements_are_bit_symmetric(monkeypatch):
+    # the in-place factor restores a matrix whose factorization failed from
+    # the triangle dpotrf leaves, which is the matrix only when it is
+    # symmetric bit for bit: every Schur complement that the table rows and
+    # a noise trial at the default configuration assemble is
+    checked = []
+    factor = sdp._cho_factor
+
+    def record(schur):
+        checked.append(schur.tobytes() == np.ascontiguousarray(schur.T).tobytes())
+        return factor(schur)
+
+    monkeypatch.setattr(sdp, "_cho_factor", record)
+    cfg = cli.ExperimentConfig()
+    _, state, _ = cli.make_states(cfg)
+    det = cli.make_detector(cfg)
+    ops = bound.build_measurements(det, det, phases=cfg.phases, signal_cutoff=cfg.n_max)
+    ms = bound.MeasurementSet(ops, bound.simulate_expectations(state, ops))
+    for eps in cli.TABLE_EPSILONS:
+        bound.lower_bound_negativity_robust(ms, eps)
+    model = bound.PhaseNoiseModel("phase_averaged", width=0.4, samples=cfg.noise_samples)
+    bound.noise_trials(state, det, det, model, trials=1)
+    assert len(checked) > 50 and all(checked)
+
+
+def test_short_block_solves_as_its_zero_padded_twin():
+    # a block's F array may stop at its last nonzero column, the later
+    # ones zero, as I -+ H and block A of the witness program do; padding
+    # every block to the full variable count gives the same bits, and an
+    # array with more rows than variables is refused
+    for epsilon, cut in ((0.0, bound.GRAM_NULL_CUT), (1e-2, None)):
+        program = _small_witness_program(2, epsilon, cut)
+        m = program.n_vars
+        assert [len(fs) < m for _, fs in program.blocks[:3]] == [epsilon > 0.0, True, True]
+        padded = []
+        for f0, fs in program.blocks:
+            full = np.zeros((m, *fs.shape[1:]), dtype=fs.dtype)
+            full[: len(fs)] = fs
+            padded.append((f0, full))
+        twin = sdp.ConicProgram(program.objective, padded)
+        sol, ref = sdp.solve(program), sdp.solve(twin)
+        assert sol.status == ref.status == "optimal" and sol.iterations == ref.iterations
+        assert sol.y_star.tobytes() == ref.y_star.tobytes()
+        for x, x_ref in zip(sol.dual_certificate, ref.dual_certificate):
+            assert x.tobytes() == x_ref.tobytes()
+        checks, checks_ref = sdp.verify_solution(program, sol), sdp.verify_solution(twin, ref)
+        assert checks == checks_ref
+    # a scalar block over the first variable alone
+    short = sdp.ConicProgram([1.0, -1.0], [(np.ones((1, 1)), np.ones((1, 1, 1))),
+                                           (np.zeros((1, 1)), -np.ones((2, 1, 1)))])
+    full = sdp.ConicProgram([1.0, -1.0], [(np.ones((1, 1)), np.array([1.0, 0.0])[:, None, None]),
+                                          (np.zeros((1, 1)), -np.ones((2, 1, 1)))])
+    sol, ref = sdp.solve(short), sdp.solve(full)
+    assert sol.status == ref.status == "optimal"
+    assert sol.y_star.tobytes() == ref.y_star.tobytes()
+    with pytest.raises(ValueError, match="k <= m"):
+        sdp.ConicProgram([1.0], [(np.eye(2), np.zeros((2, 2, 2)))])
 
 
 def _table_witness_program():
@@ -747,7 +841,7 @@ def test_merged_gather_gives_block_a_pair_block(n_max, epsilon):
     dvec = rng.uniform(0.1, 10.0, size=m)
     for scale in (np.ones(m), dvec):
         cones = [
-            sdp._MatrixCone(k, f0, fs * scale[:, None, None])
+            sdp._MatrixCone(k, f0, fs * scale[: len(fs), None, None])
             for k, (f0, fs) in enumerate(program.blocks[:3])
         ]
         ((ref_cone, members, (image, sigma)),) = pairs.groups(cones)
@@ -1192,9 +1286,9 @@ def test_only_box_auxiliaries_leave_the_cholesky(program, monkeypatch):
     sizes = []
     factor = sdp._cho_factor
 
-    def record(schur, ws=None):
+    def record(schur):
         sizes.append(schur.shape)
-        return factor(schur, ws)
+        return factor(schur)
 
     monkeypatch.setattr(sdp, "_cho_factor", record)
     solved = []

@@ -1,5 +1,6 @@
 """Smoke tests of the tools: the kernel comparison, on the native kernel
-alone, and the solve log, on one n_max=1 bound."""
+alone, the solve log, on one n_max=1 bound, and the cutoff table, at
+n_max=2."""
 
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
+import cutoff  # noqa: E402
 import kernels  # noqa: E402
 import solvelog  # noqa: E402
 
@@ -84,3 +86,17 @@ def test_solvelog_records_and_compares(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"test_one.py::test_one_bound bound#0: lower_bound {value!r} -> {value + 2.0**-20!r}" in out
     assert "records that moved: 1" in out and "largest |d| bound.lower_bound: 9.54e-07" in out
+
+
+def test_cutoff_tool_certifies_in_a_fresh_process(capsys):
+    # one child per cutoff: its line, then the ROADMAP table and the README
+    # figures built from the same row
+    assert cutoff.main(["2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    first = out[0].split()
+    assert first[:3] == ["n_max", "2:", "bound"] and first[4] == "optimal"
+    value = float(first[3])
+    assert 0.0 < value <= float(out[0].split("exact LN ")[1].split(";")[0])
+    assert out[2] == "| n_max | 2 |" and out[3] == "| --- | --- |"
+    assert out[5] == f"| bound | {value:.7f} |"
+    assert out[-1].startswith("peak RSS / time of the bound: ") and out[-1].endswith("at n_max = 2")
