@@ -401,7 +401,7 @@ def _ball_blocks(mats):
     views of one array; the first is also the basis that block A and the
     witness H are formed from.  They are the same for every witness program
     on the operator stack, so its ladder rungs and robust rows share them,
-    and the cones, pair tables and sigma the solver prepares for them."""
+    and the cones and pair tables the solver prepares for them."""
     n = mats.shape[1]
     fs = np.zeros((2, n * n, n, n), dtype=complex)
     _hermitian_basis(n, out=fs[0])
@@ -445,7 +445,7 @@ def _witness_program(measurements: MeasurementSet, epsilon: float, null_cut: flo
     leading variables alone (sdp.ConicProgram).  The solver keeps each
     array's prepared cone in its own sdp._prepared entry, dropped with that
     array, so the ladder rungs and robust rows of one stack share the
-    cones of I -+ H, their pair tables and sigma.  A trial's program
+    cones of I -+ H and their pair tables.  A trial's program
     differs from the last only in the data-weighted objective and box
     rows.
     """

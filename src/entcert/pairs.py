@@ -8,15 +8,15 @@ K = W (x) W (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997), so the
 block is gathered from K through integer tables (tables).  The entries are
 linear in K, so the cones of one program whose pairs share Schur columns
 are gathered once (groups): cones whose pairs match up to sign through
-the tables of the first, and one cone whose pairs are theirs moved by an
-entry map through a permutation sigma of K's indices (image_index), as
-the witness program's block A is the partial transpose of I - H.  The
-tables and sigma are kept in the reference cone's dict `tables`, so a
-prepared cone, shared by every program of one operator stack, finds them
-once.
+the tables of the first, and one cone whose pairs are theirs partially
+transposed (image_split), as the witness program's block A is I - H's.
+The tables are kept in the reference cone's dict `tables`, so a prepared
+cone, shared by every program of one operator stack, builds them once.
 """
 
 import numpy as np
+
+from . import fock
 
 
 def tables(cone):
@@ -68,82 +68,45 @@ def same_columns(a, b):
     return a.f0.shape == b.f0.shape and a.f0.dtype == b.f0.dtype and np.array_equal(a.pairs, b.pairs)
 
 
-def image_index(ref, cone):
-    """The flat index sigma with sigma(W (x) W) on ref's gather tables
-    giving cone's pair-pair block, when cone's pairs are ref's moved by one
-    entry map tau; None when they are not.
+def image_split(ref, cone):
+    """The split (d1, d2) of n = d1 d2 whose first-mode partial transpose
+    (fock.partial_transpose_index) moves ref's pairs to cone's with one
+    common sign, or None when no split does.
 
-    Pair i of cone is matched with pair i of ref, in the same Schur column.
-    Its values must be s v_i, at tau(r_i, c_i) = (r, c), or s conj(v_i), at
-    tau(r_i, c_i) = (c, r), for one sign s common to every pair: the real
-    pairs fix s, and an imaginary pair's value then fixes its orientation.
-    tau must be one map of entries that commutes with transposition, so a
-    real pair takes the orientation that another pair already gave its
-    entry.  The entries are even in s, and each term of a pair-pair entry
-    of cone is the term of ref at the moved entries, so the cone's block
-    is ref's tables applied to sigma(K), sigma(K)[a,b,e,f] =
-    K[tau_c(f,a), tau_r(b,e), tau_c(b,e), tau_r(f,a)]: every entry the
-    tables read has (f, a) and (b, e) on a pair's entries or their
-    transposes, where tau is defined.  The witness program's block A,
-    H^T1 - sum_i nu_i M_i, is so the first-mode partial transpose of I - H,
-    with s = -1.
+    Pair i of cone is matched with pair i of ref, in the same Schur column,
+    and each is held at its upper entry: the moved (r_i, c_i) with value
+    s v_i, or its transpose with s conj(v_i) when the move takes (r_i, c_i)
+    below the diagonal.  The entries are even in s, so ref's tables read
+    cone's pair-pair block from W (x) W with the first-mode halves of its
+    first and last, and of its middle two, indices swapped.  The witness
+    program's block A, H^T1 - sum_i nu_i M_i, is so I - H moved at the
+    system's split, with s = -1.
     """
     if not same_columns(ref, cone):
         return None
     n = ref.f0.shape[0]
-    # flip[e] is the flat index of the transpose of the flat entry e
-    flip = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    v, w = ref.v, cone.v
-    real = v.imag == 0.0
-    s = 1.0 if not real.any() or w[real][0] == v[real][0] else -1.0
-    # the entries pair i may move to, as v and as its conjugate, and which
-    # of them its value allows
-    target = cone.r * n + cone.c
-    target = np.array([target, flip[target]])
-    fits = np.array([w == s * v, w == s * v.conj()])
-    pick = np.where(fits[0], target[0], target[1])
-    pos = ref.r * n + ref.c
-    tau = np.zeros(n * n, dtype=np.intp)
-    # real pairs first, so that an imaginary pair's orientation wins on a
-    # shared entry; the check below refuses any conflict that remains
-    for part in (real, ~real):
-        tau[pos[part]] = pick[part]
-        tau[flip[pos[part]]] = flip[pick[part]]
-    held = tau[pos]
-    if not (
-        np.all(fits[0] & (held == target[0]) | fits[1] & (held == target[1]))
-        and np.array_equal(tau[flip[pos]], flip[held])
-    ):
-        return None
-    tr, tc = np.divmod(tau, n)
-    # sigma = x[(f,a)] + y[(b,e)], laid out over (a, b, e, f)
-    x = (tc * n**3 + tr).reshape(n, n).T
-    y = (tr * n**2 + tc * n).reshape(n, n)
-    return (x[:, None, None, :] + y[None, :, :, None]).reshape(-1)
-
-
-def _kept_image(ref, cone):
-    """image_index(ref, cone), kept in ref's tables for the latest pairs
-    of the image cone, so that every program whose cones are those of one
-    prepared ref and an image with the same pairs (the witness programs of
-    one operator stack) finds sigma once."""
-    key = (cone.f0.shape, cone.v.dtype.str)
-    key += tuple(a.tobytes() for a in (cone.pairs, cone.r, cone.c, cone.v))
-    held = ref.tables.get("image")
-    if held is None or held[0] != key:
-        held = ref.tables["image"] = (key, image_index(ref, cone))
-    return held[1]
+    for d2 in (d for d in range(1, n + 1) if n % d == 0):
+        r, c = fock.partial_transpose_index(ref.r, ref.c, d2)
+        flip = r > c
+        v = np.where(flip, ref.v.conj(), ref.v)
+        if (
+            np.array_equal(np.where(flip, c, r), cone.r)
+            and np.array_equal(np.where(flip, r, c), cone.c)
+            and (np.array_equal(cone.v, v) or np.array_equal(cone.v, -v))
+        ):
+            return n // d2, d2
+    return None
 
 
 def groups(cones):
     """The pair-pair gathers of one iteration, [reference, members, image]
     per gather: the reference's tables serve the members, cones whose
     pairs match its own up to sign (I - H and I + H of the witness
-    program), and at most one image, (cone index, sigma) of a cone whose
-    pairs are the reference's moved by an entry map (image_index), block
-    A of the witness program.  A cone that is neither gathers alone.
-    Groups of more members come first, so a lone cone joins one as its
-    image."""
+    program), and at most one image, (cone index, split) of a cone whose
+    pairs are the reference's partially transposed at that split
+    (image_split), block A of the witness program.  A cone that is neither
+    gathers alone.  Groups of more members come first, so a lone cone
+    joins one as its image."""
     found = []
     for i, cone in enumerate(cones):
         if cone.pairs.size:
@@ -160,9 +123,9 @@ def groups(cones):
     merged = []
     for group in sorted(found, key=lambda group: -len(group[1])):
         for other in merged if len(group[1]) == 1 else ():
-            sigma = None if other[2] else _kept_image(cones[other[0]], cones[group[0]])
-            if sigma is not None:
-                other[2] = (group[0], sigma)
+            split = None if other[2] else image_split(cones[other[0]], cones[group[0]])
+            if split is not None:
+                other[2] = (group[0], split)
                 break
         else:
             merged.append(group)

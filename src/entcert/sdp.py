@@ -53,10 +53,10 @@ coefficients.  The entries are linear in K, so cones whose pairs share
 Schur columns are gathered once, through the tables of the first
 (pairs.groups): cones whose pairs match up to sign (I - H and I + H of the
 witness program) from K = sum_b W_b (x) W_b, one product of the stacked
-vec(W_b), and one cone whose pairs are theirs moved by an entry map tau
-(block A, through the partial transpose) from sigma(W_A (x) W_A) added to
-it, sigma permuting K's four indices through tau, one np.take; a cone
-alone forms K as an outer product.  Dense columns take G^H Fj G, and
+vec(W_b), and one cone whose pairs are theirs partially transposed
+(block A) from W_A (x) W_A added to it with the first-mode halves of K's
+first and last, and of its middle two, indices swapped; a cone alone
+forms K as an outer product.  Dense columns take G^H Fj G, and
 pair-dense entries W Fj W = G (G^H Fj G) G^H.  The diagonal cone uses
 only the columns its rows touch, and its box auxiliaries, trailing
 columns that only two of its rows each touch, both with one other column
@@ -83,7 +83,7 @@ ConicProgram's Hermitian check and, for the latest Jacobi scaling of the
 variables the array has rows for, the prepared cone, whole: its column
 classes, slot tables, Schur slots and scaled pair values and dense
 columns, scaled without a scaled copy of the array, and its pair tables
-and sigma once it has led a gather.  A later solve places a shallow copy
+once it has led a gather.  A later solve places a shallow copy
 of it, so the witness programs of one operator stack share the cones of
 I -+ H, whose F arrays cover H's columns alone.  A writable array is set
 up afresh each solve, and both ways give the same bits.
@@ -536,30 +536,29 @@ class _MatrixCone:
     def add_pair_schur(self, schur: np.ndarray, wmats: list, ws=None, image=None) -> None:
         """Add sum_b Re tr(W_b Fi W_b Fj) over the pair columns, for the
         scaling points wmats of this cone and of the cones whose pairs match
-        its own, and for image = (sigma, W) that of a cone whose pairs are
-        this cone's moved by an entry map (pairs.image_index).  The entries,
-        2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j] + v_i conj(v_j) W[r_j,r_i]
-        W[c_i,c_j]] (Fujisawa, Kojima & Nakata 1997), are gathered once by
-        np.take through this cone's intp tables from K = sum_b W_b (x) W_b
-        + sigma(W (x) W), written into the workspace ws if given; the sum
-        over wmats is a product of two C-order operands, which numpy hands
-        to gemm, where vecs @ vecs.T would go to syrk, ~2.7x slower here."""
+        its own, and for image = ((d1, d2), W) that of a cone whose pairs
+        are this cone's partially transposed at that split
+        (pairs.image_split).  The entries, 2 Re[v_i v_j W[c_j,r_i] W[c_i,r_j]
+        + v_i conj(v_j) W[r_j,r_i] W[c_i,c_j]] (Fujisawa, Kojima & Nakata
+        1997), are gathered once by np.take through this cone's intp tables
+        from K = sum_b W_b (x) W_b, written into the workspace ws if given,
+        plus the image's W (x) W through K's (d1, d2)^4 view with axes 0
+        and 6, and 2 and 4, swapped; the sum over wmats is a product of two
+        C-order operands, which numpy hands to gemm, where vecs @ vecs.T
+        would go to syrk, ~2.7x slower here."""
         n2 = self.f0.size
-        k = out = _scratch(ws, "k", (n2, n2), self.f0.dtype)
-        if image is not None:
-            # sigma(W (x) W) into K, then the members' sum through a second
-            # buffer; np.take with out= buffers its output unless mode is
-            # clip, and every index is in range, so clipping changes none
-            out = _scratch(ws, "k_image", (n2, n2), self.f0.dtype)
-            np.multiply.outer(image[1].reshape(-1), image[1].reshape(-1), out=out)
-            np.take(out.reshape(-1), image[0], out=k.reshape(-1), mode="clip")
+        k = _scratch(ws, "k", (n2, n2), self.f0.dtype)
         if len(wmats) == 1:
-            np.multiply.outer(wmats[0].reshape(-1), wmats[0].reshape(-1), out=out)
+            np.multiply.outer(wmats[0].reshape(-1), wmats[0].reshape(-1), out=k)
         else:
             vecs = np.stack(wmats, axis=-1).reshape(n2, -1)
-            np.matmul(vecs, np.ascontiguousarray(vecs.T), out=out)
-        if out is not k:
-            k += out
+            np.matmul(vecs, np.ascontiguousarray(vecs.T), out=k)
+        if image is not None:
+            split, w = image
+            out = _scratch(ws, "k_image", (n2, n2), self.f0.dtype)
+            np.multiply.outer(w.reshape(-1), w.reshape(-1), out=out)
+            view = k.reshape(split * 4)
+            view += out.reshape(split * 4).transpose(6, 1, 4, 3, 2, 5, 0, 7)
         pp_index, pp_coef = pairs.tables(self)
         terms = _scratch(ws, "terms", pp_index.shape)
         np.take(_rv(k).reshape(-1), pp_index, out=terms, mode="clip")
@@ -670,7 +669,7 @@ def _cone(index, f0, fs, dvec):
     (_prepared), and kept whole, scaled dense columns included, since they
     fix every value it holds: programs that share fs and those entries,
     such as the witness programs of one operator stack on I -+ H, share
-    one cone, its pair tables and sigma.  Each solve takes a shallow copy,
+    one cone and its pair tables.  Each solve takes a shallow copy,
     which shares the prepared cone's arrays and pair tables and carries
     this block's index and F0, so one F array in two blocks still gives
     two cones."""

@@ -1106,7 +1106,7 @@ def test_prepared_entries_are_keyed_on_the_base_and_the_view():
 def test_witness_programs_of_one_stack_share_the_ball_cones():
     # two ladder rungs of the exact program and a robust row place the one
     # F array of I - H and of I + H kept with the stack, and the solver
-    # prepares their cones, I - H's pair tables and sigma once for all of
+    # prepares their cones and I - H's pair tables once for all of
     # them; they go with the stack
     cfg = replace(cli.ExperimentConfig(), n_max=2)
     _, state, _ = cli.make_states(cfg)
@@ -1121,12 +1121,12 @@ def test_witness_programs_of_one_stack_share_the_ball_cones():
         balls = [fs for _, fs in program.blocks[1:3]]
         assert [len(fs) for fs in balls] == [nh, nh]
         cones = [sdp._PREPARED[_prepared_key(fs)]["cone"] for fs in balls]
-        prepared.append((balls, cones, cones[0].tables["pp"], cones[0].tables["image"]))
+        prepared.append((balls, cones, cones[0].tables["pp"]))
     first = prepared[0]
     for later in prepared[1:]:
         assert all(a is b for a, b in zip(later[0], first[0]))
         assert all(a is b for a, b in zip(later[1], first[1]))
-        assert later[2] is first[2] and later[3] is first[3]
+        assert later[2] is first[2]
     keys = [_prepared_key(fs) for fs in first[0]]
     cone = weakref.ref(first[1][0])
     del ops, ms, program, balls, cones, prepared, first, later

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from entcert import bound, cli, pairs, sdp
+from entcert import bound, cli, fock, pairs, sdp
 
 import oracles
 from test_bound import _x86_with_avx2
@@ -789,9 +789,9 @@ def test_pair_tables_match_oracle(program, hermitian):
         # I + H and I - H carry the same pairs with opposite signs, so I - H's
         # tables serve both; block A's pairs are theirs moved by the partial
         # transpose, so it shares no tables and joins their gather as its
-        # image
-        ((ref_cone, members, (image, sigma)),) = pairs.groups(cones)
-        assert (ref_cone, members, image) == (1, [1, 2], 0)
+        # image at the split d1 x d2
+        ((ref_cone, members, (image, split)),) = pairs.groups(cones)
+        assert (ref_cone, members, image, split) == (1, [1, 2], 0, (d1, d2))
         p = cones[1].pairs
         assert np.array_equal(cones[2].pairs, p)
         schur = np.zeros((m, m))
@@ -801,7 +801,7 @@ def test_pair_tables_match_oracle(program, hermitian):
         assert np.array_equal(schur, schur.T)
         assert np.count_nonzero(schur) == np.count_nonzero(schur[np.ix_(p, p)])
         schur = np.zeros((m, m))
-        cones[1].add_pair_schur(schur, ws[1:], image=(sigma, ws[0]))
+        cones[1].add_pair_schur(schur, ws[1:], image=(split, ws[0]))
         ref = sum(oracles.pair_schur_block(w, c.r, c.c, c.v) for c, w in zip(cones, ws))
         assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(schur, schur.T)
@@ -811,7 +811,8 @@ def test_witness_program_gathers_i_minus_and_plus_h_once(monkeypatch):
     # the witness program's cones I - H and I + H share pair tables and
     # Schur columns, and block A's pairs are theirs moved by the partial
     # transpose, so each iteration gathers the pair-pair block of all three
-    # once, from the sum of their W (x) W with block A's permuted
+    # once, from the sum of their W (x) W with block A's partially
+    # transposed
     calls = []
     add = sdp._MatrixCone.add_pair_schur
 
@@ -831,9 +832,9 @@ def test_witness_program_gathers_i_minus_and_plus_h_once(monkeypatch):
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_merged_gather_gives_block_a_pair_block(n_max, epsilon):
     # block A's pair-pair block, gathered through I - H's tables from
-    # sigma(W_A (x) W_A), equals the per-entry formula on A's own pairs
-    # (r, c, v), as given and Jacobi-scaled; with zero W for I -+ H the
-    # merged K is sigma(W_A (x) W_A) alone
+    # W_A (x) W_A partially transposed, equals the per-entry formula on A's
+    # own pairs (r, c, v), as given and Jacobi-scaled; with zero W for
+    # I -+ H the merged K is block A's alone
     cut = bound.GRAM_NULL_CUT if epsilon == 0.0 else None
     program = _small_witness_program(n_max, epsilon, cut)
     rng = np.random.default_rng(109)
@@ -844,13 +845,13 @@ def test_merged_gather_gives_block_a_pair_block(n_max, epsilon):
             sdp._MatrixCone(k, f0, fs * scale[: len(fs), None, None])
             for k, (f0, fs) in enumerate(program.blocks[:3])
         ]
-        ((ref_cone, members, (image, sigma)),) = pairs.groups(cones)
-        assert (ref_cone, members, image) == (1, [1, 2], 0)
+        ((ref_cone, members, (image, split)),) = pairs.groups(cones)
+        assert (ref_cone, members, image, split) == (1, [1, 2], 0, (n_max + 1, n_max + 1))
         a = _random_hermitian(rng, n)
         w = _herm(a @ a.conj().T + 0.1 * np.eye(n))
         schur = np.zeros((m, m))
         zero = np.zeros_like(w)
-        cones[1].add_pair_schur(schur, [zero, zero], image=(sigma, w))
+        cones[1].add_pair_schur(schur, [zero, zero], image=(split, w))
         p, cone = cones[0].pairs, cones[0]
         ref = oracles.pair_schur_block(w, cone.r, cone.c, cone.v)
         assert np.max(np.abs(schur[np.ix_(p, p)] - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -858,11 +859,11 @@ def test_merged_gather_gives_block_a_pair_block(n_max, epsilon):
 
 @pytest.mark.parametrize("variant", ["sign", "diagonal"])
 def test_cone_with_no_entry_map_gathers_alone(variant):
-    # a cone on the Schur columns of I -+ H whose pairs are not theirs moved
-    # by one entry map that commutes with transposition gathers alone, with
-    # the bits of the per-entry formula: block A with one pair's sign
-    # flipped (values beyond one common sign), or with a diagonal pair of
-    # I - H sent to an off-diagonal entry of the same value
+    # a cone on the Schur columns of I -+ H whose pairs are not theirs
+    # partially transposed at one split with one common sign gathers alone,
+    # with the bits of the per-entry formula: block A with one pair's sign
+    # flipped, or with a diagonal pair of I - H sent to an off-diagonal
+    # entry of the same value
     program = _small_witness_program(1, 0.0, bound.GRAM_NULL_CUT)
     (f0, fs_a), (_, fs_b), (_, fs_c) = program.blocks[:3]
     n = f0.shape[0]
@@ -877,7 +878,7 @@ def test_cone_with_no_entry_map_gathers_alone(variant):
     blocks = [fs_a, fs_b, fs_c]
     cones = [sdp._MatrixCone(k, f0, fs) for k, fs in enumerate(blocks)]
     assert np.array_equal(cones[0].pairs, cones[1].pairs)
-    assert pairs.image_index(cones[1], cones[0]) is None
+    assert pairs.image_split(cones[1], cones[0]) is None
     assert pairs.groups(cones) == [[1, [1, 2], None], [0, [0], None]]
     rng = np.random.default_rng(113)
     a = _random_hermitian(rng, n)
@@ -886,6 +887,55 @@ def test_cone_with_no_entry_map_gathers_alone(variant):
     cones[0].add_pair_schur(schur, [w])
     p, cone = cones[0].pairs, cones[0]
     assert np.array_equal(schur[np.ix_(p, p)], oracles.pair_schur_block(w, cone.r, cone.c, cone.v))
+
+
+def _explicit_image_index(n, d2):
+    """The flat index sigma of K = W (x) W's n^4 entries that moves W (x) W
+    to the Kronecker product that the first-mode partial transpose tau of
+    the pairs' entries asks for, sigma(K)[a,b,e,f] = K[tau_c(f,a),
+    tau_r(b,e), tau_c(b,e), tau_r(f,a)], built from
+    fock.partial_transpose_index."""
+    tr, tc = fock.partial_transpose_index(*np.divmod(np.arange(n * n), n), d2)
+    x = (tc * n**3 + tr).reshape(n, n).T
+    y = (tr * n**2 + tc * n).reshape(n, n)
+    return (x[:, None, None, :] + y[None, :, :, None]).reshape(-1)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 2), (4, 4)])
+def test_swapped_axes_gather_matches_explicit_index(d1, d2, hermitian, scaled):
+    # block A's W (x) W added through K's (d1, d2)^4 view with axes 0 and 6,
+    # and 2 and 4, swapped gives the K and the pair-pair block, bit for bit,
+    # of a gather through the explicit n^4 index of the partial transpose;
+    # the recogniser finds block A's split from the pairs alone
+    rng = np.random.default_rng(127)
+    n = d1 * d2
+    basis = bound._hermitian_basis(n)
+    blocks = [-oracles._partial_transpose_first(basis, d1, d2), basis, -basis]
+    if not hermitian:
+        real = np.all([np.all(fs.imag == 0.0, axis=(1, 2)) for fs in blocks], axis=0)
+        blocks = [fs[real].real for fs in blocks]
+    m = len(blocks[0])
+    dvec = rng.uniform(0.1, 10.0, size=m) if scaled else None
+    cones = [sdp._MatrixCone(k, np.eye(n, dtype=fs.dtype), fs, dvec) for k, fs in enumerate(blocks)]
+    assert pairs.image_split(cones[1], cones[0]) == (d1, d2)
+    assert pairs.groups(cones) == [[1, [1, 2], (0, (d1, d2))]]
+    herm = _random_hermitian if hermitian else lambda rng, n: _sym(rng.normal(size=(n, n)))
+    ws = [herm(rng, n) for _ in cones]
+    work = {}
+    schur = np.zeros((m, m))
+    cones[1].add_pair_schur(schur, ws[1:], work, image=((d1, d2), ws[0]))
+    vecs = np.stack(ws[1:], axis=-1).reshape(n * n, -1)
+    k = np.matmul(vecs, np.ascontiguousarray(vecs.T))
+    image = np.multiply.outer(ws[0].reshape(-1), ws[0].reshape(-1))
+    k += np.take(image, _explicit_image_index(n, d2)).reshape(k.shape)
+    assert np.array_equal(work[("k", k.shape, k.dtype)], k)
+    index, coef = pairs.tables(cones[1])
+    terms = coef * sdp._rv(k).reshape(-1)[index]
+    spp = terms[0] + terms[1]
+    p = cones[1].pairs
+    assert np.array_equal(schur[np.ix_(p, p)], spp + spp.T)
 
 
 def _pd_matrix(rng, n, cond, hermitian):
